@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,7 +21,8 @@ from . import isotropy as iso
 from . import nsga2
 from . import search
 from . import slam
-from .fourbar import coupler_path, sweep
+from .fourbar import SweepInvalidError, coupler_path, sweep
+from .lptau import INDEX_LIMIT
 from .mobility import MechanismGraph, rationality_report, reference_graphs
 from .svgplot import SvgPlot
 
@@ -109,17 +109,24 @@ _SYNTH_KEYS = {"box", "budget", "sweep_samples", "branch", "limits"}
 _LIMIT_KEYS = {"max_delta", "min_transmission_deg", "min_cycle_ratio"}
 
 
-def cmd_synth(config, out, seed, threads):
+def _sweep_samples(config, context):
+    count = _get(config, "sweep_samples", int, search.DEFAULT_SWEEP_SAMPLES,
+                 context)
+    if count < 2:
+        raise ConfigError("sweep_samples must be at least 2")
+    return count
+
+
+def cmd_synth(config, out, seed):
     _check_keys(config, _SYNTH_KEYS, "synth config")
     box = _parse_box(config["box"]) if "box" in config else search.DEFAULT_BOX
     budget = _get(config, "budget", int, 2 ** 14, "synth ")
-    count = _get(config, "sweep_samples", int, search.DEFAULT_SWEEP_SAMPLES,
-                 "synth ")
+    count = _sweep_samples(config, "synth ")
     branch = _get(config, "branch", int, 1, "synth ")
     if branch not in (1, -1):
         raise ConfigError("branch must be 1 or -1")
-    if budget < 1:
-        raise ConfigError("budget must be at least 1")
+    if not 1 <= budget < INDEX_LIMIT:
+        raise ConfigError(f"budget must lie in 1..{INDEX_LIMIT - 1}")
     limits_block = config.get("limits", {})
     _check_keys(limits_block, _LIMIT_KEYS, "limits")
     limits = search.FeasibilityLimits(
@@ -131,8 +138,7 @@ def cmd_synth(config, out, seed, threads):
     )
 
     tag = _config_hash(config, seed)
-    records = search.scan(box, budget, count=count, branch=branch,
-                          threads=threads)
+    records = search.scan(box, budget, count=count, branch=branch)
     feasible = search.filter_feasible(records, limits)
     pareto = search.pareto_filter(feasible)
 
@@ -152,7 +158,7 @@ def cmd_synth(config, out, seed, threads):
     p = best.params
     try:
         poses = sweep(p, 200)
-    except Exception:
+    except SweepInvalidError:
         # a design feasible at the scan resolution can straddle a thin
         # unassemblable sliver at finer sampling; plot what was checked
         poses = sweep(p, count)
@@ -211,15 +217,8 @@ def _overlap_report(front, table_points):
     f = (front - lo) / span
     t = (table_points - lo) / span
     d_ft = np.sqrt(((f[:, None, :] - t[None, :, :]) ** 2).sum(axis=2))
-    front_dominated = 0
-    for row in front:
-        better = np.all(table_points <= row, axis=1) & np.any(
-            table_points < row, axis=1)
-        front_dominated += bool(better.any())
-    table_dominated = 0
-    for row in table_points:
-        better = np.all(front <= row, axis=1) & np.any(front < row, axis=1)
-        table_dominated += bool(better.any())
+    front_dominated = search.dominates(table_points, front).any(axis=0).sum()
+    table_dominated = search.dominates(front, table_points).any(axis=0).sum()
     return {
         "front_size": int(len(front)),
         "table_size": int(len(table_points)),
@@ -230,12 +229,36 @@ def _overlap_report(front, table_points):
     }
 
 
-def cmd_pareto(config, out, seed, threads):
-    del threads  # evaluation is sequential inside the engine
+_TABLE_COLUMNS = {"feasible", "delta0", "min_transmission_deg"}
+
+
+def _read_table_points(path):
+    """(delta0, -min transmission in rad) of each feasible row of a
+    sampling table written by `synth`."""
+    pts = []
+    try:
+        with open(path, newline="") as fh:
+            first = fh.readline()
+            if not first.startswith("#"):
+                fh.seek(0)
+            reader = csv.DictReader(fh)
+            missing = _TABLE_COLUMNS - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"missing columns {sorted(missing)}")
+            for row in reader:
+                if row["feasible"] != "1":
+                    continue
+                pts.append([float(row["delta0"]),
+                            -np.radians(float(row["min_transmission_deg"]))])
+    except (OSError, TypeError, ValueError, csv.Error) as err:
+        raise ConfigError(f"cannot read sampling table {path!r}: {err}") from None
+    return pts
+
+
+def cmd_pareto(config, out, seed):
     _check_keys(config, _PARETO_KEYS, "pareto config")
     box = _parse_box(config["box"]) if "box" in config else search.DEFAULT_BOX
-    count = _get(config, "sweep_samples", int, search.DEFAULT_SWEEP_SAMPLES,
-                 "pareto ")
+    count = _sweep_samples(config, "pareto ")
     branch = _get(config, "branch", int, 1, "pareto ")
     coupler = _get(config, "coupler", str, "solved", "pareto ")
     ga_block = config.get("ga", {})
@@ -253,6 +276,8 @@ def cmd_pareto(config, out, seed, threads):
                                     coupler=coupler)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    table_path = _get(config, "sampling_table", str, None, "pareto ")
+    table_points = [] if table_path is None else _read_table_points(table_path)
 
     tag = _config_hash(config, seed)
     result = nsga2.evolve(problem, ga)
@@ -289,22 +314,10 @@ def cmd_pareto(config, out, seed, threads):
         plot.add_scatter(F[:, 0], F[:, 1], label="front")
         plot.write(out / "front.svg", comment=f"config {tag}")
 
-    if "sampling_table" in config:
-        table_path = config["sampling_table"]
-        pts = []
-        with open(table_path, newline="") as fh:
-            first = fh.readline()
-            if not first.startswith("#"):
-                fh.seek(0)
-            for row in csv.DictReader(fh):
-                if row["feasible"] != "1":
-                    continue
-                pts.append([float(row["delta0"]),
-                            -np.radians(float(row["min_transmission_deg"]))])
-        if pts and len(F):
-            report = _overlap_report(F, np.array(pts))
-            report["config_hash"] = tag
-            _write_json(out / "overlap.json", report)
+    if table_points and len(F):
+        report = _overlap_report(F, np.array(table_points))
+        report["config_hash"] = tag
+        _write_json(out / "overlap.json", report)
 
     final_hv = hv[-1] if hv else 0.0
     print(f"pareto: front size {len(front)}, final hypervolume "
@@ -367,8 +380,7 @@ def _isotropy_config(config):
                                   beta=np.pi / 2)
 
 
-def cmd_isotropy(config, out, seed, threads):
-    del threads
+def cmd_isotropy(config, out, seed):
     _check_keys(config, _ISOTROPY_KEYS, "isotropy config")
     tag = _config_hash(config, seed)
     try:
@@ -429,14 +441,16 @@ _GRAPH_KEYS = {"space", "moving_links", "p5", "p4", "p3", "p2", "p1",
                "actuated_inputs", "label"}
 
 
-def cmd_mobility(config, out, seed, threads):
-    del threads
+def cmd_mobility(config, out, seed):
     _check_keys(config, _MOBILITY_KEYS, "mobility config")
     tag = _config_hash(config, seed)
+    blocks = config.get("graphs", [])
+    if not isinstance(blocks, list):
+        raise ConfigError("graphs must be a list of objects")
     graphs = []
-    if config.get("use_reference_fixtures", not config.get("graphs")):
+    if config.get("use_reference_fixtures", not blocks):
         graphs.extend(reference_graphs())
-    for block in config.get("graphs", []):
+    for block in blocks:
         _check_keys(block, _GRAPH_KEYS, "graph")
         try:
             graphs.append(MechanismGraph(
@@ -507,8 +521,7 @@ def _parse_script(block):
     raise ConfigError(f"unknown script type {kind!r}")
 
 
-def cmd_slam(config, out, seed, threads):
-    del threads
+def cmd_slam(config, out, seed):
     _check_keys(config, _SLAM_KEYS, "slam config")
     tag = _config_hash(config, seed)
 
@@ -552,6 +565,8 @@ def cmd_slam(config, out, seed, threads):
                                              0.0))
 
     script = _parse_script(config.get("script", {"type": "loop"}))
+    if not script:
+        raise ConfigError("script must have at least one step")
     start = config.get("start_pose", [0.0, 0.0, 0.0])
     if (not isinstance(start, list) or len(start) != 3
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -638,27 +653,13 @@ def main(argv=None):
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default="legsynth-out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=0,
-                       help="0 = auto; results are thread-count invariant")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    env = os.environ.get("LEGSYNTH_THREADS")
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            print(f"legsynth: bad LEGSYNTH_THREADS value {env!r}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-    if threads == 0:
-        threads = min(os.cpu_count() or 1, 8)
 
     out = Path(args.out)
     try:
         config = _load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out, args.seed, threads)
+        return _COMMANDS[args.command](config, out, args.seed)
     except ConfigError as err:
         print(f"legsynth: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,6 +13,8 @@ import numpy as np
 
 MAX_DIM = 16
 _N_BITS = 32
+# Point indices have _N_BITS bits: skip + count must stay below this.
+INDEX_LIMIT = 2 ** _N_BITS
 _SCALE = 2.0 ** -_N_BITS
 
 # Primitive polynomial (binary encoding, e.g. 11 = x^3 + x + 1) and initial
@@ -73,7 +75,7 @@ def lp_tau(dim, count, skip=0):
         raise ValueError(f"dim must be in 1..{MAX_DIM}, got {dim}")
     if count < 0 or skip < 0:
         raise ValueError("count and skip must be non-negative")
-    if skip + count >= 2 ** _N_BITS:
+    if skip + count >= INDEX_LIMIT:
         raise ValueError("sequence index would exceed 32-bit resolution")
     V = _direction_integers(dim)
     indices = np.arange(skip, skip + count, dtype=np.uint64)

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourbar import FourBarParams, SweepInvalidError, sample_schedule, sweep
-from .search import DEFAULT_BOX, DEFAULT_SWEEP_SAMPLES
-from .synthesis import assemble, solve
+from .fourbar import FourBarParams, SweepInvalidError
+from .search import DEFAULT_BOX, DEFAULT_SWEEP_SAMPLES, dominates
+from .synthesis import reduced_objective
 
 OBJECTIVE_SENTINEL = 1e30
 
@@ -143,9 +143,7 @@ def _evaluate(problem, genome):
 def _domination_matrix(F, violation):
     """D[i, j] = individual i constraint-dominates individual j."""
     feas = violation <= 0.0
-    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
-    lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
-    obj_dom = le & lt
+    obj_dom = dominates(F, F)
     fi = feas[:, None]
     fj = feas[None, :]
     viol_dom = violation[:, None] < violation[None, :]
@@ -214,18 +212,10 @@ def hypervolume_2d(front, reference, normalization=None, return_excluded=False):
     pts = F[keep]
     area = 0.0
     if len(pts):
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        pts = pts[order]
-        best_y = np.inf
-        xs, ys = [], []
-        for x, y in pts:
-            if y < best_y:
-                xs.append(x)
-                ys.append(y)
-                best_y = y
-        xs.append(ref[0])
-        for i in range(len(ys)):
-            area += (xs[i + 1] - xs[i]) * (ref[1] - ys[i])
+        stairs = _nondominated_2d(pts)
+        xs = np.append(stairs[:, 0], ref[0])
+        for i, y in enumerate(stairs[:, 1]):
+            area += (xs[i + 1] - xs[i]) * (ref[1] - y)
     if normalization is not None:
         ideal = np.asarray(normalization, dtype=float)
         box = float(np.prod(ref - ideal))
@@ -249,6 +239,20 @@ def _nondominated_2d(points):
             kept.append(p)
             best_y = p[1]
     return np.array(kept)
+
+
+def _ranked_fronts(individuals):
+    """Nondomination fronts in rank order, each with its crowding distances.
+
+    Sets the rank and crowding fields of each yielded front's members; a
+    caller that stops early leaves the later fronts unassigned.
+    """
+    for rank, front in enumerate(fast_nondominated_sort(individuals)):
+        d = crowding_distance(np.array([individuals[i].objectives for i in front]))
+        for i, dist in zip(front, d):
+            individuals[i].rank = rank
+            individuals[i].crowding = float(dist)
+        yield front, d
 
 
 def _breed(parents, problem, config, rng):
@@ -338,12 +342,7 @@ def evolve(problem, config):
         trace.append(GenerationStats(generation=generation, hypervolume=float(hv),
                                      best_objectives=best))
 
-    fronts = fast_nondominated_sort(population)
-    for r, front in enumerate(fronts):
-        d = crowding_distance(np.array([population[i].objectives for i in front]))
-        for i, dist in zip(front, d):
-            population[i].rank = r
-            population[i].crowding = float(dist)
+    list(_ranked_fronts(population))  # breeding reads rank and crowding
     record(0, population)
 
     for generation in range(1, config.generations + 1):
@@ -354,13 +353,8 @@ def evolve(problem, config):
             offspring.append(Individual(genome=g, objectives=F, violation=v))
 
         combined = population + offspring
-        fronts = fast_nondominated_sort(combined)
         survivors = []
-        for r, front in enumerate(fronts):
-            d = crowding_distance(np.array([combined[i].objectives for i in front]))
-            for i, dist in zip(front, d):
-                combined[i].rank = r
-                combined[i].crowding = float(dist)
+        for front, d in _ranked_fronts(combined):
             if len(survivors) + len(front) <= config.population:
                 survivors.extend(front)
             else:
@@ -372,12 +366,7 @@ def evolve(problem, config):
         population = [combined[i] for i in survivors]
         record(generation, offspring)
 
-    fronts = fast_nondominated_sort(population)
-    for r, front in enumerate(fronts):
-        d = crowding_distance(np.array([population[i].objectives for i in front]))
-        for i, dist in zip(front, d):
-            population[i].rank = r
-            population[i].crowding = float(dist)
+    fronts = [front for front, _ in _ranked_fronts(population)]
     return EvolveResult(population=population, fronts=fronts, trace=trace,
                         archive=archive,
                         reference_point=reference, ideal_point=ideal)
@@ -406,14 +395,12 @@ def evaluate_leg(genome, count=DEFAULT_SWEEP_SAMPLES, branch=+1, coupler="solved
     params = FourBarParams(crank=genome[0], coupler=genome[1], rocker=genome[2],
                            start_angle=genome[3], support_arc=genome[4],
                            branch=branch)
-    poses = sweep(params, count)
-    schedule = sample_schedule(params.start_angle, params.support_arc, count)
     pinned = None
     if coupler == "explicit":
         pinned = {0: float(genome[5]), 1: float(genome[6])}
-    solution = solve(assemble(poses, schedule), pinned=pinned)
-    mu_min = min(p.transmission_angle for p in poses)
-    return LegObjectives(error=solution.delta, transmission=float(mu_min))
+    reduced = reduced_objective(params, count, pinned=pinned)
+    mu_min = min(p.transmission_angle for p in reduced.poses)
+    return LegObjectives(error=reduced.delta0, transmission=float(mu_min))
 
 
 def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1,

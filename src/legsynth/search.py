@@ -5,11 +5,10 @@ box with LP-tau points, evaluate the reduced objective and gait metrics at
 each point, keep everything (infeasible samples included, with reasons) as
 a sampling table, then reduce by feasibility limits and Pareto dominance.
 Evaluation is a pure function of the sample index, so records can be
-computed in any order (or concurrently) and merged deterministically.
+computed in any order and merged deterministically.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,30 +98,22 @@ def evaluate_sample(index, params, count=DEFAULT_SWEEP_SAMPLES):
                         metrics=metrics)
 
 
-def scan(box, budget, count=DEFAULT_SWEEP_SAMPLES, branch=+1, threads=0):
+def scan(box, budget, count=DEFAULT_SWEEP_SAMPLES, branch=+1):
     """Evaluate `budget` LP-tau points mapped into the box.
 
     Returns one record per point, in sequence order, infeasible samples
     included.  The result is reproducible bit-for-bit for a given
-    (box, budget, count, branch) regardless of `threads`, because records
-    are keyed by sample index and merged in index order.
+    (box, budget, count, branch).
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     points = box.map_unit(lp_tau(5, budget))
-
-    def build(i):
-        p = points[i]
+    records = []
+    for i, p in enumerate(points):
         params = FourBarParams(crank=p[0], coupler=p[1], rocker=p[2],
                                start_angle=p[3], support_arc=p[4],
                                branch=branch)
-        return evaluate_sample(i, params, count)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(build, range(budget)))
-    else:
-        records = [build(i) for i in range(budget)]
+        records.append(evaluate_sample(i, params, count))
     return records
 
 
@@ -142,6 +133,14 @@ def filter_feasible(records, limits):
     return kept
 
 
+def dominates(A, B):
+    """D[i, j] = row A_i strictly dominates row B_j under componentwise
+    minimization: no worse in every objective, better in at least one."""
+    A = np.asarray(A, dtype=float)[:, None, :]
+    B = np.asarray(B, dtype=float)[None, :, :]
+    return np.all(A <= B, axis=2) & np.any(A < B, axis=2)
+
+
 def pareto_filter(records):
     """Nondominated subset under componentwise minimization of
     (delta0, -min transmission angle, -cycle ratio).
@@ -155,13 +154,9 @@ def pareto_filter(records):
     F = np.array([r.objectives() for r in candidates])
     n = len(candidates)
     dominated = np.zeros(n, dtype=bool)
-    chunk = 256
+    chunk = 256  # bounds the (n, chunk, 3) comparison arrays
     for start in range(0, n, chunk):
-        block = F[start:start + chunk]  # (b, 3)
-        le = np.all(F[None, :, :] <= block[:, None, :], axis=2)  # j dominates-or-ties i
-        lt = np.any(F[None, :, :] < block[:, None, :], axis=2)
-        dom = le & lt  # j strictly dominates i
-        dominated[start:start + chunk] = dom.any(axis=1)
+        dominated[start:start + chunk] = dominates(F, F[start:start + chunk]).any(axis=0)
     return [r for r, d in zip(candidates, dominated) if not d]
 
 

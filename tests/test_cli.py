@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from legsynth.cli import main
+from legsynth.cli import _overlap_report, main
 
 TIGHT_BOX = {
     "lower": [0.45, 1.15, 1.15, 0.9599310885968813, 3.8310770045216016],
@@ -46,14 +46,11 @@ class TestSynth:
         assert (out_a / "summary.json").read_bytes() \
             == (out_b / "summary.json").read_bytes()
 
-    def test_thread_flag_does_not_change_output(self, tmp_path):
-        config = {"box": TIGHT_BOX, "budget": 32}
-        _, out_a = run(tmp_path / "a", "synth", config,
-                       extra=("--threads", "1"))
-        _, out_b = run(tmp_path / "b", "synth", config,
-                       extra=("--threads", "4"))
-        assert (out_a / "sampling_table.csv").read_bytes() \
-            == (out_b / "sampling_table.csv").read_bytes()
+    def test_retired_thread_flag_exit_1(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run(tmp_path, "synth", {"box": TIGHT_BOX, "budget": 8},
+                extra=("--threads", "4"))
+        assert info.value.code == 1
 
     def test_config_hash_in_headers(self, tmp_path):
         code, out = run(tmp_path, "synth", {"box": TIGHT_BOX, "budget": 8})
@@ -126,6 +123,26 @@ class TestPareto:
         assert overlap["front_size"] > 0
         assert overlap["table_size"] == 32
         assert overlap["mean_front_to_table"] >= 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overlap_counts_match_pairwise_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        # integer coordinates on a 4 x 4 grid make ties and repeats common
+        front = rng.integers(0, 4, size=(rng.integers(1, 15), 2)).astype(float)
+        table = rng.integers(0, 4, size=(rng.integers(1, 40), 2)).astype(float)
+
+        def dominated_count(points, others):
+            return sum(
+                any(all(o <= p for o, p in zip(other, point))
+                    and any(o < p for o, p in zip(other, point))
+                    for other in others)
+                for point in points)
+
+        report = _overlap_report(front, table)
+        assert report["front_points_dominated_by_table"] \
+            == dominated_count(front.tolist(), table.tolist())
+        assert report["table_points_dominated_by_front"] \
+            == dominated_count(table.tolist(), front.tolist())
 
 
 class TestIsotropy:
@@ -241,7 +258,54 @@ class TestSlam:
         assert code == 1
 
 
+def _table(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    return str(path)
+
+
+BAD_CONFIGS = [
+    pytest.param("pareto", lambda tmp: {"sampling_table": 5},
+                 id="table-not-a-string"),
+    pytest.param("pareto", lambda tmp: {"sampling_table": str(tmp / "nope.csv")},
+                 id="table-missing"),
+    pytest.param("pareto", lambda tmp: {"sampling_table": str(tmp)},
+                 id="table-is-a-directory"),
+    pytest.param("pareto", lambda tmp: {
+        "sampling_table": _table(tmp, "index,delta0\n0,0.5\n")},
+        id="table-without-feasible"),
+    pytest.param("pareto", lambda tmp: {
+        "sampling_table": _table(tmp, "index,feasible,min_transmission_deg\n"
+                                      "0,1,30\n")},
+        id="table-without-delta0"),
+    pytest.param("synth", lambda tmp: {"budget": 2 ** 32}, id="budget-2^32"),
+    pytest.param("synth", lambda tmp: {"budget": 2 ** 40}, id="budget-2^40"),
+    pytest.param("synth", lambda tmp: {"sweep_samples": 1},
+                 id="synth-one-sweep-sample"),
+    pytest.param("pareto", lambda tmp: {"sweep_samples": 1},
+                 id="pareto-one-sweep-sample"),
+    pytest.param("slam", lambda tmp: {"script": []}, id="empty-script"),
+    pytest.param("slam", lambda tmp: {"script": {"type": "constant", "steps": 0}},
+                 id="zero-steps"),
+    pytest.param("slam", lambda tmp: {"script": {"type": "constant", "steps": -3}},
+                 id="negative-steps"),
+    pytest.param("mobility", lambda tmp: {"graphs": 5}, id="graphs-a-number"),
+    pytest.param("mobility", lambda tmp: {"graphs": True}, id="graphs-true"),
+]
+
+
 class TestParserBehavior:
+    @pytest.mark.parametrize("command, make_config", BAD_CONFIGS)
+    def test_bad_config_exit_1(self, tmp_path, capsys, command, make_config):
+        config = make_config(tmp_path)
+        if command == "pareto":
+            config["ga"] = {"population": 4, "generations": 0}
+        code, _ = run(tmp_path / "run", command, config)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_exit_1(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["synth", "--frobnicate"])
