@@ -3,15 +3,17 @@
 Subcommands: synth (hybrid linkage synthesis pipeline), pareto (NSGA-II
 on the leg problem), isotropy (stance diagnostics), mobility (structure
 audit), slam (simulation run).  Every command is deterministic given
-(config, seed); each output file carries the effective-config hash in a
-header comment.  Exit codes: 0 success, 1 configuration error, 2
-computational infeasibility.
+(config, seed); each output file carries, in a header comment, a hash of
+the config document as written together with the seed.  Exit codes: 0
+success, 1 configuration error, 2 computational infeasibility.
 """
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,13 +24,23 @@ from . import nsga2
 from . import search
 from . import slam
 from .fourbar import SweepInvalidError, coupler_path, sweep
-from .lptau import INDEX_LIMIT
 from .mobility import MechanismGraph, rationality_report, reference_graphs
 from .svgplot import SvgPlot
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
+
+# Bounds on the config values that size an allocation or a loop, checked
+# before any pipeline starts: each is at least 16x the largest value any
+# test, demo, README sketch or benchmark config uses.
+MAX_SAMPLES = 2 ** 20        # synth budget, LP-tau points
+MAX_SWEEP_SAMPLES = 4096     # crank positions per design
+MAX_POPULATION = 2000        # the domination matrix is (2 population)^2
+MAX_RAYS = 10_000            # sensor rays per scan
+MAX_STEPS = 10 ** 6          # script steps, given or derived
+MAX_GRID_CELLS = 10 ** 7     # occupancy grid width x height
+MAX_LANDMARKS = 2048         # the EKF covariance is (3 + 2 landmarks)^2
 
 
 class ConfigError(ValueError):
@@ -51,21 +63,64 @@ def _check_keys(block, allowed, context):
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
 
 
-def _get(block, key, kind, default=None, context=""):
+def _value(value, kind, name, lo=-math.inf, hi=math.inf):
+    """`value` checked as a `kind` (float, int, str, bool or np.ndarray,
+    which takes a list of floats).  A float also takes a JSON integer and
+    must be finite; a number must lie in [lo, hi]."""
+    if kind is float:
+        # the bound test also rejects NaN, infinities and integers too
+        # large to convert
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise ConfigError(f"{name} must be a finite number")
+        value = float(value)
+    elif kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer")
+    elif kind is np.ndarray:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list of numbers")
+        value = np.array([_value(v, float, name) for v in value])
+    elif not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}")
+    if kind in (int, float) and not lo <= value <= hi:
+        raise ConfigError(f"{name} must lie in [{lo}, {hi}]")
+    return value
+
+
+def _get(block, key, kind, default=None, context="", lo=-math.inf,
+         hi=math.inf):
     if key not in block:
         return default
-    value = block[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{context}{key} must be a number")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{context}{key} must be an integer")
-        return value
-    if kind is str and not isinstance(value, str):
-        raise ConfigError(f"{context}{key} must be a string")
-    return value
+    return _value(block[key], kind, f"{context}{key}", lo, hi)
+
+
+def _vector(block, key, kind, size, context="", default=None):
+    """A list of `size` values of `kind` under `key`."""
+    value = block.get(key, default)
+    if not isinstance(value, list) or len(value) != size:
+        raise ConfigError(f"{context}{key} must be a list of {size} numbers")
+    return [_value(v, kind, f"{context}{key}") for v in value]
+
+
+def _build(cls, block, context, **fixed):
+    """Dataclass `cls` built from a config block.
+
+    The fields not in `fixed` are the allowed keys and each field's
+    annotation is the type its value must have (see `_value`); null is
+    taken where the default is None.  A missing required key and the
+    class's own ValueError become a ConfigError.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)
+              if f.name not in fixed}
+    _check_keys(block, fields, context)
+    values = {name: value if value is None and fields[name].default is None
+              else _value(value, fields[name].type, f"{context} {name}")
+              for name, value in block.items()}
+    try:
+        return cls(**values, **fixed)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{context}: {err}") from None
 
 
 def _config_hash(config, seed):
@@ -79,7 +134,7 @@ def _load_config(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise ConfigError(f"cannot read config: {err}") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -92,50 +147,31 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _parse_box(block):
-    _check_keys(block, {"lower", "upper"}, "box")
-    try:
-        return search.ParamBox(lower=np.asarray(block["lower"], dtype=float),
-                               upper=np.asarray(block["upper"], dtype=float))
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad search box: {err}") from None
+def _scan_args(config):
+    """Search box, sweep samples and assembly branch: the scan settings
+    that synth and pareto share."""
+    box = (_build(search.ParamBox, config["box"], "box") if "box" in config
+           else search.DEFAULT_BOX)
+    count = _get(config, "sweep_samples", int, search.DEFAULT_SWEEP_SAMPLES,
+                 lo=2, hi=MAX_SWEEP_SAMPLES)
+    branch = _get(config, "branch", int, 1)
+    if branch not in (1, -1):
+        raise ConfigError("branch must be 1 or -1")
+    return box, count, branch
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-_SYNTH_KEYS = {"box", "budget", "sweep_samples", "branch", "limits"}
-_LIMIT_KEYS = {"max_delta", "min_transmission_deg", "min_cycle_ratio"}
-
-
-def _sweep_samples(config, context):
-    count = _get(config, "sweep_samples", int, search.DEFAULT_SWEEP_SAMPLES,
-                 context)
-    if count < 2:
-        raise ConfigError("sweep_samples must be at least 2")
-    return count
-
-
 def cmd_synth(config, out, seed):
-    _check_keys(config, _SYNTH_KEYS, "synth config")
-    box = _parse_box(config["box"]) if "box" in config else search.DEFAULT_BOX
-    budget = _get(config, "budget", int, 2 ** 14, "synth ")
-    count = _sweep_samples(config, "synth ")
-    branch = _get(config, "branch", int, 1, "synth ")
-    if branch not in (1, -1):
-        raise ConfigError("branch must be 1 or -1")
-    if not 1 <= budget < INDEX_LIMIT:
-        raise ConfigError(f"budget must lie in 1..{INDEX_LIMIT - 1}")
-    limits_block = config.get("limits", {})
-    _check_keys(limits_block, _LIMIT_KEYS, "limits")
-    limits = search.FeasibilityLimits(
-        max_delta=_get(limits_block, "max_delta", float, np.inf, "limits "),
-        min_transmission_deg=_get(limits_block, "min_transmission_deg",
-                                  float, 0.0, "limits "),
-        min_cycle_ratio=_get(limits_block, "min_cycle_ratio", float, 0.0,
-                             "limits "),
-    )
+    _check_keys(config, {"box", "budget", "sweep_samples", "branch",
+                         "limits"}, "synth config")
+    box, count, branch = _scan_args(config)
+    budget = _get(config, "budget", int, 2 ** 14, "synth ", lo=1,
+                  hi=MAX_SAMPLES)
+    limits = _build(search.FeasibilityLimits, config.get("limits", {}),
+                    "limits")
 
     tag = _config_hash(config, seed)
     records = search.scan(box, budget, count=count, branch=branch)
@@ -201,12 +237,6 @@ def cmd_synth(config, out, seed):
 # pareto
 
 
-_PARETO_KEYS = {"box", "sweep_samples", "branch", "coupler", "ga",
-                "sampling_table"}
-_GA_KEYS = {"population", "generations", "crossover_prob", "crossover_eta",
-            "mutation_prob", "mutation_eta"}
-
-
 def _overlap_report(front, table_points):
     """Front-to-table comparison: chamfer distances in normalized
     objective space plus mutual domination counts."""
@@ -229,9 +259,6 @@ def _overlap_report(front, table_points):
     }
 
 
-_TABLE_COLUMNS = {"feasible", "delta0", "min_transmission_deg"}
-
-
 def _read_table_points(path):
     """(delta0, -min transmission in rad) of each feasible row of a
     sampling table written by `synth`."""
@@ -242,7 +269,8 @@ def _read_table_points(path):
             if not first.startswith("#"):
                 fh.seek(0)
             reader = csv.DictReader(fh)
-            missing = _TABLE_COLUMNS - set(reader.fieldnames or ())
+            missing = ({"feasible", "delta0", "min_transmission_deg"}
+                       - set(reader.fieldnames or ()))
             if missing:
                 raise ValueError(f"missing columns {sorted(missing)}")
             for row in reader:
@@ -256,22 +284,14 @@ def _read_table_points(path):
 
 
 def cmd_pareto(config, out, seed):
-    _check_keys(config, _PARETO_KEYS, "pareto config")
-    box = _parse_box(config["box"]) if "box" in config else search.DEFAULT_BOX
-    count = _sweep_samples(config, "pareto ")
-    branch = _get(config, "branch", int, 1, "pareto ")
+    _check_keys(config, {"box", "sweep_samples", "branch", "coupler", "ga",
+                         "sampling_table"}, "pareto config")
+    box, count, branch = _scan_args(config)
     coupler = _get(config, "coupler", str, "solved", "pareto ")
-    ga_block = config.get("ga", {})
-    _check_keys(ga_block, _GA_KEYS, "ga")
+    ga = _build(nsga2.GAConfig, config.get("ga", {}), "ga", seed=seed)
+    if ga.population > MAX_POPULATION:
+        raise ConfigError(f"ga population must be at most {MAX_POPULATION}")
     try:
-        ga = nsga2.GAConfig(
-            population=_get(ga_block, "population", int, 100, "ga "),
-            generations=_get(ga_block, "generations", int, 250, "ga "),
-            crossover_prob=_get(ga_block, "crossover_prob", float, 0.9, "ga "),
-            crossover_eta=_get(ga_block, "crossover_eta", float, 15.0, "ga "),
-            mutation_prob=_get(ga_block, "mutation_prob", float, None, "ga "),
-            mutation_eta=_get(ga_block, "mutation_eta", float, 20.0, "ga "),
-            seed=seed)
         problem = nsga2.leg_problem(box=box, count=count, branch=branch,
                                     coupler=coupler)
     except ValueError as err:
@@ -329,59 +349,42 @@ def cmd_pareto(config, out, seed):
 # isotropy
 
 
-_ISOTROPY_KEYS = {"family", "legs", "heading", "char_length", "tol"}
-_FAMILY_KEYS = {"alpha1", "gamma1", "beta", "char_length", "variant", "sign"}
-_LEG_KEYS = {"mount_radius", "mount_angle", "leg_angle", "foot_offset",
-             "extension"}
+# closed_form_family's arguments and the values a config may leave out
+_FAMILY_DEFAULTS = {"alpha1": 0.0, "gamma1": np.pi / 3, "beta": np.pi / 2,
+                    "char_length": 1.0, "variant": 1, "sign": 1}
 
 
 def _isotropy_config(config):
-    if "family" in config and "legs" in config:
-        raise ConfigError("give either 'family' or 'legs', not both")
-    if "family" in config:
-        block = config["family"]
-        _check_keys(block, _FAMILY_KEYS, "family")
-        try:
-            return iso.closed_form_family(
-                alpha1=_get(block, "alpha1", float, 0.0, "family "),
-                gamma1=_get(block, "gamma1", float, np.pi / 3, "family "),
-                beta=_get(block, "beta", float, np.pi / 2, "family "),
-                char_length=_get(block, "char_length", float, 1.0, "family "),
-                variant=_get(block, "variant", int, 1, "family "),
-                sign=_get(block, "sign", int, 1, "family "))
-        except iso.UndefinedFamilyError:
-            raise
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
     if "legs" in config:
+        if "family" in config:
+            raise ConfigError("give either 'family' or 'legs', not both")
         legs = config["legs"]
         if not isinstance(legs, list) or len(legs) != 3:
             raise ConfigError("legs must be a list of exactly 3 objects")
-        built = []
-        for leg in legs:
-            _check_keys(leg, _LEG_KEYS, "leg")
-            try:
-                built.append(iso.TripodLeg(
-                    mount_radius=float(leg["mount_radius"]),
-                    mount_angle=float(leg["mount_angle"]),
-                    leg_angle=float(leg["leg_angle"]),
-                    foot_offset=float(leg["foot_offset"]),
-                    extension=float(leg["extension"])))
-            except (KeyError, TypeError, ValueError) as err:
-                raise ConfigError(f"bad leg: {err}") from None
-        try:
-            return iso.TripodConfig(
-                legs=tuple(built),
-                heading=_get(config, "heading", float, 0.0),
-                char_length=_get(config, "char_length", float, 1.0))
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-    return iso.closed_form_family(alpha1=0.0, gamma1=np.pi / 3,
-                                  beta=np.pi / 2)
+        return _build(iso.TripodConfig,
+                      {key: config[key] for key in ("heading", "char_length")
+                       if key in config},
+                      "isotropy config",
+                      legs=tuple(_build(iso.TripodLeg, leg, "leg")
+                                 for leg in legs))
+    if "heading" in config or "char_length" in config:
+        raise ConfigError("heading and char_length go with explicit legs; "
+                          "a family takes family.char_length")
+    block = config.get("family", {})
+    _check_keys(block, _FAMILY_DEFAULTS, "family")
+    try:
+        return iso.closed_form_family(**{
+            key: _get(block, key, type(default), default, "family ")
+            for key, default in _FAMILY_DEFAULTS.items()})
+    except iso.UndefinedFamilyError:
+        raise
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def cmd_isotropy(config, out, seed):
-    _check_keys(config, _ISOTROPY_KEYS, "isotropy config")
+    _check_keys(config, {"family", "legs", "heading", "char_length", "tol"},
+                "isotropy config")
     tag = _config_hash(config, seed)
     try:
         stance = _isotropy_config(config)
@@ -436,33 +439,16 @@ def cmd_isotropy(config, out, seed):
 # mobility
 
 
-_MOBILITY_KEYS = {"graphs", "use_reference_fixtures"}
-_GRAPH_KEYS = {"space", "moving_links", "p5", "p4", "p3", "p2", "p1",
-               "actuated_inputs", "label"}
-
-
 def cmd_mobility(config, out, seed):
-    _check_keys(config, _MOBILITY_KEYS, "mobility config")
+    _check_keys(config, {"graphs", "use_reference_fixtures"},
+                "mobility config")
     tag = _config_hash(config, seed)
     blocks = config.get("graphs", [])
     if not isinstance(blocks, list):
         raise ConfigError("graphs must be a list of objects")
-    graphs = []
-    if config.get("use_reference_fixtures", not blocks):
-        graphs.extend(reference_graphs())
-    for block in blocks:
-        _check_keys(block, _GRAPH_KEYS, "graph")
-        try:
-            graphs.append(MechanismGraph(
-                space=block["space"],
-                moving_links=int(block["moving_links"]),
-                p5=int(block.get("p5", 0)), p4=int(block.get("p4", 0)),
-                p3=int(block.get("p3", 0)), p2=int(block.get("p2", 0)),
-                p1=int(block.get("p1", 0)),
-                actuated_inputs=block.get("actuated_inputs"),
-                label=str(block.get("label", ""))))
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"bad graph: {err}") from None
+    graphs = [_build(MechanismGraph, block, "graph") for block in blocks]
+    if _get(config, "use_reference_fixtures", bool, not blocks):
+        graphs = reference_graphs() + graphs
 
     results = rationality_report(graphs)
     with open(out / "mobility.csv", "w", newline="") as fh:
@@ -485,93 +471,73 @@ def cmd_mobility(config, out, seed):
 # slam
 
 
-_SLAM_KEYS = {"world", "script", "sensor", "odometry_noise", "process_noise",
-              "start_pose", "plan"}
-_SENSOR_KEYS = {"max_range", "fov", "n_rays", "range_sigma", "bearing_sigma"}
-_SCRIPT_KEYS = {"type", "side", "speed", "dt", "steps", "velocity",
-                "angular_velocity"}
-_PLAN_KEYS = {"start", "goal", "occupied_threshold"}
-
-
 def _parse_script(block):
     if isinstance(block, list):
-        steps = []
-        for item in block:
-            _check_keys(item, {"velocity", "angular_velocity", "dt"}, "step")
-            try:
-                steps.append(slam.MotionInput(
-                    velocity=float(item["velocity"]),
-                    angular_velocity=float(item["angular_velocity"]),
-                    dt=float(item["dt"])))
-            except (KeyError, TypeError, ValueError) as err:
-                raise ConfigError(f"bad script step: {err}") from None
-        return steps
-    _check_keys(block, _SCRIPT_KEYS, "script")
+        return [_build(slam.MotionInput, step, "script step")
+                for step in block]
+    if not isinstance(block, dict):
+        raise ConfigError("script must be a JSON object or a list of steps")
     kind = _get(block, "type", str, "loop", "script ")
     if kind == "loop":
-        return slam.loop_script(side=_get(block, "side", float, 2.0),
-                                speed=_get(block, "speed", float, 0.25),
-                                dt=_get(block, "dt", float, 0.1))
+        _check_keys(block, {"type", "side", "speed", "dt"}, "loop script")
+        side = _get(block, "side", float, 2.0, "script ", lo=0.0)
+        speed = _get(block, "speed", float, 0.25, "script ")
+        dt = _get(block, "dt", float, 0.1, "script ")
+        # loop_script divides by speed * dt, which must not underflow to 0;
+        # it drives 4 sides of side/(speed dt) steps, 4 turns of 2/dt steps
+        if not (dt > 0 and speed * dt > 0
+                and 4 * (side / speed + 2.0) / dt <= MAX_STEPS):
+            raise ConfigError("a loop script needs speed > 0 and dt > 0 "
+                              f"and has at most {MAX_STEPS} steps")
+        return slam.loop_script(side=side, speed=speed, dt=dt)
     if kind == "constant":
-        steps = _get(block, "steps", int, 100, "script ")
-        return [slam.MotionInput(
-            velocity=_get(block, "velocity", float, 0.2),
-            angular_velocity=_get(block, "angular_velocity", float, 0.0),
-            dt=_get(block, "dt", float, 0.1))] * steps
+        steps = _get(block, "steps", int, 100, "script ", lo=1, hi=MAX_STEPS)
+        motion = {"velocity": 0.2, "angular_velocity": 0.0, "dt": 0.1}
+        motion.update((key, value) for key, value in block.items()
+                      if key not in ("type", "steps"))
+        return [_build(slam.MotionInput, motion, "script")] * steps
     raise ConfigError(f"unknown script type {kind!r}")
 
 
 def cmd_slam(config, out, seed):
-    _check_keys(config, _SLAM_KEYS, "slam config")
+    _check_keys(config, {"world", "script", "sensor", "odometry_noise",
+                         "process_noise", "start_pose", "plan"}, "slam config")
     tag = _config_hash(config, seed)
-
     world_block = config.get("world")
-    if world_block is None:
-        world = slam.desk_world()
-    elif isinstance(world_block, str):
-        try:
-            world = slam.load_world(world_block)
-        except (OSError, slam.WorldFormatError) as err:
-            raise ConfigError(f"bad world file: {err}") from None
-    else:
-        try:
-            world = slam.world_from_dict(world_block)
-        except slam.WorldFormatError as err:
-            raise ConfigError(str(err)) from None
-
-    sensor_block = config.get("sensor", {})
-    _check_keys(sensor_block, _SENSOR_KEYS, "sensor")
+    # WorldFormatError is a ValueError, as is open's error for a NUL byte
     try:
-        sensor = slam.SensorConfig(
-            max_range=_get(sensor_block, "max_range", float, 5.0),
-            fov=_get(sensor_block, "fov", float, 2.0 * np.pi),
-            n_rays=_get(sensor_block, "n_rays", int, 72),
-            range_sigma=_get(sensor_block, "range_sigma", float, 0.0),
-            bearing_sigma=_get(sensor_block, "bearing_sigma", float, 0.0))
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-    odo_block = config.get("odometry_noise", {})
-    _check_keys(odo_block, {"velocity_sigma", "angular_sigma"},
-                "odometry_noise")
-    odometry = slam.OdometryNoise(
-        velocity_sigma=_get(odo_block, "velocity_sigma", float, 0.0),
-        angular_sigma=_get(odo_block, "angular_sigma", float, 0.0))
-    proc_block = config.get("process_noise", {})
-    _check_keys(proc_block, {"x", "y", "heading"}, "process_noise")
-    process = slam.ProcessNoise(x=_get(proc_block, "x", float, 0.0),
-                                y=_get(proc_block, "y", float, 0.0),
-                                heading=_get(proc_block, "heading", float,
-                                             0.0))
-
+        if world_block is None:
+            world = slam.desk_world()
+        elif isinstance(world_block, str):
+            world = slam.load_world(world_block)
+        else:
+            world = slam.world_from_dict(world_block)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"bad world: {err}") from None
+    if world.grid_width * world.grid_height > MAX_GRID_CELLS:
+        raise ConfigError(f"a world grid has at most {MAX_GRID_CELLS} cells")
+    if len(world.landmarks) > MAX_LANDMARKS:
+        raise ConfigError(f"a world has at most {MAX_LANDMARKS} landmarks")
+    sensor = _build(slam.SensorConfig, config.get("sensor", {}), "sensor")
+    if sensor.n_rays > MAX_RAYS:
+        raise ConfigError(f"sensor n_rays must be at most {MAX_RAYS}")
+    odometry = _build(slam.OdometryNoise, config.get("odometry_noise", {}),
+                      "odometry_noise")
+    process = _build(slam.ProcessNoise, config.get("process_noise", {}),
+                     "process_noise")
     script = _parse_script(config.get("script", {"type": "loop"}))
-    if not script:
-        raise ConfigError("script must have at least one step")
-    start = config.get("start_pose", [0.0, 0.0, 0.0])
-    if (not isinstance(start, list) or len(start) != 3
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in start)):
-        raise ConfigError("start_pose must be [x, y, heading]")
+    if not 1 <= len(script) <= MAX_STEPS:
+        raise ConfigError(f"a script has 1 to {MAX_STEPS} steps")
+    start = _vector(config, "start_pose", float, 3,
+                    default=[0.0, 0.0, 0.0])
+    plan = config.get("plan")
+    if plan is not None:
+        _check_keys(plan, {"start", "goal", "occupied_threshold"}, "plan")
+        plan = {"start": _vector(plan, "start", int, 2, "plan "),
+                "goal": _vector(plan, "goal", int, 2, "plan "),
+                "occupied_threshold": _get(plan, "occupied_threshold",
+                                           float, 0.5, "plan ")}
+
     log = slam.simulate(world, script, sensor, odometry=odometry,
                         process=process, seed=seed, start_pose=start)
 
@@ -590,18 +556,10 @@ def cmd_slam(config, out, seed):
         "landmarks_mapped": len(log.final_state.landmark_ids),
     }
 
-    if "plan" in config:
-        plan_block = config["plan"]
-        _check_keys(plan_block, _PLAN_KEYS, "plan")
+    if plan is not None:
         grid = log.final_state.grid
         try:
-            cells = slam.plan_path(
-                grid,
-                tuple(plan_block["start"]), tuple(plan_block["goal"]),
-                occupied_threshold=_get(plan_block, "occupied_threshold",
-                                        float, 0.5))
-        except (KeyError, TypeError) as err:
-            raise ConfigError(f"bad plan block: {err}") from None
+            cells = slam.plan_path(grid, **plan)
         except (ValueError, slam.NoPathError) as err:
             raise InfeasibleError(str(err),
                                   diagnostics={"config_hash": tag,

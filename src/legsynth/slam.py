@@ -77,6 +77,10 @@ class ProcessNoise:
     y: float = 0.0
     heading: float = 0.0
 
+    def __post_init__(self):
+        if min(self.x, self.y, self.heading) < 0:
+            raise ValueError("process noise rates must be non-negative")
+
     def matrix(self, dt):
         return np.diag([self.x, self.y, self.heading]) * dt
 
@@ -87,6 +91,10 @@ class OdometryNoise:
 
     velocity_sigma: float = 0.0
     angular_sigma: float = 0.0
+
+    def __post_init__(self):
+        if self.velocity_sigma < 0 or self.angular_sigma < 0:
+            raise ValueError("odometry noise sigmas must be non-negative")
 
 
 @dataclass
@@ -612,31 +620,47 @@ def world_from_dict(data):
     unknown = set(data) - _WORLD_KEYS
     if unknown:
         raise WorldFormatError(f"unknown world keys: {sorted(unknown)}")
-    try:
-        landmarks = {int(item["id"]): np.array([float(item["x"]),
-                                                float(item["y"])])
-                     for item in data.get("landmarks", [])}
-        obstacles = tuple(np.asarray(poly, dtype=float)
-                          for poly in data.get("obstacles", []))
-        grid = data["grid"]
-    except (KeyError, TypeError, ValueError) as err:
-        raise WorldFormatError(f"malformed world document: {err}") from None
+    grid = data.get("grid")
+    if not isinstance(grid, dict):
+        raise WorldFormatError("world grid must be a JSON object")
     unknown = set(grid) - _GRID_KEYS
     if unknown:
         raise WorldFormatError(f"unknown grid keys: {sorted(unknown)}")
-    for poly in obstacles:
+    try:
+        world = World(
+            landmarks={int(item["id"]): np.array([float(item["x"]),
+                                                  float(item["y"])])
+                       for item in data.get("landmarks", [])},
+            obstacles=tuple(np.asarray(poly, dtype=float)
+                            for poly in data.get("obstacles", [])),
+            grid_resolution=float(grid["resolution"]),
+            grid_origin=np.asarray(grid["origin"], dtype=float),
+            grid_width=int(grid["width"]),
+            grid_height=int(grid["height"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise WorldFormatError(f"malformed world document: {err}") from None
+    for poly in world.obstacles:
         if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3:
             raise WorldFormatError("obstacles must be polygons of >= 3 points")
-    return World(landmarks=landmarks, obstacles=obstacles,
-                 grid_resolution=float(grid["resolution"]),
-                 grid_origin=np.asarray(grid["origin"], dtype=float),
-                 grid_width=int(grid["width"]),
-                 grid_height=int(grid["height"]))
+    if not (world.grid_resolution > 0 and world.grid_width > 0
+            and world.grid_height > 0 and world.grid_origin.shape == (2,)):
+        raise WorldFormatError("the grid needs resolution > 0, width and "
+                               "height >= 1 and an [x, y] origin")
+    numbers = [np.ravel(v) for v in (world.grid_resolution, world.grid_origin,
+                                     *world.landmarks.values(),
+                                     *world.obstacles)]
+    if not np.isfinite(np.concatenate(numbers)).all():
+        raise WorldFormatError("world coordinates must be finite")
+    return world
 
 
 def load_world(path):
     with open(path) as fh:
-        return world_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as err:
+            raise WorldFormatError(f"world file is not JSON: {err}") from None
+    return world_from_dict(data)
 
 
 def world_to_dict(world):

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from legsynth import nsga2, search, slam
 from legsynth.cli import _overlap_report, main
+from legsynth.slam import desk_world, world_to_dict
 
 TIGHT_BOX = {
     "lower": [0.45, 1.15, 1.15, 0.9599310885968813, 3.8310770045216016],
@@ -264,6 +267,19 @@ def _table(tmp_path, text):
     return str(path)
 
 
+def _desk_world(**grid):
+    """The desk world document with grid keys replaced; None drops one."""
+    data = world_to_dict(desk_world())
+    data["grid"].update(grid)
+    data["grid"] = {k: v for k, v in data["grid"].items() if v is not None}
+    return data
+
+
+LEG = {"mount_radius": 1.0, "mount_angle": 0.0, "leg_angle": 0.4,
+       "foot_offset": 0.2, "extension": 1.0}
+NAN = float("nan")
+
+
 BAD_CONFIGS = [
     pytest.param("pareto", lambda tmp: {"sampling_table": 5},
                  id="table-not-a-string"),
@@ -291,6 +307,69 @@ BAD_CONFIGS = [
                  id="negative-steps"),
     pytest.param("mobility", lambda tmp: {"graphs": 5}, id="graphs-a-number"),
     pytest.param("mobility", lambda tmp: {"graphs": True}, id="graphs-true"),
+    pytest.param("slam", lambda tmp: {"script": {"type": "loop", "speed": 0}},
+                 id="loop-zero-speed"),
+    pytest.param("slam", lambda tmp: {"script": {"type": "loop", "dt": 0}},
+                 id="loop-zero-dt"),
+    pytest.param("slam", lambda tmp: {"script": {"type": "constant", "dt": 0}},
+                 id="constant-zero-dt"),
+    pytest.param("slam", lambda tmp: {"script": {"type": "loop",
+                                                 "speed": 1e-12}},
+                 id="loop-unbounded-steps"),
+    pytest.param("slam", lambda tmp: {"script": {"type": "loop", "speed": -1}},
+                 id="loop-negative-speed"),
+    pytest.param("slam", lambda tmp: {"world": dict(_desk_world(), grid=5)},
+                 id="world-grid-a-number"),
+    pytest.param("slam", lambda tmp: {"world": _desk_world(width=None)},
+                 id="world-grid-without-width"),
+    pytest.param("slam", lambda tmp: {"world": _desk_world(resolution=0)},
+                 id="world-zero-resolution"),
+    pytest.param("slam", lambda tmp: {"world": _table(tmp, '{"grid": ')},
+                 id="world-file-bad-json"),
+    pytest.param("slam", lambda tmp: {"world": "a\0b"},
+                 id="world-path-with-nul"),
+    pytest.param("slam", lambda tmp: {"world": _desk_world(width=10 ** 6,
+                                                           height=10 ** 6)},
+                 id="world-grid-10^12-cells"),
+    pytest.param("slam", lambda tmp: {
+        "world": dict(_desk_world(), landmarks=[
+            {"id": i, "x": 1000.0 + i, "y": 1000.0} for i in range(2049)]),
+        "script": {"type": "constant", "steps": 1}},
+        id="world-2049-landmarks"),
+    pytest.param("slam", lambda tmp: {"sensor": {"n_rays": 10 ** 9}},
+                 id="n-rays-10^9"),
+    pytest.param("synth", lambda tmp: {"sweep_samples": 10 ** 8},
+                 id="sweep-samples-10^8"),
+    pytest.param("pareto", lambda tmp: {"ga": {"population": 10 ** 8}},
+                 id="population-10^8"),
+    pytest.param("slam", lambda tmp: {"plan": {"start": [1.5, 2],
+                                               "goal": [50, 50]}},
+                 id="plan-fractional-cell"),
+    pytest.param("slam", lambda tmp: {"start_pose": [NAN, 0, 0]},
+                 id="start-pose-nan"),
+    pytest.param("mobility", lambda tmp: {"graphs": [
+        {"space": "planar", "moving_links": 3.7, "p5": 4}]},
+        id="fractional-moving-links"),
+    pytest.param("mobility", lambda tmp: {"use_reference_fixtures": "no"},
+                 id="fixtures-flag-a-string"),
+    pytest.param("isotropy", lambda tmp: {"legs": [dict(LEG, extension="1.0")]
+                                          * 3},
+                 id="leg-number-as-string"),
+    pytest.param("slam", lambda tmp: {"script": [
+        {"velocity": 0.1, "angular_velocity": 0.0, "dt": "0.1"}]},
+        id="step-number-as-string"),
+    pytest.param("synth", lambda tmp: {"box": TIGHT_BOX, "budget": 8,
+                                       "limits": {"max_delta": NAN}},
+                 id="max-delta-nan"),
+    pytest.param("isotropy", lambda tmp: {"family": {}, "heading": 0.5},
+                 id="heading-beside-family"),
+    pytest.param("isotropy", lambda tmp: {"family": {}, "char_length": 2.0},
+                 id="char-length-beside-family"),
+    pytest.param("slam", lambda tmp: {"odometry_noise":
+                                      {"velocity_sigma": -0.1}},
+                 id="negative-odometry-sigma"),
+    pytest.param("slam", lambda tmp: {"process_noise": {"heading": -0.001}},
+                 id="negative-process-noise"),
 ]
 
 
@@ -299,7 +378,7 @@ class TestParserBehavior:
     def test_bad_config_exit_1(self, tmp_path, capsys, command, make_config):
         config = make_config(tmp_path)
         if command == "pareto":
-            config["ga"] = {"population": 4, "generations": 0}
+            config.setdefault("ga", {"population": 4, "generations": 0})
         code, _ = run(tmp_path / "run", command, config)
         err = capsys.readouterr().err
         assert code == 1
@@ -315,3 +394,134 @@ class TestParserBehavior:
         code = main(["synth", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "out")])
         assert code == 1
+
+
+class _Reached(Exception):
+    """Raised in place of a pipeline: the config passed every check."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+# One valid config per command and config shape, with every key set.
+FUZZ_BASES = [
+    ("synth", {"box": TIGHT_BOX, "budget": 8, "sweep_samples": 24,
+               "branch": 1, "limits": {"max_delta": 1.0,
+                                       "min_transmission_deg": 10.0,
+                                       "min_cycle_ratio": 1.2}}),
+    ("pareto", {"box": TIGHT_BOX, "sweep_samples": 24, "branch": -1,
+                "coupler": "explicit",
+                "ga": {"population": 8, "generations": 2,
+                       "crossover_prob": 0.9, "crossover_eta": 15.0,
+                       "mutation_prob": 0.2, "mutation_eta": 20.0}}),
+    ("isotropy", {"family": {"alpha1": 0.1, "gamma1": 1.0, "beta": 1.5,
+                             "char_length": 1.0, "variant": 2, "sign": -1},
+                  "tol": 1e-8}),
+    ("isotropy", {"legs": [LEG, dict(LEG, mount_angle=2.0),
+                           dict(LEG, mount_angle=-2.0)],
+                  "heading": 0.2, "char_length": 1.5}),
+    ("mobility", {"graphs": [{"space": "spatial", "moving_links": 10,
+                              "p5": 9, "p4": 0, "p3": 3, "p2": 0, "p1": 0,
+                              "actuated_inputs": 6, "label": "hexapod"}],
+                  "use_reference_fixtures": True}),
+    ("slam", {"world": world_to_dict(desk_world()),
+              "script": {"type": "loop", "side": 1.0, "speed": 0.5,
+                         "dt": 0.5},
+              "sensor": {"max_range": 5.0, "fov": 3.0, "n_rays": 8,
+                         "range_sigma": 0.05, "bearing_sigma": 0.01},
+              "odometry_noise": {"velocity_sigma": 0.05,
+                                 "angular_sigma": 0.03},
+              "process_noise": {"x": 0.001, "y": 0.001, "heading": 0.0005},
+              "start_pose": [0.0, 0.0, 0.0],
+              "plan": {"start": [5, 5], "goal": [50, 50],
+                       "occupied_threshold": 0.5}}),
+    ("slam", {"script": {"type": "constant", "steps": 3, "velocity": 0.1,
+                         "angular_velocity": 0.1, "dt": 0.1}}),
+    ("slam", {"script": [{"velocity": 0.1, "angular_velocity": 0.0,
+                          "dt": 0.1}] * 2}),
+]
+
+
+def _keys(node):
+    if isinstance(node, dict):
+        return set(node).union(*map(_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_keys, node))
+    return set()
+
+
+FUZZ_KEYS = sorted(set().union(*(_keys(base) for _, base in FUZZ_BASES)))
+
+
+def _containers(inner):
+    return (st.lists(inner, max_size=4)
+            | st.dictionaries(st.sampled_from(FUZZ_KEYS), inner, max_size=3))
+
+
+FUZZ_VALUES = st.sampled_from([
+    None, True, 0, 0.0, -1, 1e-300, 2 ** 60, float("nan"), float("inf"),
+    float("-inf"), "0.1", [], {}, [1.5, 2]]) | st.recursive(
+    st.integers() | st.floats() | st.text(max_size=4), _containers,
+    max_leaves=6)
+
+
+def _slots(node):
+    """Every (container, key or index) pair in a JSON document."""
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    pairs = [(node, key) for key in keys]
+    for key in keys:
+        if isinstance(node[key], (dict, list)):
+            pairs += _slots(node[key])
+    return pairs
+
+
+@st.composite
+def _mutated(draw, base):
+    """`base` with one to three keys or items, at any depth, dropped,
+    replaced, or given a new sibling."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(_slots(doc) or [(doc, None)]))
+        action = draw(st.sampled_from(["drop", "replace", "add"]))
+        # a copy, so that no two slots share one list or dict
+        value = json.loads(json.dumps(draw(FUZZ_VALUES)))
+        if action == "add" or key is None:
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(FUZZ_KEYS) | st.text(max_size=3))] \
+                    = value
+            else:
+                node.append(value)
+        elif action == "drop":
+            del node[key]
+        else:
+            node[key] = value
+    return doc
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command, base", FUZZ_BASES,
+                             ids=[f"{c}-{i}" for i, (c, _) in
+                                  enumerate(FUZZ_BASES)])
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_config(self, tmp_path, monkeypatch, capsys, command,
+                            base, data):
+        monkeypatch.setattr(search, "scan", _reached)
+        monkeypatch.setattr(nsga2, "evolve", _reached)
+        monkeypatch.setattr(slam, "simulate", _reached)
+        config = data.draw(_mutated(base))
+        try:
+            code, _ = run(tmp_path, command, config)
+        except _Reached:
+            assert command in ("synth", "pareto", "slam")
+            return
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command in ("isotropy", "mobility"):
+            assert code in (0, 1, 2)
+        else:
+            assert code == 1
+        if code == 1:
+            assert "config error" in err

@@ -355,6 +355,34 @@ class TestWorldIO:
         with pytest.raises(WorldFormatError):
             world_from_dict(data)
 
+    @pytest.mark.parametrize("grid", [
+        5,
+        {"resolution": 0.1, "origin": [-2.0, -2.0], "height": 60},
+        {"resolution": 0, "origin": [-2.0, -2.0], "width": 60, "height": 60},
+        {"resolution": 0.1, "origin": [-2.0, -2.0], "width": 0, "height": 60},
+        {"resolution": 0.1, "origin": [-2.0], "width": 60, "height": 60},
+        {"resolution": 0.1, "origin": [-2.0, -2.0], "width": float("inf"),
+         "height": 60},
+    ], ids=["a-number", "no-width", "zero-resolution", "zero-width",
+            "1-d-origin", "infinite-width"])
+    def test_bad_grid_rejected(self, grid):
+        data = world_to_dict(desk_world())
+        data["grid"] = grid
+        with pytest.raises(WorldFormatError):
+            world_from_dict(data)
+
+    def test_nan_landmark_rejected(self):
+        data = world_to_dict(desk_world())
+        data["landmarks"][0]["x"] = float("nan")
+        with pytest.raises(WorldFormatError):
+            world_from_dict(data)
+
+    def test_bad_json_file_rejected(self, tmp_path):
+        path = tmp_path / "world.json"
+        path.write_text('{"grid": ')
+        with pytest.raises(WorldFormatError):
+            load_world(path)
+
     def test_writers_produce_files(self, tmp_path):
         log = simulate(desk_world(), loop_script()[:40],
                        SensorConfig(max_range=5.0, n_rays=12), seed=0)
