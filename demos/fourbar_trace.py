@@ -21,10 +21,10 @@ OUT.mkdir(parents=True, exist_ok=True)
 params = FourBarParams(crank=0.5, coupler=1.25, rocker=1.25,
                        start_angle=np.radians(65.0),
                        support_arc=np.radians(221.0))
-poses = sweep(params, 200)
-foot = coupler_path(poses, (2.5, 0.0))
+trace = sweep(params, 200)
+foot = coupler_path(trace, (2.5, 0.0))
 
-metrics = gait_metrics(params, poses)
+metrics = gait_metrics(params, trace.mu.min())
 print(f"support arc     : {metrics.support_deg:.1f} deg")
 print(f"transfer arc    : {metrics.transfer_deg:.1f} deg")
 print(f"step-cycle ratio: {metrics.cycle_ratio:.3f}")
@@ -33,14 +33,12 @@ print(f"min transmission: {metrics.min_transmission_deg:.1f} deg")
 plot = SvgPlot(title="foot point trajectory over the support arc",
                equal_aspect=True)
 plot.add_line(foot[:, 0], foot[:, 1], label="foot path")
-joints_b = np.array([p.b for p in poses])
-joints_c = np.array([p.c for p in poses])
-plot.add_line(joints_b[:, 0], joints_b[:, 1], label="crank pin B")
-plot.add_line(joints_c[:, 0], joints_c[:, 1], label="rocker pin C")
+plot.add_line(trace.B[:, 0], trace.B[:, 1], label="crank pin B")
+plot.add_line(trace.C[:, 0], trace.C[:, 1], label="rocker pin C")
 plot.write(OUT / "trajectory.svg")
 
-angles = np.degrees([p.phi for p in poses])
-mu = np.degrees([p.transmission_angle for p in poses])
+angles = np.degrees(trace.phi)
+mu = np.degrees(trace.mu)
 profile = SvgPlot(title="transmission angle over the support arc")
 profile.add_line(angles, mu, label="transmission angle (deg)")
 profile.write(OUT / "transmission.svg")

@@ -9,40 +9,40 @@ from pathlib import Path
 
 import numpy as np
 
-from legsynth.fourbar import coupler_path, sweep
+from legsynth.fourbar import FourBarParams, coupler_path, sweep
 from legsynth.search import (DEFAULT_BOX, FeasibilityLimits, filter_feasible,
                              pareto_filter, scan, write_sampling_table)
 from legsynth.svgplot import SvgPlot
+from legsynth.synthesis import LineTarget
 
 OUT = Path("demo-output/synthesis")
 OUT.mkdir(parents=True, exist_ok=True)
 
 BUDGET = 2 ** 12
 
-records = scan(DEFAULT_BOX, BUDGET)
-assemblable = [r for r in records if r.feasible]
-print(f"scanned {BUDGET} samples, {len(assemblable)} assemble")
+table = scan(DEFAULT_BOX, BUDGET)
+print(f"scanned {BUDGET} samples, {table.feasible.sum()} assemble")
 
 limits = FeasibilityLimits(max_delta=1e-3, min_transmission_deg=20.0,
                            min_cycle_ratio=1.2)
-feasible = filter_feasible(records, limits)
+feasible = filter_feasible(table, limits)
 front = pareto_filter(feasible)
 print(f"{len(feasible)} pass the design limits, {len(front)} on the front")
 
-write_sampling_table(records, OUT / "sampling_table.csv")
+write_sampling_table(table, OUT / "sampling_table.csv")
 write_sampling_table(front, OUT / "pareto.csv")
 
-best = min(feasible, key=lambda r: r.delta0)
-p = best.params
-print(f"best accuracy design: rms {np.sqrt(best.delta0):.4f}, "
-      f"mu_min {best.metrics.min_transmission_deg:.1f} deg, "
-      f"cycle ratio {best.metrics.cycle_ratio:.3f}")
+best = np.argmin(feasible.delta0)
+p = FourBarParams(*feasible.params[best])
+x = feasible.x[best]
+print(f"best accuracy design: rms {np.sqrt(feasible.delta0[best]):.4f}, "
+      f"mu_min {feasible.min_transmission_deg[best]:.1f} deg, "
+      f"cycle ratio {feasible.cycle_ratio[best]:.3f}")
 print(f"  crank {p.crank:.3f}  coupler {p.coupler:.3f}  "
       f"rocker {p.rocker:.3f}  arc {np.degrees(p.support_arc):.1f} deg")
 
-poses = sweep(p, 200)
-path = coupler_path(poses, best.solution.coupler_point)
-targets = best.solution.line.points(np.linspace(0, 1, 200))
+path = coupler_path(sweep(p, 200), x[:2])
+targets = LineTarget(*x[2:]).points(np.linspace(0, 1, 200))
 plot = SvgPlot(title="best scanned design vs its target line",
                equal_aspect=True)
 plot.add_line(path[:, 0], path[:, 1], label="foot path")

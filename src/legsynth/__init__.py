@@ -17,23 +17,23 @@ Library layers:
 
 __version__ = "0.1.0"
 
-from .fourbar import (FourBarParams, CrankSchedule, GaitMetrics, Pose,
+from .fourbar import (FourBarParams, GaitMetrics, Sweep,
                       coupler_path, force_ratio_angle, gait_metrics,
                       sample_schedule, solve_position, sweep)
 from .lptau import lp_tau
 from .mobility import MechanismGraph, MobilityResult, mobility, rationality_report
-from .search import (FeasibilityLimits, ParamBox, SampleRecord, filter_feasible,
-                     pareto_filter, scan)
+from .search import (FeasibilityLimits, ParamBox, SamplingTable,
+                     filter_feasible, pareto_filter, scan)
 from .synthesis import (LinearSystem, LineTarget, SynthesisSolution, assemble,
                         reduced_objective, residual_delta, solve)
 
 __all__ = [
-    "FourBarParams", "CrankSchedule", "GaitMetrics", "Pose",
+    "FourBarParams", "GaitMetrics", "Sweep",
     "coupler_path", "force_ratio_angle", "gait_metrics", "sample_schedule",
     "solve_position", "sweep",
     "lp_tau",
     "MechanismGraph", "MobilityResult", "mobility", "rationality_report",
-    "FeasibilityLimits", "ParamBox", "SampleRecord", "filter_feasible",
+    "FeasibilityLimits", "ParamBox", "SamplingTable", "filter_feasible",
     "pareto_filter", "scan",
     "LinearSystem", "LineTarget", "SynthesisSolution", "assemble",
     "reduced_objective", "residual_delta", "solve",

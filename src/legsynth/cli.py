@@ -23,9 +23,10 @@ from . import isotropy as iso
 from . import nsga2
 from . import search
 from . import slam
-from .fourbar import SweepInvalidError, coupler_path, sweep
+from .fourbar import FourBarParams, coupler_path, sweep
 from .mobility import MechanismGraph, rationality_report, reference_graphs
 from .svgplot import SvgPlot
+from .synthesis import LineTarget
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,6 +39,7 @@ MAX_SAMPLES = 2 ** 20        # synth budget, LP-tau points
 MAX_SWEEP_SAMPLES = 4096     # crank positions per design
 MAX_POPULATION = 2000        # the domination matrix is (2 population)^2
 MAX_RAYS = 10_000            # sensor rays per scan
+MAX_RAY_CELLS = 4096         # grid cells a ray walks, max_range / resolution
 MAX_STEPS = 10 ** 6          # script steps, given or derived
 MAX_GRID_CELLS = 10 ** 7     # occupancy grid width x height
 MAX_LANDMARKS = 2048         # the EKF covariance is (3 + 2 landmarks)^2
@@ -174,32 +176,32 @@ def cmd_synth(config, out, seed):
                     "limits")
 
     tag = _config_hash(config, seed)
-    records = search.scan(box, budget, count=count, branch=branch)
-    feasible = search.filter_feasible(records, limits)
+    table = search.scan(box, budget, count=count, branch=branch)
+    feasible = search.filter_feasible(table, limits)
     pareto = search.pareto_filter(feasible)
 
-    search.write_sampling_table(records, out / "sampling_table.csv",
+    search.write_sampling_table(table, out / "sampling_table.csv",
                                 header_comment=f"config {tag}")
     search.write_sampling_table(pareto, out / "pareto.csv",
                                 header_comment=f"config {tag}")
 
-    assemblable = sum(r.feasible for r in records)
-    if not feasible:
+    assemblable = int(table.feasible.sum())
+    if not len(feasible):
         raise InfeasibleError(
             "no sample satisfies the feasibility limits",
             diagnostics={"budget": budget, "assemblable": assemblable,
                          "feasible": 0, "config_hash": tag})
 
-    best = min(feasible, key=lambda r: r.delta0)
-    p = best.params
-    try:
-        poses = sweep(p, 200)
-    except SweepInvalidError:
+    best = int(np.argmin(feasible.delta0))
+    p = FourBarParams(*feasible.params[best], branch=branch)
+    x = feasible.x[best]
+    trace = sweep(p, 200)
+    if trace.error is not None:
         # a design feasible at the scan resolution can straddle a thin
         # unassemblable sliver at finer sampling; plot what was checked
-        poses = sweep(p, count)
-    path = coupler_path(poses, best.solution.coupler_point)
-    line = best.solution.line
+        trace = sweep(p, count)
+    path = coupler_path(trace, x[:2])
+    line = LineTarget(*x[2:])
     targets = line.points(np.linspace(0.0, 1.0, 200))
     plot = SvgPlot(title="best foot trajectory vs target line",
                    equal_aspect=True)
@@ -207,6 +209,7 @@ def cmd_synth(config, out, seed):
     plot.add_line(targets[:, 0], targets[:, 1], label="target line")
     plot.write(out / "best_trajectory.svg", comment=f"config {tag}")
 
+    delta0 = feasible.delta0[best]
     summary = {
         "config_hash": tag,
         "budget": budget,
@@ -216,11 +219,11 @@ def cmd_synth(config, out, seed):
         "best": {
             "crank": p.crank, "coupler": p.coupler, "rocker": p.rocker,
             "start_angle": p.start_angle, "support_arc": p.support_arc,
-            "delta0": best.delta0, "rms": float(np.sqrt(best.delta0)),
-            "min_transmission_deg": best.metrics.min_transmission_deg,
-            "cycle_ratio": best.metrics.cycle_ratio,
-            "support_deg": best.metrics.support_deg,
-            "coupler_point": best.solution.coupler_point.tolist(),
+            "delta0": delta0, "rms": float(np.sqrt(delta0)),
+            "min_transmission_deg": feasible.min_transmission_deg[best],
+            "cycle_ratio": feasible.cycle_ratio[best],
+            "support_deg": feasible.support_deg[best],
+            "coupler_point": x[:2].tolist(),
             "line": {"x0": line.x0, "y0": line.y0,
                      "span_x": line.span_x, "span_y": line.span_y},
         },
@@ -521,6 +524,10 @@ def cmd_slam(config, out, seed):
     sensor = _build(slam.SensorConfig, config.get("sensor", {}), "sensor")
     if sensor.n_rays > MAX_RAYS:
         raise ConfigError(f"sensor n_rays must be at most {MAX_RAYS}")
+    ray_cells = sensor.max_range / world.grid_resolution
+    if sensor.n_rays and ray_cells > MAX_RAY_CELLS:
+        raise ConfigError(f"a sensor ray spans at most {MAX_RAY_CELLS} grid "
+                          "cells (max_range / grid resolution)")
     odometry = _build(slam.OdometryNoise, config.get("odometry_noise", {}),
                       "odometry_noise")
     process = _build(slam.ProcessNoise, config.get("process_noise", {}),
@@ -615,6 +622,8 @@ def main(argv=None):
 
     out = Path(args.out)
     try:
+        if args.seed < 0:
+            raise ConfigError("--seed must be a non-negative integer")
         config = _load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out, args.seed)

@@ -21,9 +21,9 @@ from .geometry import angle_diff
 # configuration is reported as degenerate (near-tangent circles).
 DEGENERACY_TOL = 1e-9
 
-# Default bound on the coupler-angle step between consecutive sweep samples.
+# Bound on the coupler-angle step between consecutive sweep samples (rad).
 # A larger jump is treated as a branch-continuity violation.
-DEFAULT_CONTINUITY_BOUND = 1.0
+CONTINUITY_BOUND = 1.0
 
 
 class LinkageError(Exception):
@@ -67,6 +67,9 @@ class SingularTransmissionError(LinkageError):
 class FourBarParams:
     """Normalized linkage dimensions and crank schedule for the support arc.
 
+    The five numeric fields are numbers for one design, or equal-length
+    1-D arrays for a batch of designs (one per row) on a shared branch.
+
     Attributes:
         crank: crank length ratio l_AB / l_AD.
         coupler: coupler length ratio l_BC / l_AD.
@@ -89,57 +92,56 @@ class FourBarParams:
     branch: int = +1
 
     def __post_init__(self):
-        if not (self.crank > 0 and self.coupler > 0 and self.rocker > 0):
+        lengths = (self.crank, self.coupler, self.rocker)
+        if not all(np.all(v > 0) for v in lengths):
             raise ValueError("link length ratios must be positive")
-        if not (0.0 < self.support_arc < 2.0 * np.pi):
+        arc = self.support_arc
+        if not np.all((0.0 < arc) & (arc < 2.0 * np.pi)):
             raise ValueError("support_arc must lie in (0, 2*pi)")
         if self.branch not in (+1, -1):
             raise ValueError("branch must be +1 or -1")
 
-    def as_array(self):
-        """The five nonlinear parameters as a vector (for search code)."""
-        return np.array([self.crank, self.coupler, self.rocker,
-                         self.start_angle, self.support_arc])
+    def take(self, rows):
+        """The designs `rows` of a batch (one design counts as one row)."""
+        fields = (self.crank, self.coupler, self.rocker, self.start_angle,
+                  self.support_arc)
+        return FourBarParams(*(np.atleast_1d(v)[rows] for v in fields),
+                             self.branch)
 
 
 @dataclass(frozen=True)
-class CrankSchedule:
-    """Uniform crank-angle samples over the support arc.
+class Sweep:
+    """Positions of the linkage at a set of crank angles.
 
-    fractions[i] = i / (N - 1) runs from 0 to 1 with mean exactly 1/2;
-    angles[i] = start_angle + support_arc * fractions[i].
+    phi holds the crank angles: (count,) for one design, (rows, count)
+    for a batch; fractions is the position i / (count - 1) of sample i
+    along the support arc (None for the single angle of solve_position).
+    B and C are the joint positions (phi's shape plus a last axis of 2),
+    beta the coupler angle of BC from the x-axis, and mu the classical
+    transmission angle between coupler and rocker at C folded into
+    [0, pi/2].  error is the SweepInvalidError of a design's first
+    failing sample, or None; a batch has a list of them, one per row, and
+    the C, beta and mu of a failed row are NaN.
     """
 
-    angles: np.ndarray
+    phi: np.ndarray
     fractions: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    beta: np.ndarray
+    mu: np.ndarray
+    error: object = None
 
-    def __post_init__(self):
-        if len(self.angles) != len(self.fractions):
-            raise ValueError("angles and fractions must have equal length")
-
-    def __len__(self):
-        return len(self.angles)
-
-
-@dataclass(frozen=True)
-class Pose:
-    """One assembled configuration of the linkage.
-
-    b and c are the world coordinates of joints B and C, beta the coupler
-    angle of BC measured from the x-axis, transmission_angle the classical
-    angle between coupler and rocker at C folded into [0, pi/2].
-    """
-
-    phi: float
-    b: np.ndarray
-    c: np.ndarray
-    beta: float
-    transmission_angle: float
+    def row(self, i):
+        """Design i of a batch, as a sweep of its own."""
+        return Sweep(self.phi[i], self.fractions, self.B[i], self.C[i],
+                     self.beta[i], self.mu[i], self.error[i])
 
 
 @dataclass(frozen=True)
 class GaitMetrics:
-    """Step-cycle figures of merit, in degrees for reporting."""
+    """Step-cycle figures of merit, in degrees for reporting (arrays for a
+    batch)."""
 
     support_deg: float
     transfer_deg: float
@@ -150,125 +152,135 @@ class GaitMetrics:
 def sample_schedule(start_angle, support_arc, count):
     """Uniformly sample the support arc with `count` crank angles.
 
+    Returns (angles, fractions): fractions[i] = i / (count - 1) runs from
+    0 to 1 with mean exactly 1/2, and angles[..., i] = start_angle +
+    support_arc * fractions[i], a (rows, count) grid for arrays of arcs.
     The first sample is exactly start_angle and the last exactly
     start_angle + support_arc.
     """
     if count < 2:
         raise ValueError("schedule needs at least 2 samples")
     fractions = np.arange(count, dtype=float) / (count - 1)
-    angles = start_angle + support_arc * fractions
-    return CrankSchedule(angles=angles, fractions=fractions)
+    angles = (np.asarray(start_angle)[..., None]
+              + np.asarray(support_arc)[..., None] * fractions)
+    return angles, fractions
 
 
-def _positions(params, phis):
-    """Vectorized circle-intersection position analysis.
+def _positions(params, phis, fractions=None):
+    """Circle-intersection position analysis of a batch of designs, row r
+    at the crank angles phis[r].
 
-    Returns (B, C, beta, mu) arrays for the crank angles `phis`, or raises
-    on the first failing sample (reported with its index embedded in a
-    SweepInvalidError by callers that need it).
+    Each row's error reports the first failing sample of the first check
+    that fails, in this order: the coupler and rocker circles meet
+    (NotAssemblableError); B does not sit on D and the circles are not
+    near-tangent (DegenerateConfigurationError); the coupler angle does
+    not jump by more than CONTINUITY_BOUND between consecutive samples.
+    The last guards against solutions whose samples live on different
+    assembly modes and are therefore not physically traceable.
     """
-    phis = np.asarray(phis, dtype=float)
-    p1, p2, p3 = params.crank, params.coupler, params.rocker
+    p1, p2, p3 = (np.reshape(v, (-1, 1))
+                  for v in (params.crank, params.coupler, params.rocker))
+    phis = np.reshape(phis, (len(p1), -1))
     B = np.stack([p1 * np.cos(phis), p1 * np.sin(phis)], axis=-1)
     BD = np.array([1.0, 0.0]) - B
     d = np.hypot(BD[..., 0], BD[..., 1])
+    gap = np.maximum(d - (p2 + p3), abs(p2 - p3) - d)
 
-    too_far = d - (p2 + p3)
-    too_close = abs(p2 - p3) - d
-    gap = np.maximum(too_far, too_close)
-    bad = np.nonzero(gap > 0.0)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise SweepInvalidError(i, NotAssemblableError(phis[i], gap[i]))
-    # B on top of D (crank ratio 1 at phi = 0 with equal coupler/rocker)
-    # leaves the intersection direction undefined
-    tiny = np.nonzero(d < 1e-12)[0]
-    if tiny.size:
-        i = int(tiny[0])
-        raise SweepInvalidError(i, DegenerateConfigurationError(phis[i], 0.0))
-
-    a = (p2 * p2 - p3 * p3 + d * d) / (2.0 * d)
-    disc = p2 * p2 - a * a
-    weak = np.nonzero(disc < DEGENERACY_TOL)[0]
-    if weak.size:
-        i = int(weak[0])
-        raise SweepInvalidError(i, DegenerateConfigurationError(phis[i], disc[i]))
-
-    h = np.sqrt(disc)
-    u = BD / d[..., None]
-    perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-    C = B + a[..., None] * u + params.branch * h[..., None] * perp
-    beta = np.arctan2(C[..., 1] - B[..., 1], C[..., 0] - B[..., 0])
+    # a failing row may divide by d = 0 or take the root of a negative
+    # discriminant; its positions are replaced by NaN below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (p2 * p2 - p3 * p3 + d * d) / (2.0 * d)
+        disc = p2 * p2 - a * a
+        h = np.sqrt(disc)
+        u = BD / d[..., None]
+        perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        C = B + a[..., None] * u + params.branch * h[..., None] * perp
+        beta = np.arctan2(C[..., 1] - B[..., 1], C[..., 0] - B[..., 0])
+        steps = np.abs(angle_diff(beta[:, 1:], beta[:, :-1]))
 
     cos_mu = (p2 * p2 + p3 * p3 - d * d) / (2.0 * p2 * p3)
     mu = np.arccos(np.clip(cos_mu, -1.0, 1.0))
     mu = np.minimum(mu, np.pi - mu)
-    return B, C, beta, mu
+
+    jump = np.zeros(d.shape, dtype=bool)
+    jump[:, 1:] = steps > CONTINUITY_BOUND
+    checks = (
+        (gap > 0.0, lambda r, i: NotAssemblableError(phis[r, i], gap[r, i])),
+        # B on top of D (crank ratio 1 at phi = 0 with equal coupler/rocker)
+        # leaves the intersection direction undefined
+        (d < 1e-12,
+         lambda r, i: DegenerateConfigurationError(phis[r, i], 0.0)),
+        (disc < DEGENERACY_TOL,
+         lambda r, i: DegenerateConfigurationError(phis[r, i], disc[r, i])),
+        (jump, lambda r, i: f"coupler-angle jump {steps[r, i - 1]:.3f} rad "
+                            f"exceeds continuity bound {CONTINUITY_BOUND}"),
+    )
+    errors = [None] * len(phis)
+    for bad, reason in checks:
+        first = bad.argmax(axis=1)
+        for r in np.flatnonzero(bad.any(axis=1)):
+            if errors[r] is None:
+                errors[r] = SweepInvalidError(first[r], reason(r, first[r]))
+    failed = np.array([e is not None for e in errors])
+    C[failed] = beta[failed] = mu[failed] = np.nan
+    return Sweep(phi=phis, fractions=fractions, B=B, C=C, beta=beta, mu=mu,
+                 error=errors)
 
 
 def solve_position(params, phi):
-    """Assemble the linkage at a single crank angle.
+    """Assemble one design at a single crank angle, as a Sweep of that one
+    angle (phi, beta and mu are numbers, B and C 2-vectors).
 
     Raises NotAssemblableError / DegenerateConfigurationError when joint C
     cannot be placed on the selected branch.
     """
-    try:
-        B, C, beta, mu = _positions(params, np.array([float(phi)]))
-    except SweepInvalidError as err:
-        raise err.reason from None
-    return Pose(phi=float(phi), b=B[0], c=C[0], beta=float(beta[0]),
-                transmission_angle=float(mu[0]))
+    at = _positions(params, float(phi)).row(0)
+    if at.error is not None:
+        raise at.error.reason
+    return Sweep(phi=at.phi[0], fractions=None, B=at.B[0], C=at.C[0],
+                 beta=at.beta[0], mu=at.mu[0])
 
 
-def sweep(params, count, continuity_bound=DEFAULT_CONTINUITY_BOUND):
-    """Position analysis over the full support schedule.
+def sweep(params, count):
+    """Position analysis over the support schedule of one design, or of
+    each design of a batch, on the params' assembly branch.
 
-    All samples are solved on the same assembly branch; a jump in the
-    coupler angle larger than `continuity_bound` between consecutive
-    samples is rejected as a branch-continuity violation.  This is the
-    guard against synthesis solutions whose samples live on different
-    assembly modes and are therefore not physically traceable.
+    A design that fails a check of _positions is reported in the Sweep's
+    error, not raised.
     """
-    schedule = sample_schedule(params.start_angle, params.support_arc, count)
-    B, C, beta, mu = _positions(params, schedule.angles)
-    steps = np.abs(angle_diff(beta[1:], beta[:-1]))
-    jumps = np.nonzero(steps > continuity_bound)[0]
-    if jumps.size:
-        i = int(jumps[0]) + 1
-        raise SweepInvalidError(i, f"coupler-angle jump {steps[i - 1]:.3f} rad "
-                                   f"exceeds continuity bound {continuity_bound}")
-    return [Pose(phi=float(schedule.angles[i]), b=B[i], c=C[i],
-                 beta=float(beta[i]), transmission_angle=float(mu[i]))
-            for i in range(len(schedule))]
+    angles, fractions = sample_schedule(params.start_angle,
+                                        params.support_arc, count)
+    trace = _positions(params, angles, fractions)
+    return trace if np.ndim(params.crank) else trace.row(0)
 
 
-def coupler_path(poses, local_point):
+def coupler_path(sweep, local_point):
     """World trajectory of a point fixed in the coupler frame.
 
     local_point = (x, y) in the frame with origin B and x-axis along BC.
     """
     xy = np.asarray(local_point, dtype=float)
-    beta = np.array([p.beta for p in poses])
-    B = np.array([p.b for p in poses])
-    c, s = np.cos(beta), np.sin(beta)
+    c, s = np.cos(sweep.beta), np.sin(sweep.beta)
     ex = xy[0] * c - xy[1] * s
     ey = xy[0] * s + xy[1] * c
-    return B + np.stack([ex, ey], axis=-1)
+    return sweep.B + np.stack([ex, ey], axis=-1)
 
 
-def gait_metrics(params, poses):
-    """Step-cycle ratio and worst transmission angle over a valid sweep."""
+def gait_metrics(params, mu_min):
+    """Step-cycle ratio and worst transmission angle of designs whose valid
+    sweeps have the worst transmission angle mu_min (rad), for example
+    sweep.mu.min(axis=-1)."""
     support_deg = np.degrees(params.support_arc)
     transfer_deg = 360.0 - support_deg
-    mu_min = min(p.transmission_angle for p in poses)
     return GaitMetrics(support_deg=support_deg,
                        transfer_deg=transfer_deg,
                        cycle_ratio=support_deg / transfer_deg,
-                       min_transmission_deg=float(np.degrees(mu_min)))
+                       min_transmission_deg=np.degrees(mu_min))
 
 
 def force_ratio_angle(params, pose, coupler_point=(0.0, 0.0)):
-    """Foot-force direction angle arctan(|F_vertical| / |F_horizontal|).
+    """Foot-force direction angle arctan(|F_vertical| / |F_horizontal|) at
+    a single-angle pose from solve_position.
 
     The coupler is modeled as a massless two-force member, so the contact
     force is transmitted along BC; the returned angle is the inclination
@@ -280,8 +292,8 @@ def force_ratio_angle(params, pose, coupler_point=(0.0, 0.0)):
     zero), where the member direction carries no force information.
     """
     del coupler_point
-    if pose.transmission_angle < 1e-9:
+    if pose.mu < 1e-9:
         raise SingularTransmissionError(
             f"dead point at crank angle {pose.phi:.6f} rad")
-    bc = pose.c - pose.b
+    bc = pose.C - pose.B
     return float(np.arctan2(abs(bc[1]), abs(bc[0])))

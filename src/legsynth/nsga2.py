@@ -1,7 +1,7 @@
 """Elitist multi-objective genetic engine (NSGA-II) and the leg instance.
 
 The engine is generic over real-coded problems with m >= 2 objectives,
-box bounds, and optional inequality/equality constraints handled by
+box bounds, and a total constraint violation handled by
 constraint-domination: a feasible individual beats any infeasible one,
 and among infeasible individuals the smaller total violation wins.
 Breeding uses binary tournament on (rank, crowding distance), simulated
@@ -16,11 +16,11 @@ trace monotone by construction, which the population-only front does not
 guarantee under crowding truncation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fourbar import FourBarParams, SweepInvalidError
+from .fourbar import FourBarParams
 from .search import DEFAULT_BOX, DEFAULT_SWEEP_SAMPLES, dominates
 from .synthesis import reduced_objective
 
@@ -31,16 +31,16 @@ OBJECTIVE_SENTINEL = 1e30
 class Problem:
     """Real-coded minimization problem for the engine.
 
-    objectives maps a genome to an m-vector; constraints (optional) maps a
-    genome to (g, h) where feasibility means g <= 0 and h == 0.  Both
-    evaluators must be pure functions.
+    evaluate maps an (n, dimension) array of genomes to (F, violation):
+    the (n, n_objectives) objective matrix and the n total constraint
+    violations, 0 for a feasible genome and positive otherwise.  Each row
+    must be a pure function of its genome.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     n_objectives: int
-    objectives: object
-    constraints: object = None
+    evaluate: object
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -120,24 +120,24 @@ class EvolveResult:
         return np.array([self.population[i].objectives for i in self.fronts[0]])
 
 
-def _evaluate(problem, genome):
-    """Evaluate one genome into (objectives, violation).
+def _individuals(problem, genomes):
+    """Evaluate one generation's genomes in a single call.
 
-    Non-finite objective or constraint values mark the individual
-    maximally infeasible instead of aborting the run.
+    Non-finite objective or violation values mark an individual maximally
+    infeasible instead of aborting the run.
     """
-    F = np.asarray(problem.objectives(genome), dtype=float)
-    violation = 0.0
-    if problem.constraints is not None:
-        g, h = problem.constraints(genome)
-        g = np.asarray(g, dtype=float)
-        h = np.asarray(h, dtype=float)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-            return np.full(problem.n_objectives, OBJECTIVE_SENTINEL), np.inf
-        violation = float(np.clip(g, 0.0, None).sum() + np.abs(h).sum())
-    if F.shape != (problem.n_objectives,) or not np.all(np.isfinite(F)):
-        return np.full(problem.n_objectives, OBJECTIVE_SENTINEL), np.inf
-    return F, violation
+    F, violation = problem.evaluate(genomes)
+    F = np.array(F, dtype=float)
+    violation = np.array(violation, dtype=float)
+    n = len(genomes)
+    if F.shape != (n, problem.n_objectives) or violation.shape != (n,):
+        raise ValueError("evaluate must return (n, n_objectives) objectives "
+                         "and n violations")
+    bad = ~(np.all(np.isfinite(F), axis=1) & np.isfinite(violation))
+    F[bad] = OBJECTIVE_SENTINEL
+    violation[bad] = np.inf
+    return [Individual(genome=g, objectives=f, violation=float(v))
+            for g, f, v in zip(genomes, F, violation)]
 
 
 def _domination_matrix(F, violation):
@@ -309,10 +309,7 @@ def evolve(problem, config):
     rng = np.random.default_rng(config.seed)
     lo, hi = problem.lower, problem.upper
     genomes = lo + rng.random((config.population, problem.dimension)) * (hi - lo)
-    population = []
-    for g in genomes:
-        F, v = _evaluate(problem, g)
-        population.append(Individual(genome=g, objectives=F, violation=v))
+    population = _individuals(problem, genomes)
 
     track_hv = problem.n_objectives == 2
     archive = np.empty((0, problem.n_objectives))
@@ -346,11 +343,8 @@ def evolve(problem, config):
     record(0, population)
 
     for generation in range(1, config.generations + 1):
-        child_genomes = _breed(population, problem, config, rng)
-        offspring = []
-        for g in child_genomes:
-            F, v = _evaluate(problem, g)
-            offspring.append(Individual(genome=g, objectives=F, violation=v))
+        offspring = _individuals(problem,
+                                 _breed(population, problem, config, rng))
 
         combined = population + offspring
         survivors = []
@@ -372,43 +366,16 @@ def evolve(problem, config):
                         reference_point=reference, ideal_point=ideal)
 
 
-@dataclass(frozen=True)
-class LegObjectives:
-    """Leg-synthesis criteria: mean squared trajectory error (minimized)
-    and worst support-phase transmission angle in radians (maximized)."""
-
-    error: float
-    transmission: float
-
-    def vector(self):
-        return np.array([self.error, -self.transmission])
-
-
-def evaluate_leg(genome, count=DEFAULT_SWEEP_SAMPLES, branch=+1, coupler="solved"):
-    """Leg objectives for a genome; None when the sweep is untraceable.
-
-    With coupler="solved" the genome is the five nonlinear parameters and
-    the coupler point comes out of the inner linear solve; with
-    coupler="explicit" the genome carries (x_E, y_E) as two extra genes
-    and only the target line is solved.
-    """
-    params = FourBarParams(crank=genome[0], coupler=genome[1], rocker=genome[2],
-                           start_angle=genome[3], support_arc=genome[4],
-                           branch=branch)
-    pinned = None
-    if coupler == "explicit":
-        pinned = {0: float(genome[5]), 1: float(genome[6])}
-    reduced = reduced_objective(params, count, pinned=pinned)
-    mu_min = min(p.transmission_angle for p in reduced.poses)
-    return LegObjectives(error=reduced.delta0, transmission=float(mu_min))
-
-
 def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1,
                 coupler="solved", coupler_bounds=(-3.0, 3.0)):
     """Leg-synthesis Problem instance over the search box.
 
-    Objectives are (trajectory error, -transmission angle); the single
-    inequality constraint is sweep assemblability, with a violation that
+    Objectives are (mean squared trajectory error, -worst support-phase
+    transmission angle in radians).  With coupler="solved" the genome is
+    the five nonlinear parameters and the coupler point comes out of the
+    inner linear solve; with coupler="explicit" the genome carries
+    (x_E, y_E) as two extra genes and only the target line is solved.
+    The single constraint is sweep assemblability, with a violation that
     grows the earlier the sweep fails.
     """
     if coupler not in ("solved", "explicit"):
@@ -420,26 +387,18 @@ def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1,
         lower = np.append(lower, [coupler_bounds[0], coupler_bounds[0]])
         upper = np.append(upper, [coupler_bounds[1], coupler_bounds[1]])
 
-    memo = {}
+    def evaluate(genomes):
+        params = FourBarParams(*genomes[:, :5].T, branch=branch)
+        pinned = None
+        if coupler == "explicit":
+            pinned = {0: genomes[:, 5], 1: genomes[:, 6]}
+        result = reduced_objective(params, count, pinned=pinned)
+        failed_at = np.array([count if e is None else e.index
+                              for e in result.error])
+        violation = np.where(failed_at < count,
+                             1.0 + (count - failed_at) / count, 0.0)
+        F = np.column_stack([result.delta0, -result.mu_min])
+        F[violation > 0] = OBJECTIVE_SENTINEL
+        return F, violation
 
-    def evaluate(genome):
-        key = genome.tobytes()
-        if key not in memo:
-            memo.clear()
-            try:
-                obj = evaluate_leg(genome, count=count, branch=branch,
-                                   coupler=coupler)
-                memo[key] = (obj.vector(), 0.0)
-            except SweepInvalidError as err:
-                violation = 1.0 + (count - err.index) / count
-                memo[key] = (np.full(2, OBJECTIVE_SENTINEL), violation)
-        return memo[key]
-
-    def objectives(genome):
-        return evaluate(genome)[0]
-
-    def constraints(genome):
-        return np.array([evaluate(genome)[1]]), np.array([])
-
-    return Problem(lower=lower, upper=upper, n_objectives=2,
-                   objectives=objectives, constraints=constraints)
+    return Problem(lower=lower, upper=upper, n_objectives=2, evaluate=evaluate)

@@ -1,19 +1,18 @@
 """Outer quasi-random search over the five nonlinear linkage parameters.
 
 Implements the parameter-space-investigation workflow: spray the search
-box with LP-tau points, evaluate the reduced objective and gait metrics at
-each point, keep everything (infeasible samples included, with reasons) as
-a sampling table, then reduce by feasibility limits and Pareto dominance.
-Evaluation is a pure function of the sample index, so records can be
-computed in any order and merged deterministically.
+box with LP-tau points, evaluate the reduced objective and gait metrics of
+all points in one batch, keep everything (infeasible samples included,
+with reasons) as a sampling table of per-sample arrays, then reduce it by
+feasibility limits and Pareto dominance.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fourbar import FourBarParams, SweepInvalidError, gait_metrics
+from .fourbar import FourBarParams, gait_metrics
 from .lptau import lp_tau
 from .synthesis import reduced_objective
 
@@ -37,6 +36,8 @@ class ParamBox:
         # box can pin parameters while others vary
         if not np.all(lo <= hi):
             raise ValueError("lower bounds must not exceed upper bounds")
+        if not np.all(lo[:3] > 0):
+            raise ValueError("link length bounds must be positive")
         if not (np.pi <= lo[4] and hi[4] < 2.0 * np.pi):
             raise ValueError("support-arc bounds must lie within [pi, 2*pi)")
 
@@ -56,23 +57,39 @@ DEFAULT_BOX = ParamBox(
 DEFAULT_SWEEP_SAMPLES = 24
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One evaluated search point; infeasible points keep their reason."""
+@dataclass(frozen=True, eq=False)
+class SamplingTable:
+    """Evaluated search points, one row per point: the sample's LP-tau
+    index, its parameters (crank, coupler, rocker, start_angle,
+    support_arc), whether it assembled, the reason if not, its reduced
+    objective delta0, the inner solution x and its gait metrics.
 
-    index: int
-    params: FourBarParams
-    feasible: bool
-    reason: str
-    delta0: float
-    solution: object
-    metrics: object
+    An infeasible row keeps its reason and has delta0 inf and x and
+    min_transmission_deg NaN.
+    """
+
+    index: np.ndarray
+    params: np.ndarray
+    feasible: np.ndarray
+    reason: np.ndarray
+    delta0: np.ndarray
+    x: np.ndarray
+    min_transmission_deg: np.ndarray
+    cycle_ratio: np.ndarray
+    support_deg: np.ndarray
+
+    def __len__(self):
+        return len(self.index)
+
+    def take(self, rows):
+        """The table of the rows selected by an index or mask array."""
+        return SamplingTable(**{f.name: getattr(self, f.name)[rows]
+                                for f in fields(self)})
 
     def objectives(self):
-        """(error, -transmission, -cycle ratio): all minimized."""
-        return np.array([self.delta0,
-                         -self.metrics.min_transmission_deg,
-                         -self.metrics.cycle_ratio])
+        """(error, -transmission, -cycle ratio) per row: all minimized."""
+        return np.column_stack([self.delta0, -self.min_transmission_deg,
+                                -self.cycle_ratio])
 
 
 @dataclass(frozen=True)
@@ -84,53 +101,36 @@ class FeasibilityLimits:
     min_cycle_ratio: float = 0.0
 
 
-def evaluate_sample(index, params, count=DEFAULT_SWEEP_SAMPLES):
-    """Evaluate one parameter vector into a SampleRecord."""
-    try:
-        reduced = reduced_objective(params, count)
-    except SweepInvalidError as err:
-        return SampleRecord(index=index, params=params, feasible=False,
-                            reason=str(err), delta0=np.inf,
-                            solution=None, metrics=None)
-    metrics = gait_metrics(params, reduced.poses)
-    return SampleRecord(index=index, params=params, feasible=True, reason="",
-                        delta0=reduced.delta0, solution=reduced.solution,
-                        metrics=metrics)
-
-
 def scan(box, budget, count=DEFAULT_SWEEP_SAMPLES, branch=+1):
     """Evaluate `budget` LP-tau points mapped into the box.
 
-    Returns one record per point, in sequence order, infeasible samples
-    included.  The result is reproducible bit-for-bit for a given
-    (box, budget, count, branch).
+    Returns the sampling table, one row per point in sequence order,
+    infeasible samples included.  The result is reproducible bit-for-bit
+    for a given (box, budget, count, branch), and each row equals the
+    evaluation of its point alone.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     points = box.map_unit(lp_tau(5, budget))
-    records = []
-    for i, p in enumerate(points):
-        params = FourBarParams(crank=p[0], coupler=p[1], rocker=p[2],
-                               start_angle=p[3], support_arc=p[4],
-                               branch=branch)
-        records.append(evaluate_sample(i, params, count))
-    return records
+    params = FourBarParams(*points.T, branch=branch)
+    result = reduced_objective(params, count)
+    metrics = gait_metrics(params, result.mu_min)
+    return SamplingTable(
+        index=np.arange(budget), params=points,
+        feasible=np.array([e is None for e in result.error]),
+        reason=np.array(["" if e is None else str(e) for e in result.error],
+                        dtype=object),
+        delta0=result.delta0, x=result.x,
+        min_transmission_deg=metrics.min_transmission_deg,
+        cycle_ratio=metrics.cycle_ratio, support_deg=metrics.support_deg)
 
 
-def filter_feasible(records, limits):
-    """Records that assembled and satisfy every limit, input order kept."""
-    kept = []
-    for r in records:
-        if not r.feasible:
-            continue
-        if r.delta0 > limits.max_delta:
-            continue
-        if r.metrics.min_transmission_deg < limits.min_transmission_deg:
-            continue
-        if r.metrics.cycle_ratio < limits.min_cycle_ratio:
-            continue
-        kept.append(r)
-    return kept
+def filter_feasible(table, limits):
+    """Rows that assembled and satisfy every limit, input order kept."""
+    return table.take(
+        table.feasible & ~(table.delta0 > limits.max_delta)
+        & ~(table.min_transmission_deg < limits.min_transmission_deg)
+        & ~(table.cycle_ratio < limits.min_cycle_ratio))
 
 
 def dominates(A, B):
@@ -141,23 +141,21 @@ def dominates(A, B):
     return np.all(A <= B, axis=2) & np.any(A < B, axis=2)
 
 
-def pareto_filter(records):
-    """Nondominated subset under componentwise minimization of
+def pareto_filter(table):
+    """Nondominated rows under componentwise minimization of
     (delta0, -min transmission angle, -cycle ratio).
 
-    Records with identical objective vectors are all kept.  Infeasible
-    records are excluded (their objectives are not comparable).
+    Rows with identical objective vectors are all kept.  Infeasible
+    rows are excluded (their objectives are not comparable).
     """
-    candidates = [r for r in records if r.feasible]
-    if not candidates:
-        return []
-    F = np.array([r.objectives() for r in candidates])
+    candidates = table.take(table.feasible)
+    F = candidates.objectives()
     n = len(candidates)
     dominated = np.zeros(n, dtype=bool)
     chunk = 256  # bounds the (n, chunk, 3) comparison arrays
     for start in range(0, n, chunk):
         dominated[start:start + chunk] = dominates(F, F[start:start + chunk]).any(axis=0)
-    return [r for r, d in zip(candidates, dominated) if not d]
+    return candidates.take(~dominated)
 
 
 TABLE_COLUMNS = ("index", "crank", "coupler", "rocker", "start_angle",
@@ -165,24 +163,21 @@ TABLE_COLUMNS = ("index", "crank", "coupler", "rocker", "start_angle",
                  "cycle_ratio", "support_deg", "feasible", "reason")
 
 
-def write_sampling_table(records, path, header_comment=None):
-    """Emit the sampling table as CSV (one row per record)."""
+def write_sampling_table(table, path, header_comment=None):
+    """Emit the sampling table as CSV (one line per row)."""
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(TABLE_COLUMNS)
-        for r in records:
-            p = r.params
-            if r.feasible:
-                mu = f"{r.metrics.min_transmission_deg:.9g}"
-                nu = f"{r.metrics.cycle_ratio:.9g}"
-                sup = f"{r.metrics.support_deg:.9g}"
-                d0 = f"{r.delta0:.12g}"
-            else:
-                mu = nu = sup = ""
-                d0 = ""
-            writer.writerow([r.index, f"{p.crank:.12g}", f"{p.coupler:.12g}",
-                             f"{p.rocker:.12g}", f"{p.start_angle:.12g}",
-                             f"{p.support_arc:.12g}", d0, mu, nu, sup,
-                             int(r.feasible), r.reason])
+        metrics = (table.min_transmission_deg, table.cycle_ratio,
+                   table.support_deg)
+        for i in range(len(table)):
+            figures = [""] * 4
+            if table.feasible[i]:
+                figures = [f"{table.delta0[i]:.12g}",
+                           *(f"{m[i]:.9g}" for m in metrics)]
+            writer.writerow([table.index[i],
+                             *(f"{p:.12g}" for p in table.params[i]),
+                             *figures, int(table.feasible[i]),
+                             table.reason[i]])

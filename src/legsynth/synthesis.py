@@ -10,21 +10,26 @@ quasi-random search minimizes.
 
 The error is the mean (not the bare sum) of squared deviations over the
 sweep samples, so the normal-equation blocks and the error share one
-normalization.
+normalization.  Every function here also takes a batch of designs as
+stacked arrays; reduced_objective, which sweeps, assembles and solves a
+batch in bounded chunks, is the one evaluation kernel of the scan,
+NSGA-II and the CLI.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fourbar import sample_schedule, sweep
+from .fourbar import sweep
 
 # Condition number of the normal matrix above which the minimum-norm
-# least-squares path is taken and the solution flagged rank-deficient.
+# least-squares path is taken and the solution counts as rank-deficient.
 RANK_DEFICIENCY_COND = 1e10
 
-UNKNOWN_NAMES = ("coupler_x", "coupler_y", "line_x0", "line_y0",
-                 "line_span_x", "line_span_y")
+# Sample angles reduced_objective evaluates at once (512 designs of 24
+# samples): a chunk of a large batch keeps its temporary arrays to a few
+# megabytes.
+CHUNK_ANGLES = 512 * 24
 
 
 class InvalidSystemError(ValueError):
@@ -43,14 +48,6 @@ class LineTarget:
     span_x: float
     span_y: float
 
-    @property
-    def length(self):
-        return float(np.hypot(self.span_x, self.span_y))
-
-    @property
-    def inclination(self):
-        return float(np.arctan2(self.span_y, self.span_x))
-
     def points(self, fractions):
         k = np.asarray(fractions, dtype=float)
         return np.stack([self.x0 + self.span_x * k,
@@ -64,6 +61,7 @@ class LinearSystem:
     matrix is symmetric 6x6, rhs the 6-vector of sweep means, constant the
     error value at the zero unknown vector (mean squared B magnitude); the
     error is constant - 2 rhs.x + x.matrix.x for any unknown vector x.
+    A stack of systems has a leading axis on all three.
     """
 
     matrix: np.ndarray
@@ -76,89 +74,83 @@ class SynthesisSolution:
     """Solved unknowns and the residual error of the inner stage.
 
     x packs (coupler_x, coupler_y, line_x0, line_y0, line_span_x,
-    line_span_y) in that order.
+    line_span_y) in that order; a stack of systems has a leading axis on
+    x, delta and condition.  A condition above RANK_DEFICIENCY_COND marks
+    a rank-deficient system, solved in the minimum-norm sense.
     """
 
     x: np.ndarray
     delta: float
     condition: float
-    rank_deficient: bool
-    pinned: dict = field(default_factory=dict)
-
-    @property
-    def coupler_point(self):
-        return np.array([self.x[0], self.x[1]])
-
-    @property
-    def line(self):
-        return LineTarget(x0=float(self.x[2]), y0=float(self.x[3]),
-                          span_x=float(self.x[4]), span_y=float(self.x[5]))
 
 
 @dataclass(frozen=True)
 class ReducedObjective:
-    """Reduced objective value with the inner solution that produced it."""
+    """Reduced objective of each design of a batch, with its inner
+    solution x and the worst transmission angle mu_min (rad) of its sweep.
 
-    delta0: float
-    solution: SynthesisSolution
-    poses: list
-    schedule: object
+    error holds, per row, the SweepInvalidError of a design whose sweep
+    failed, or None; such a row has delta0 inf and x, condition and mu_min
+    NaN.
+    """
+
+    delta0: np.ndarray
+    x: np.ndarray
+    condition: np.ndarray
+    mu_min: np.ndarray
+    error: list
 
 
-def assemble(poses, schedule):
-    """Build the 6x6 normal equations from a sweep and its schedule."""
-    if len(poses) == 0:
-        raise ValueError("poses must be nonempty")
-    if len(poses) != len(schedule):
-        raise ValueError("poses and schedule must have the same length")
-    beta = np.array([p.beta for p in poses])
-    B = np.array([p.b for p in poses])
-    k = schedule.fractions
+def assemble(sweep):
+    """Build the 6x6 normal equations from a sweep (a stack of them for a
+    batch sweep)."""
+    beta, B, k = sweep.beta, sweep.B, sweep.fractions
     c, s = np.cos(beta), np.sin(beta)
-    XB, YB = B[:, 0], B[:, 1]
+    XB, YB = B[..., 0], B[..., 1]
 
-    mc, ms = c.mean(), s.mean()
-    mkc, mks = (k * c).mean(), (k * s).mean()
+    mc, ms = c.mean(axis=-1), s.mean(axis=-1)
+    mkc, mks = (k * c).mean(axis=-1), (k * s).mean(axis=-1)
     mk2 = (k * k).mean()
 
-    A1 = np.array([[-mc, -ms],
-                   [ms, -mc]])
-    A2 = np.array([[-mkc, -mks],
-                   [mks, -mkc]])
+    # the 2x2 blocks as the last two axes of each system
+    A1 = np.moveaxis(np.array([[-mc, -ms], [ms, -mc]]), (0, 1), (-2, -1))
+    A2 = np.moveaxis(np.array([[-mkc, -mks], [mks, -mkc]]), (0, 1), (-2, -1))
     eye2 = np.eye(2)
 
-    A = np.zeros((6, 6))
-    A[0:2, 0:2] = eye2
-    A[2:4, 2:4] = eye2
-    A[4:6, 4:6] = mk2 * eye2
-    A[0:2, 2:4] = A1
-    A[2:4, 0:2] = A1.T
-    A[0:2, 4:6] = A2
-    A[4:6, 0:2] = A2.T
-    A[2:4, 4:6] = 0.5 * eye2
-    A[4:6, 2:4] = 0.5 * eye2
+    A = np.zeros(mc.shape + (6, 6))
+    A[..., 0:2, 0:2] = eye2
+    A[..., 2:4, 2:4] = eye2
+    A[..., 4:6, 4:6] = mk2 * eye2
+    A[..., 0:2, 2:4] = A1
+    A[..., 2:4, 0:2] = np.swapaxes(A1, -1, -2)
+    A[..., 0:2, 4:6] = A2
+    A[..., 4:6, 0:2] = np.swapaxes(A2, -1, -2)
+    A[..., 2:4, 4:6] = 0.5 * eye2
+    A[..., 4:6, 2:4] = 0.5 * eye2
 
-    b = np.array([
-        -(XB * c + YB * s).mean(),
-        (XB * s - YB * c).mean(),
-        XB.mean(),
-        YB.mean(),
-        (k * XB).mean(),
-        (k * YB).mean(),
-    ])
-    constant = float((XB * XB + YB * YB).mean())
+    b = np.stack([
+        -(XB * c + YB * s).mean(axis=-1),
+        (XB * s - YB * c).mean(axis=-1),
+        XB.mean(axis=-1),
+        YB.mean(axis=-1),
+        (k * XB).mean(axis=-1),
+        (k * YB).mean(axis=-1),
+    ], axis=-1)
+    constant = (XB * XB + YB * YB).mean(axis=-1)
     return LinearSystem(matrix=A, rhs=b, constant=constant)
 
 
 def solve(system, pinned=None):
-    """Solve the normal equations, optionally with pinned unknowns.
+    """Solve the normal equations, or a stack of them, optionally with
+    pinned unknowns.
 
-    pinned maps unknown indices (0..5) to fixed values; the remaining
-    coordinates are solved from the correspondingly reduced system.  When
-    the (reduced) matrix is ill-conditioned beyond RANK_DEFICIENCY_COND
-    the minimum-norm least-squares solution is returned and the result is
-    flagged rank-deficient instead of failing, so degenerate sweeps (for
-    example constant coupler angle) stay usable inside an outer search.
+    pinned maps unknown indices (0..5) to fixed values, one number for
+    every system or one per system; the remaining coordinates are solved
+    from the correspondingly reduced system.  When the (reduced) matrix is
+    ill-conditioned beyond RANK_DEFICIENCY_COND the minimum-norm
+    least-squares solution is returned, one system at a time, instead of
+    failing, so degenerate sweeps (for example constant coupler angle)
+    stay usable inside an outer search.
     """
     A, b = system.matrix, system.rhs
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
@@ -167,64 +159,94 @@ def solve(system, pinned=None):
     for j, v in pinned.items():
         if not 0 <= j < 6:
             raise ValueError(f"pinned index {j} out of range")
-        if not np.isfinite(v):
+        if not np.all(np.isfinite(v)):
             raise InvalidSystemError("pinned value is non-finite")
 
+    shape = b.shape[:-1]
+    A, b = A.reshape(-1, 6, 6), b.reshape(-1, 6)
     free = [j for j in range(6) if j not in pinned]
-    x = np.zeros(6)
+    x = np.zeros(b.shape)
     for j, v in pinned.items():
-        x[j] = v
+        x[:, j] = np.ravel(v)
 
+    condition = np.ones(len(b))
     if free:
-        Aff = A[np.ix_(free, free)]
-        rhs = b[free]
+        Aff = A[:, free][:, :, free]
+        rhs = b[:, free]
         if pinned:
             fixed = sorted(pinned)
-            rhs = rhs - A[np.ix_(free, fixed)] @ x[fixed]
-        condition = float(np.linalg.cond(Aff))
-        rank_deficient = not np.isfinite(condition) or condition > RANK_DEFICIENCY_COND
-        if rank_deficient:
-            xf, *_ = np.linalg.lstsq(Aff, rhs, rcond=None)
-        else:
-            xf = np.linalg.solve(Aff, rhs)
-        x[free] = xf
-    else:
-        condition = 1.0
-        rank_deficient = False
+            # contiguous operands take the same matmul path in any batch
+            coupling = np.ascontiguousarray(A[:, free][:, :, fixed])
+            known = np.ascontiguousarray(x[:, fixed, None])
+            rhs = rhs - (coupling @ known)[..., 0]
+        condition = np.linalg.cond(Aff)
+        deficient = ~(condition <= RANK_DEFICIENCY_COND)
+        xf = np.empty(rhs.shape)
+        xf[~deficient] = np.linalg.solve(Aff[~deficient],
+                                         rhs[~deficient, :, None])[..., 0]
+        for i in np.flatnonzero(deficient):
+            xf[i] = np.linalg.lstsq(Aff[i], rhs[i], rcond=None)[0]
+        x[:, free] = xf
 
-    delta = float(system.constant - 2.0 * b @ x + x @ A @ x)
-    return SynthesisSolution(x=x, delta=max(delta, 0.0), condition=condition,
-                             rank_deficient=rank_deficient, pinned=pinned)
+    # batched matmul, not einsum: it sums in the same order as the
+    # single-system products, so a batch row matches its own solve
+    delta = (np.reshape(system.constant, -1)
+             - (2.0 * b[:, None, :] @ x[:, :, None])[:, 0, 0]
+             + (x[:, None, :] @ A @ x[:, :, None])[:, 0, 0])
+    return SynthesisSolution(x=x.reshape(shape + (6,)),
+                             delta=np.maximum(delta, 0.0).reshape(shape)[()],
+                             condition=condition.reshape(shape)[()])
 
 
-def residual_delta(poses, schedule, x):
-    """Mean squared trajectory deviation for an arbitrary unknown vector.
+def residual_delta(sweep, x):
+    """Mean squared trajectory deviation of one design's sweep for an
+    arbitrary unknown vector.
 
     Evaluates the error directly from the sweep samples (independent of
     the assembled normal equations), which makes it the cross-check path
     for the quadratic shortcut used in solve().
     """
-    if len(poses) != len(schedule):
-        raise ValueError("poses and schedule must have the same length")
     x = np.asarray(x, dtype=float)
-    beta = np.array([p.beta for p in poses])
-    B = np.array([p.b for p in poses])
-    k = schedule.fractions
-    c, s = np.cos(beta), np.sin(beta)
+    B, k = sweep.B, sweep.fractions
+    c, s = np.cos(sweep.beta), np.sin(sweep.beta)
     u = B[:, 0] + x[0] * c - x[1] * s - x[2] - x[4] * k
     v = B[:, 1] + x[0] * s + x[1] * c - x[3] - x[5] * k
     return float(np.mean(u * u + v * v))
 
 
 def reduced_objective(params, count, pinned=None):
-    """Sweep, assemble and solve; the residual is the outer objective.
+    """Sweep, assemble and solve each design of a batch; the residual is
+    the outer objective.
 
-    Raises SweepInvalidError for parameter vectors whose support arc is
-    not traceable on one assembly branch; outer searches treat that as an
-    infeasible sample rather than a numeric value.
+    One design counts as a batch of one.  pinned is as for solve, with
+    arrays of one value per design.  The designs go through in chunks of
+    CHUNK_ANGLES sample angles; a design whose support arc is not
+    traceable on one assembly branch is reported in the result's error,
+    and outer searches treat it as an infeasible sample.
     """
-    poses = sweep(params, count)
-    schedule = sample_schedule(params.start_angle, params.support_arc, count)
-    solution = solve(assemble(poses, schedule), pinned=pinned)
-    return ReducedObjective(delta0=solution.delta, solution=solution,
-                            poses=poses, schedule=schedule)
+    rows = np.size(params.crank)
+    pinned = {j: np.broadcast_to(v, (rows,))
+              for j, v in (pinned or {}).items()}
+    delta0 = np.full(rows, np.inf)
+    x = np.full((rows, 6), np.nan)
+    condition = np.full(rows, np.nan)
+    mu_min = np.full(rows, np.nan)
+    error = []
+    step = max(1, CHUNK_ANGLES // count)
+    for start in range(0, rows, step):
+        part = slice(start, start + step)
+        chunk = params.take(part)
+        trace = sweep(chunk, count)
+        ok = np.flatnonzero([e is None for e in trace.error])
+        system = assemble(trace)
+        solution = solve(LinearSystem(system.matrix[ok], system.rhs[ok],
+                                      system.constant[ok]),
+                         pinned={j: v[part][ok] for j, v in pinned.items()})
+        done = start + ok
+        delta0[done] = solution.delta
+        x[done] = solution.x
+        condition[done] = solution.condition
+        mu_min[done] = trace.mu[ok].min(axis=-1)
+        error += trace.error
+    return ReducedObjective(delta0=delta0, x=x, condition=condition,
+                            mu_min=mu_min, error=error)

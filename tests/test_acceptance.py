@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from legsynth import cli
-from legsynth.fourbar import (FourBarParams, SweepInvalidError, gait_metrics,
-                              sample_schedule, sweep)
+from legsynth.fourbar import FourBarParams, gait_metrics, sweep
 from legsynth.isotropy import (ab_matrices, closed_form_family,
                                foot_positions, forward_kinematics,
                                inverse_jacobian, is_isotropic,
@@ -30,7 +29,8 @@ from legsynth.slam import (MotionInput, NoPathError, OccupancyGrid,
                            OdometryNoise, ProcessNoise, SensorConfig,
                            desk_world, loop_script, path_cost, plan_path,
                            simulate)
-from legsynth.synthesis import assemble, residual_delta, solve
+from legsynth.synthesis import (RANK_DEFICIENCY_COND, assemble,
+                                residual_delta, solve)
 
 
 def report(criterion, passed, detail):
@@ -44,7 +44,7 @@ def test_criterion_1_step_cycle_arithmetic():
     for support_deg in (221.0, 184.0):
         params = FourBarParams(0.5, 1.25, 1.25, np.radians(65.0),
                                np.radians(support_deg))
-        values[support_deg] = gait_metrics(params, sweep(params, 12))
+        values[support_deg] = gait_metrics(params, sweep(params, 12).mu.min())
     ok = (abs(values[221.0].cycle_ratio - 1.59) <= 0.005
           and abs(values[184.0].cycle_ratio - 1.045) <= 0.005)
     report(1, ok, f"nu(221deg) = {values[221.0].cycle_ratio:.4f} "
@@ -216,43 +216,39 @@ def _random_sweep(rng, count=16):
                                rng.uniform(0.4, 2.5),
                                rng.uniform(0.0, 2.0 * np.pi),
                                rng.uniform(np.pi, 1.9 * np.pi))
-        try:
-            poses = sweep(params, count)
-        except SweepInvalidError:
-            continue
-        schedule = sample_schedule(params.start_angle, params.support_arc,
-                                   count)
-        return poses, schedule
+        trace = sweep(params, count)
+        if trace.error is None:
+            return trace
 
 
 def test_criterion_6_linear_solve_stationarity():
     rng = np.random.default_rng(11)
     worst_grad = 0.0
     for _ in range(100):
-        poses, schedule = _random_sweep(rng)
-        solution = solve(assemble(poses, schedule))
-        if solution.rank_deficient:
+        trace = _random_sweep(rng)
+        solution = solve(assemble(trace))
+        if solution.condition > RANK_DEFICIENCY_COND:
             continue
         h = 1e-6
         for j in range(6):
             e = np.zeros(6)
             e[j] = h
-            g = (residual_delta(poses, schedule, solution.x + e)
-                 - residual_delta(poses, schedule, solution.x - e)) / (2 * h)
+            g = (residual_delta(trace, solution.x + e)
+                 - residual_delta(trace, solution.x - e)) / (2 * h)
             worst_grad = max(worst_grad, abs(g) / (1.0 + solution.delta))
     worst_block = 0.0
     for _ in range(10):
-        poses, schedule = _random_sweep(rng)
-        system = assemble(poses, schedule)
+        trace = _random_sweep(rng)
+        system = assemble(trace)
         h = 0.5  # exact for a quadratic, keeps roundoff small
         grad0 = np.empty(6)
         hess = np.empty((6, 6))
-        base = residual_delta(poses, schedule, np.zeros(6))
+        base = residual_delta(trace, np.zeros(6))
         for i in range(6):
             ei = np.zeros(6)
             ei[i] = h
-            fp = residual_delta(poses, schedule, ei)
-            fm = residual_delta(poses, schedule, -ei)
+            fp = residual_delta(trace, ei)
+            fm = residual_delta(trace, -ei)
             grad0[i] = (fp - fm) / (2 * h)
             hess[i, i] = (fp - 2 * base + fm) / h ** 2
         for i in range(6):
@@ -260,13 +256,13 @@ def test_criterion_6_linear_solve_stationarity():
                 e = np.zeros(6)
                 e[i] = h
                 e[j] = h
-                fpp = residual_delta(poses, schedule, e)
+                fpp = residual_delta(trace, e)
                 e[j] = -h
-                fpm = residual_delta(poses, schedule, e)
+                fpm = residual_delta(trace, e)
                 e[i] = -h
-                fmm = residual_delta(poses, schedule, e)
+                fmm = residual_delta(trace, e)
                 e[j] = h
-                fmp = residual_delta(poses, schedule, e)
+                fmp = residual_delta(trace, e)
                 hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) \
                     / (4 * h ** 2)
         worst_block = max(worst_block,

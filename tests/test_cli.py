@@ -338,6 +338,10 @@ BAD_CONFIGS = [
         id="world-2049-landmarks"),
     pytest.param("slam", lambda tmp: {"sensor": {"n_rays": 10 ** 9}},
                  id="n-rays-10^9"),
+    pytest.param("slam", lambda tmp: {"script": {"type": "constant", "steps": 3},
+                                      "sensor": {"max_range": 1e300,
+                                                 "n_rays": 4}},
+                 id="ray-of-1e301-cells"),
     pytest.param("synth", lambda tmp: {"sweep_samples": 10 ** 8},
                  id="sweep-samples-10^8"),
     pytest.param("pareto", lambda tmp: {"ga": {"population": 10 ** 8}},
@@ -361,6 +365,10 @@ BAD_CONFIGS = [
     pytest.param("synth", lambda tmp: {"box": TIGHT_BOX, "budget": 8,
                                        "limits": {"max_delta": NAN}},
                  id="max-delta-nan"),
+    pytest.param("synth", lambda tmp: {"box": dict(TIGHT_BOX, lower=[
+        0.0, *TIGHT_BOX["lower"][1:]]), "budget": 8}, id="box-zero-crank"),
+    pytest.param("pareto", lambda tmp: {"box": dict(TIGHT_BOX, lower=[
+        0.45, -1.0, *TIGHT_BOX["lower"][2:]])}, id="box-negative-coupler"),
     pytest.param("isotropy", lambda tmp: {"family": {}, "heading": 0.5},
                  id="heading-beside-family"),
     pytest.param("isotropy", lambda tmp: {"family": {}, "char_length": 2.0},
@@ -380,6 +388,14 @@ class TestParserBehavior:
         if command == "pareto":
             config.setdefault("ga", {"population": 4, "generations": 0})
         code, _ = run(tmp_path / "run", command, config)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "pareto", "slam"])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, command):
+        code, _ = run(tmp_path, command, {}, seed=-1)
         err = capsys.readouterr().err
         assert code == 1
         assert "config error" in err

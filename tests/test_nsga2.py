@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from legsynth.fourbar import coupler_path, sample_schedule, sweep, FourBarParams
+from legsynth.fourbar import coupler_path, sweep, FourBarParams
 from legsynth.nsga2 import (GAConfig, Individual, OBJECTIVE_SENTINEL, Problem,
-                            crowding_distance, evaluate_leg, evolve,
+                            crowding_distance, evolve,
                             fast_nondominated_sort, hypervolume_2d,
                             leg_problem)
 from legsynth.search import ParamBox
+from legsynth.synthesis import LineTarget, assemble, solve
 
 HOEKEN_GENOME = np.array([0.5, 1.25, 1.25, np.radians(65.0),
                           np.radians(221.0)])
@@ -47,13 +48,20 @@ def brute_force_fronts(population):
 
 
 def zdt1_problem(dim=10):
-    def objectives(x):
-        f1 = x[0]
-        g = 1.0 + 9.0 * np.mean(x[1:])
-        return np.array([f1, g * (1.0 - np.sqrt(f1 / g))])
+    def evaluate(X):
+        f1 = X[:, 0]
+        g = 1.0 + 9.0 * np.mean(X[:, 1:], axis=1)
+        F = np.column_stack([f1, g * (1.0 - np.sqrt(f1 / g))])
+        return F, np.zeros(len(X))
 
     return Problem(lower=np.zeros(dim), upper=np.ones(dim), n_objectives=2,
-                   objectives=objectives)
+                   evaluate=evaluate)
+
+
+def leg_objectives(genome, **kwargs):
+    """(error, -transmission) and violation of one genome."""
+    F, violation = leg_problem(**kwargs).evaluate(np.asarray(genome)[None])
+    return F[0], violation[0]
 
 
 class TestNondominatedSort:
@@ -209,18 +217,31 @@ class TestEvolve:
         assert result.fronts == oracle
 
     def test_non_finite_objectives_survive_as_infeasible(self):
-        def objectives(x):
-            if x[0] > 0.5:
-                return np.array([np.nan, np.nan])
-            return np.array([x[0], 1.0 - x[0]])
+        def evaluate(X):
+            F = np.column_stack([X[:, 0], 1.0 - X[:, 0]])
+            F[X[:, 0] > 0.5] = np.nan
+            return F, np.zeros(len(X))
 
         problem = Problem(lower=np.zeros(2), upper=np.ones(2),
-                          n_objectives=2, objectives=objectives)
+                          n_objectives=2, evaluate=evaluate)
         result = evolve(problem, GAConfig(population=16, generations=10,
                                           seed=5))
         assert len(result.population) == 16
         front = [result.population[i] for i in result.fronts[0]]
         assert all(ind.violation == 0.0 for ind in front)
+
+    def test_one_evaluate_call_per_generation(self):
+        calls = []
+        base = zdt1_problem(dim=3)
+
+        def evaluate(X):
+            calls.append(X.shape)
+            return base.evaluate(X)
+
+        problem = Problem(lower=base.lower, upper=base.upper, n_objectives=2,
+                          evaluate=evaluate)
+        evolve(problem, GAConfig(population=12, generations=5, seed=4))
+        assert calls == [(12, 3)] * 6
 
 
 class TestConfigValidation:
@@ -239,13 +260,10 @@ class TestConfigValidation:
 
 class TestLegProblem:
     def test_unassemblable_genome_is_infeasible(self):
-        problem = leg_problem()
         genome = np.array([0.6, 0.4, 0.5, np.pi / 2, 1.05 * np.pi])
-        F = problem.objectives(genome)
-        g, h = problem.constraints(genome)
+        F, violation = leg_objectives(genome)
         assert np.all(F == OBJECTIVE_SENTINEL)
-        assert g[0] > 0.0
-        assert h.size == 0
+        assert violation > 0.0
 
     def test_error_objective_matches_direct_evaluation(self):
         # independent path: build the coupler trajectory and the solved
@@ -256,33 +274,49 @@ class TestLegProblem:
         while checked < 10:
             genome = problem.lower + rng.random(5) * (problem.upper
                                                       - problem.lower)
-            F = problem.objectives(genome)
+            F = problem.evaluate(genome[None])[0][0]
             if F[0] >= OBJECTIVE_SENTINEL:
                 continue
             checked += 1
             params = FourBarParams(*genome)
             count = 24
-            poses = sweep(params, count)
-            schedule = sample_schedule(genome[3], genome[4], count)
-            from legsynth.synthesis import assemble, solve
-            solution = solve(assemble(poses, schedule))
-            path = coupler_path(poses, solution.coupler_point)
-            targets = solution.line.points(schedule.fractions)
+            trace = sweep(params, count)
+            solution = solve(assemble(trace))
+            path = coupler_path(trace, solution.x[:2])
+            targets = LineTarget(*solution.x[2:]).points(trace.fractions)
             direct = np.mean(((path - targets) ** 2).sum(axis=1))
             assert abs(direct - F[0]) <= 1e-12 * (1.0 + direct)
 
+    def test_batch_matches_single_genomes(self):
+        # a generation evaluated in one call gives each genome's own
+        # objectives, and a failed sweep the violation 1 + (count - i)/count
+        problem = leg_problem(count=12)
+        rng = np.random.default_rng(14)
+        genomes = problem.lower + rng.random((40, 5)) * (problem.upper
+                                                         - problem.lower)
+        F, violation = problem.evaluate(genomes)
+        for genome, f, v in zip(genomes, F, violation):
+            alone, v_alone = leg_objectives(genome, count=12)
+            assert np.array_equal(f, alone) and v == v_alone
+            error = sweep(FourBarParams(*genome), 12).error
+            if error is None:
+                assert v == 0.0 and f[1] < 0.0
+            else:
+                assert v == 1.0 + (12 - error.index) / 12
+        assert 0 < np.count_nonzero(violation) < len(genomes)
+
     def test_straight_line_genome_scores_well(self):
-        objectives = evaluate_leg(HOEKEN_GENOME)
-        assert objectives.error <= 1e-3
-        assert np.degrees(objectives.transmission) >= 20.0
+        F, _ = leg_objectives(HOEKEN_GENOME)
+        assert F[0] <= 1e-3
+        assert np.degrees(-F[1]) >= 20.0
 
     def test_explicit_coupler_genome(self):
         problem = leg_problem(coupler="explicit")
         assert problem.dimension == 7
         genome = np.concatenate([HOEKEN_GENOME, [2.5, 0.0]])
-        F = problem.objectives(genome)
-        solved = evaluate_leg(HOEKEN_GENOME).error
-        assert F[0] >= solved - 1e-15
+        F, _ = problem.evaluate(genome[None])
+        solved = leg_objectives(HOEKEN_GENOME)[0][0]
+        assert F[0, 0] >= solved - 1e-15
 
     def test_short_leg_run_improves_archive(self):
         box = ParamBox(
