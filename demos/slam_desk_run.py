@@ -54,8 +54,8 @@ tracks.write(OUT / "tracks.svg")
 
 grid = clean.final_state.grid
 try:
-    cells = plan_path(grid, grid.cell_of((-1.5, -1.5)),
-                      grid.cell_of((3.0, 3.0)))
+    cells = plan_path(grid, grid.cell_of((-1.5, -1.5)).astype(int),
+                      grid.cell_of((3.0, 3.0)).astype(int))
     print(f"planned path of {len(cells)} cells, cost {path_cost(cells):.2f}")
     occupied = np.argwhere(grid.probabilities() > 0.5)
     plan = SvgPlot(title="planned path over the mapped grid",

@@ -545,8 +545,12 @@ def cmd_slam(config, out, seed):
                 "occupied_threshold": _get(plan, "occupied_threshold",
                                            float, 0.5, "plan ")}
 
-    log = slam.simulate(world, script, sensor, odometry=odometry,
-                        process=process, seed=seed, start_pose=start)
+    try:
+        log = slam.simulate(world, script, sensor, odometry=odometry,
+                            process=process, seed=seed, start_pose=start)
+    except slam.FilterDivergedError as err:
+        raise InfeasibleError(str(err), diagnostics={
+            "config_hash": tag, "error": str(err), "step": err.step})
 
     slam.write_run_log(log, out / "run_log.csv",
                        header_comment=f"config {tag}")

@@ -16,7 +16,7 @@ Headings are always wrapped to (-pi, pi].
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,10 @@ LOG_ODDS_LIMIT = 10.0
 # invertible in noise-free runs once the filter has converged.
 MEASUREMENT_VARIANCE_FLOOR = 1e-12
 
+# Grid cells update_map walks at once (rays x cells per ray), so a frame
+# of many long rays keeps its temporary arrays to a few megabytes.
+WALK_CELLS = 2 ** 16
+
 
 class NoPathError(RuntimeError):
     """The goal cell cannot be reached on the current grid."""
@@ -37,6 +41,14 @@ class NoPathError(RuntimeError):
 
 class WorldFormatError(ValueError):
     """World JSON does not match the documented schema."""
+
+
+class FilterDivergedError(ArithmeticError):
+    """The pose estimate, its covariance or dead reckoning is not finite."""
+
+    def __init__(self, step):
+        super().__init__(f"the filter state is not finite after step {step}")
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -112,29 +124,17 @@ class OccupancyGrid:
         if self.log_odds is None:
             self.log_odds = np.zeros((self.height, self.width))
 
-    def copy(self):
-        return OccupancyGrid(resolution=self.resolution,
-                             origin=self.origin.copy(),
-                             width=self.width, height=self.height,
-                             log_odds=self.log_odds.copy())
-
     def probabilities(self):
         return 1.0 - 1.0 / (1.0 + np.exp(self.log_odds))
 
-    def cell_of(self, point):
-        col = int(np.floor((point[0] - self.origin[0]) / self.resolution))
-        row = int(np.floor((point[1] - self.origin[1]) / self.resolution))
-        return row, col
+    def cell_of(self, points):
+        """Float (row, col) cells of (..., 2) points; no point overflows."""
+        offset = np.asarray(points, dtype=float) - self.origin
+        return np.floor(offset / self.resolution)[..., ::-1]
 
     def contains(self, cell):
         row, col = cell
-        return 0 <= row < self.height and 0 <= col < self.width
-
-    def stamp(self, cell, increment):
-        if self.contains(cell):
-            value = self.log_odds[cell] + increment
-            self.log_odds[cell] = np.clip(value, -LOG_ODDS_LIMIT,
-                                          LOG_ODDS_LIMIT)
+        return (0 <= row) & (row < self.height) & (0 <= col) & (col < self.width)
 
 
 @dataclass(frozen=True)
@@ -154,27 +154,25 @@ class World:
                              width=self.grid_width, height=self.grid_height)
 
     def segments(self):
-        segs = []
-        for poly in self.obstacles:
-            pts = np.asarray(poly, dtype=float)
-            for i in range(len(pts)):
-                segs.append((pts[i], pts[(i + 1) % len(pts)]))
-        return segs
-
-
-@dataclass(frozen=True)
-class Ray:
-    angle: float
-    distance: float
-    hit: bool
+        """Obstacle edges as (S, 2) start points and (S, 2) edge vectors."""
+        polys = [np.asarray(poly, dtype=float) for poly in self.obstacles]
+        starts = np.concatenate([np.empty((0, 2)), *polys])
+        ends = np.concatenate([np.empty((0, 2)),
+                               *(np.roll(poly, -1, axis=0) for poly in polys)])
+        return starts, ends - starts
 
 
 @dataclass(frozen=True)
 class Observation:
-    """Range-bearing landmark measurements plus the simulated point cloud."""
+    """One sensor frame: ids, ranges and bearings of the visible landmarks
+    in id order, and the angle, distance and hit flag of each ray."""
 
-    measurements: tuple    # of (landmark id, range, bearing)
-    rays: tuple            # of Ray
+    ids: np.ndarray
+    ranges: np.ndarray
+    bearings: np.ndarray
+    ray_angles: np.ndarray
+    ray_distances: np.ndarray
+    ray_hits: np.ndarray
     range_sigma: float
     bearing_sigma: float
 
@@ -202,9 +200,10 @@ class SlamState:
                 for i, lid in enumerate(self.landmark_ids)}
 
     def copy(self):
+        """Copies mean and covariance; shares the grid, which update_map copies."""
         return SlamState(mean=self.mean.copy(), cov=self.cov.copy(),
                          landmark_ids=tuple(self.landmark_ids),
-                         grid=self.grid.copy())
+                         grid=self.grid)
 
 
 def initial_state(pose, world, pose_cov=None):
@@ -258,32 +257,12 @@ def predict(state, u, noise=None):
     ])
     P = new.cov
     P[:3, :3] = F @ P[:3, :3] @ F.T
-    if P.shape[0] > 3:
-        P[:3, 3:] = F @ P[:3, 3:]
-        P[3:, :3] = P[:3, 3:].T
+    P[:3, 3:] = F @ P[:3, 3:]
+    P[3:, :3] = P[:3, 3:].T
     if noise is not None:
         P[:3, :3] += noise.matrix(u.dt)
     new.cov = 0.5 * (P + P.T)
     return new
-
-
-def _ray_distance(origin, angle, segments, max_range):
-    """Nearest obstacle-segment intersection along one ray."""
-    d = np.array([np.cos(angle), np.sin(angle)])
-    best = max_range
-    hit = False
-    for p, q in segments:
-        e = q - p
-        denom = d[0] * e[1] - d[1] * e[0]
-        if abs(denom) < 1e-15:
-            continue
-        rel = p - origin
-        t = (rel[0] * e[1] - rel[1] * e[0]) / denom
-        s = (rel[0] * d[1] - rel[1] * d[0]) / denom
-        if t >= 0.0 and 0.0 <= s <= 1.0 and t < best:
-            best = t
-            hit = True
-    return best, hit
 
 
 def observe(state, world, sensor, rng):
@@ -295,61 +274,65 @@ def observe(state, world, sensor, rng):
     the same range noise applied to hits.
     """
     pose = state.pose if isinstance(state, SlamState) else np.asarray(state, float)
-    x, y, heading = pose
-    measurements = []
-    for lid in sorted(world.landmarks):
-        delta = np.asarray(world.landmarks[lid], dtype=float) - pose[:2]
-        dist = float(np.hypot(delta[0], delta[1]))
-        bearing = wrap_pi(np.arctan2(delta[1], delta[0]) - heading)
-        if dist > sensor.max_range or abs(bearing) > sensor.fov / 2.0:
-            continue
-        dist = max(dist + sensor.range_sigma * rng.standard_normal(), 0.0)
-        bearing = wrap_pi(bearing + sensor.bearing_sigma * rng.standard_normal())
-        measurements.append((lid, dist, bearing))
+    ids = np.fromiter(world.landmarks, dtype=int, count=len(world.landmarks))
+    order = np.argsort(ids)
+    delta = np.reshape(list(world.landmarks.values()), (-1, 2))[order] - pose[:2]
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    bearing = wrap_pi(np.arctan2(delta[:, 1], delta[:, 0]) - pose[2])
+    visible = ~((dist > sensor.max_range) | (np.abs(bearing) > sensor.fov / 2.0))
+    # one range and one bearing draw per visible landmark, in id order
+    noise = rng.standard_normal((np.count_nonzero(visible), 2))
+    ranges = np.maximum(dist[visible] + sensor.range_sigma * noise[:, 0], 0.0)
+    bearings = wrap_pi(bearing[visible] + sensor.bearing_sigma * noise[:, 1])
 
-    rays = []
-    if sensor.n_rays:
-        segments = world.segments()
-        angles = heading + np.linspace(-sensor.fov / 2.0, sensor.fov / 2.0,
-                                       sensor.n_rays, endpoint=False)
-        for angle in angles:
-            dist, hit = _ray_distance(pose[:2], angle, segments,
-                                      sensor.max_range)
-            if hit and sensor.range_sigma:
-                dist = float(np.clip(dist + sensor.range_sigma
-                                     * rng.standard_normal(),
-                                     0.0, sensor.max_range))
-            rays.append(Ray(angle=float(wrap_pi(angle)), distance=float(dist),
-                            hit=hit))
-    return Observation(measurements=tuple(measurements), rays=tuple(rays),
+    # every ray against every obstacle edge: ray = pose + t d, edge =
+    # start + s e; the nearest crossing with t >= 0 and s in [0, 1] is a hit
+    angles = pose[2] + np.linspace(-sensor.fov / 2.0, sensor.fov / 2.0,
+                                   sensor.n_rays, endpoint=False)
+    starts, edges = world.segments()
+    d = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, None, :]
+    rel = starts - pose[:2]
+    denom = d[..., 0] * edges[:, 1] - d[..., 1] * edges[:, 0]
+    parallel = np.abs(denom) < 1e-15
+    denom = np.where(parallel, 1.0, denom)
+    t = (rel[:, 0] * edges[:, 1] - rel[:, 1] * edges[:, 0]) / denom
+    s = (rel[:, 0] * d[..., 1] - rel[:, 1] * d[..., 0]) / denom
+    crossing = (~parallel & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
+                & (t < sensor.max_range))
+    hits = crossing.any(axis=1)
+    distances = t.min(axis=1, initial=sensor.max_range, where=crossing)
+    if sensor.range_sigma:
+        noisy = distances[hits] + sensor.range_sigma * rng.standard_normal(
+            np.count_nonzero(hits))
+        distances[hits] = np.clip(noisy, 0.0, sensor.max_range)
+    return Observation(ids=ids[order][visible], ranges=ranges,
+                       bearings=bearings, ray_angles=wrap_pi(angles),
+                       ray_distances=distances, ray_hits=hits,
                        range_sigma=sensor.range_sigma,
                        bearing_sigma=sensor.bearing_sigma)
 
 
-def _measurement_jacobian(mean, indices, ids):
-    """Stacked range-bearing Jacobian rows for the listed landmarks."""
-    n = len(mean)
-    H = np.zeros((2 * len(ids), n))
-    predicted = np.zeros(2 * len(ids))
+def _measurement_jacobian(mean, slots):
+    """Stacked range-bearing Jacobian rows for the landmarks in the given
+    state slots."""
     x, y, heading = mean[:3]
-    for row, lid in enumerate(ids):
-        j = indices[lid]
-        lx, ly = mean[3 + 2 * j], mean[4 + 2 * j]
-        dx, dy = lx - x, ly - y
-        q = dx * dx + dy * dy
-        sq = np.sqrt(q)
-        predicted[2 * row] = sq
-        predicted[2 * row + 1] = wrap_pi(np.arctan2(dy, dx) - heading)
-        H[2 * row, 0] = -dx / sq
-        H[2 * row, 1] = -dy / sq
-        H[2 * row, 3 + 2 * j] = dx / sq
-        H[2 * row, 4 + 2 * j] = dy / sq
-        H[2 * row + 1, 0] = dy / q
-        H[2 * row + 1, 1] = -dx / q
-        H[2 * row + 1, 2] = -1.0
-        H[2 * row + 1, 3 + 2 * j] = -dy / q
-        H[2 * row + 1, 4 + 2 * j] = dx / q
-    return H, predicted
+    cols = 3 + 2 * slots
+    dx = mean[cols] - x
+    dy = mean[cols + 1] - y
+    q = dx * dx + dy * dy
+    sq = np.sqrt(q)
+    predicted = np.stack([sq, wrap_pi(np.arctan2(dy, dx) - heading)],
+                         axis=1).ravel()
+    # d(range, bearing) / d(landmark x, y); the block for the pose's x, y
+    # is its negative, and the bearing falls one for one with the heading
+    block = np.stack([dx / sq, dy / sq, -dy / q, dx / q], axis=1).reshape(-1, 2, 2)
+    H = np.zeros((len(slots), 2, len(mean)))
+    H[:, :, :2] = -block
+    H[:, 1, 2] = -1.0
+    k = np.arange(len(slots))
+    H[k, :, cols] = block[:, :, 0]
+    H[k, :, cols + 1] = block[:, :, 1]
+    return H.reshape(-1, len(mean)), predicted
 
 
 def correct(state, z):
@@ -362,20 +345,20 @@ def correct(state, z):
     singular innovation covariance skips the whole measurement batch and
     returns the state unchanged.
     """
-    indices = {lid: i for i, lid in enumerate(state.landmark_ids)}
-    known = [(lid, r, b) for lid, r, b in z.measurements if lid in indices]
-    if not known:
+    match = z.ids[:, None] == np.asarray(state.landmark_ids, dtype=int)
+    known = match.any(axis=1)
+    if not known.any():
         return CorrectionResult(state=state.copy(), gain=np.zeros((len(state.mean), 0)),
                                 innovation=np.zeros(0), moved_ids=())
-    ids = [lid for lid, _, _ in known]
-    H, predicted = _measurement_jacobian(state.mean, indices, ids)
-    observed = np.array([[r, b] for _, r, b in known]).ravel()
+    slots = match.argmax(axis=1)[known]
+    H, predicted = _measurement_jacobian(state.mean, slots)
+    observed = np.stack([z.ranges[known], z.bearings[known]], axis=1).ravel()
     innovation = observed - predicted
     innovation[1::2] = wrap_pi(innovation[1::2])
 
     r_var = max(z.range_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
     b_var = max(z.bearing_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
-    R = np.diag([r_var, b_var] * len(ids))
+    R = np.diag([r_var, b_var] * len(slots))
     P = state.cov
     S = H @ P @ H.T + R
     condition = np.linalg.cond(S)
@@ -386,36 +369,33 @@ def correct(state, z):
                                 skipped=True,
                                 reason="innovation covariance singular")
     K = P @ H.T @ np.linalg.inv(S)
-    new = state.copy()
-    new.mean = state.mean + K @ innovation
-    new.mean[2] = wrap_pi(new.mean[2])
+    mean = state.mean + K @ innovation
+    mean[2] = wrap_pi(mean[2])
     IKH = np.eye(len(state.mean)) - K @ H
     P = IKH @ state.cov @ IKH.T + K @ R @ K.T
-    new.cov = 0.5 * (P + P.T)
-    return CorrectionResult(state=new, gain=K, innovation=innovation,
-                            moved_ids=tuple(ids))
+    return CorrectionResult(state=replace(state, mean=mean, cov=0.5 * (P + P.T)),
+                            gain=K, innovation=innovation,
+                            moved_ids=tuple(z.ids[known].tolist()))
 
 
-def _bresenham(start, end):
-    """Integer cells from start to end inclusive (8-connected line)."""
-    (r0, c0), (r1, c1) = start, end
-    cells = []
-    dr, dc = abs(r1 - r0), abs(c1 - c0)
-    sr = 1 if r1 >= r0 else -1
-    sc = 1 if c1 >= c0 else -1
-    err = dc - dr
-    r, c = r0, c0
-    while True:
-        cells.append((r, c))
-        if (r, c) == (r1, c1):
-            return cells
-        e2 = 2 * err
-        if e2 > -dr:
-            err -= dr
-            c += sc
-        if e2 < dc:
-            err += dc
-            r += sr
+def _walk(start, ends):
+    """8-connected Bresenham lines from the integer (row, col) cell start to
+    each of the (k, 2) cells ends: the (k, L) rows and cols, and each line's
+    length, beyond which its entries are not part of it.  At step i the
+    major axis has moved i cells and the minor axis
+    ceil(i * minor / major - 1/2), the cells the error term of the classic
+    integer walk picks."""
+    delta = ends - start
+    span = np.abs(delta)
+    major = span.max(axis=1, keepdims=True)
+    minor = span.min(axis=1, keepdims=True)
+    i = np.arange(major.max(initial=0) + 1)
+    across = -((major - 2 * i * minor) // np.maximum(2 * major, 1))
+    rows_major = span[:, :1] > span[:, 1:]
+    sign = np.where(delta >= 0, 1, -1)
+    rows = start[0] + sign[:, :1] * np.where(rows_major, i, across)
+    cols = start[1] + sign[:, 1:] * np.where(rows_major, across, i)
+    return rows, cols, major[:, 0] + 1
 
 
 def update_map(state, z):
@@ -425,16 +405,16 @@ def update_map(state, z):
     pose estimate, with a covariance block propagated from the pose
     uncertainty and the measurement noise.  Grid cells crossed by a ray
     get the free log-odds decrement; the hit cell gets the occupied
-    increment.
+    increment.  Each stamp clips to +-LOG_ODDS_LIMIT, in ray order.
     """
     new = state.copy()
-    added = []
+    new.grid = replace(state.grid, log_odds=state.grid.log_odds.copy())
     r_var = max(z.range_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
     b_var = max(z.bearing_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
-    for lid, dist, bearing in z.measurements:
-        if lid in new.landmark_ids:
-            continue
-        x, y, heading = new.mean[:3]
+    x, y, heading = state.mean[:3]
+    # each new landmark grows the covariance the next one reads
+    fresh = ~np.isin(z.ids, state.landmark_ids)
+    for dist, bearing in zip(z.ranges[fresh], z.bearings[fresh]):
         direction = heading + bearing
         position = np.array([x + dist * np.cos(direction),
                              y + dist * np.sin(direction)])
@@ -457,28 +437,39 @@ def update_map(state, z):
                          + G_meas @ np.diag([r_var, b_var]) @ G_meas.T)
         new.mean = np.concatenate([new.mean, position])
         new.cov = 0.5 * (grown + grown.T)
-        new.landmark_ids = tuple(new.landmark_ids) + (lid,)
-        added.append(lid)
+    added = tuple(z.ids[fresh].tolist())
+    new.landmark_ids = tuple(state.landmark_ids) + added
 
-    if z.rays:
-        grid = new.grid
-        origin_cell = grid.cell_of(new.mean[:2])
-        x, y = new.mean[:2]
-        # push the hit a quarter cell along the ray so surfaces lying
-        # exactly on cell boundaries register on their own side of the
-        # boundary instead of in the free cell in front of them
-        nudge = 0.25 * grid.resolution
-        for ray in z.rays:
-            reach = ray.distance + (nudge if ray.hit else 0.0)
-            end = np.array([x + reach * np.cos(ray.angle),
-                            y + reach * np.sin(ray.angle)])
-            cells = _bresenham(origin_cell, grid.cell_of(end))
-            body = cells[:-1] if ray.hit else cells
-            for cell in body:
-                grid.stamp(cell, LOG_ODDS_FREE)
-            if ray.hit:
-                grid.stamp(cells[-1], LOG_ODDS_OCCUPIED)
-    return MapUpdateResult(state=new, added_ids=tuple(added))
+    grid = new.grid
+    # push the hit a quarter cell along the ray so surfaces lying
+    # exactly on cell boundaries register on their own side of the
+    # boundary instead of in the free cell in front of them
+    reach = z.ray_distances + np.where(z.ray_hits, 0.25 * grid.resolution, 0.0)
+    ends = np.stack([x + reach * np.cos(z.ray_angles),
+                     y + reach * np.sin(z.ray_angles)], axis=1)
+    cells = grid.cell_of(np.vstack([(x, y), ends]))
+    origin, ends = cells[0], cells[1:]
+    # a line stays in the box of its end cells; a ray whose box misses the
+    # grid, as every ray does from a pose far off it or not finite, is dropped
+    near = ((np.maximum(origin, ends) >= 0)
+            & (np.minimum(origin, ends) < (grid.height, grid.width))).all(axis=1)
+    stops = ends[near].astype(int)
+    hits = z.ray_hits[near]
+    longest = np.abs(stops - origin).max(initial=0) + 1
+    step = max(1, WALK_CELLS // int(longest))
+    for first in range(0, len(hits), step):
+        part = slice(first, first + step)
+        rows, cols, length = _walk(origin.astype(int), stops[part])
+        i = np.arange(rows.shape[1])
+        inside = (i < length[:, None]) & grid.contains((rows, cols))
+        occupied = hits[part, None] & (i == length[:, None] - 1)
+        increment = np.where(occupied, LOG_ODDS_OCCUPIED, LOG_ODDS_FREE)
+        # a line's cells are distinct: one clipped update per ray is exact
+        for row, col, inc, keep in zip(rows, cols, increment, inside):
+            cell = row[keep], col[keep]
+            grid.log_odds[cell] = np.clip(grid.log_odds[cell] + inc[keep],
+                                          -LOG_ODDS_LIMIT, LOG_ODDS_LIMIT)
+    return MapUpdateResult(state=new, added_ids=added)
 
 
 _DIAG = np.sqrt(2.0)
@@ -573,8 +564,9 @@ def simulate(world, script, sensor, odometry=None, process=None, seed=0,
     Ground truth integrates the commanded motion exactly; odometry (and
     hence dead reckoning and the filter prediction) sees the commands
     corrupted by the odometry noise.  Component failures (skipped
-    corrections) are logged as events, never raised.  Deterministic for a
-    given seed.
+    corrections) are logged as events, never raised; a state that stops
+    being finite raises FilterDivergedError.  Deterministic for a given
+    seed.
     """
     rng = np.random.default_rng(seed)
     odometry = odometry or OdometryNoise()
@@ -595,13 +587,16 @@ def simulate(world, script, sensor, odometry=None, process=None, seed=0,
         result = correct(state, z)
         events = ("correction-skipped: " + result.reason,) if result.skipped else ()
         state = update_map(result.state, z).state
+        if not all(np.isfinite(a).all()
+                   for a in (state.mean, state.cov, dead_reckoning)):
+            raise FilterDivergedError(i)
         eigenvalues = np.linalg.eigvalsh(state.cov) if state.cov.size else np.zeros(1)
         steps.append(StepLog(step=i, truth=truth.copy(),
                              dead_reckoning=dead_reckoning.copy(),
                              slam=state.pose,
                              cov_trace=float(np.trace(state.cov)),
                              min_cov_eigenvalue=float(eigenvalues.min()),
-                             n_measurements=len(z.measurements),
+                             n_measurements=len(z.ids),
                              events=events))
     return RunLog(steps=steps, final_state=state, seed=seed)
 

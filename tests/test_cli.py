@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -259,6 +260,31 @@ class TestSlam:
         config = {"world": data, "script": {"type": "constant", "steps": 5}}
         code, _ = run(tmp_path, "slam", config)
         assert code == 1
+
+    # a pose estimate 1e18 or 1e148 m off the grid maps nothing and still
+    # runs to the end; these digests are the outputs of the per-cell mapping
+    @pytest.mark.parametrize("sigma, digests", [
+        (1e20, {"grid.pgm": "628c39663fc2a565", "run_log.csv": "05a292f3ce8758fb",
+                "summary.json": "44d0855234c3d9fc"}),
+        (1e150, {"grid.pgm": "495f0d3bc496ac0f", "run_log.csv": "675e8698ef19f377",
+                 "summary.json": "d7dc4bb65c47f056"}),
+    ], ids=["1e20", "1e150"])
+    def test_huge_odometry_noise_runs(self, tmp_path, sigma, digests):
+        config = {"script": {"type": "constant", "steps": 3},
+                  "odometry_noise": {"velocity_sigma": sigma}}
+        code, out = run(tmp_path, "slam", config)
+        assert code == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                for p in out.iterdir()} == digests
+
+    def test_diverged_filter_exit_2(self, tmp_path):
+        config = {"script": {"type": "constant", "steps": 3},
+                  "odometry_noise": {"velocity_sigma": 1e300}}
+        code, out = run(tmp_path, "slam", config)
+        assert code == 2
+        diagnostics = json.loads((out / "diagnostics.json").read_text())
+        assert diagnostics["step"] == 1
+        assert not (out / "run_log.csv").exists()
 
 
 def _table(tmp_path, text):

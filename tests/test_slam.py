@@ -1,19 +1,134 @@
+import copy
 import heapq
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from legsynth.geometry import wrap_pi
-from legsynth.slam import (MotionInput, NoPathError, OccupancyGrid,
-                           OdometryNoise, ProcessNoise, SensorConfig,
-                           SlamState, World, WorldFormatError, correct,
-                           desk_world, initial_state, load_world, loop_script,
-                           observe, path_cost, plan_path, predict, simulate,
-                           unicycle, update_map, world_from_dict,
-                           world_to_dict, write_grid_pgm, write_run_log)
+from legsynth.slam import (LOG_ODDS_FREE, LOG_ODDS_LIMIT, LOG_ODDS_OCCUPIED,
+                           FilterDivergedError, MotionInput, NoPathError,
+                           Observation, OccupancyGrid, OdometryNoise,
+                           ProcessNoise, SensorConfig, SlamState, World,
+                           WorldFormatError, _walk, correct, desk_world,
+                           initial_state, load_world, loop_script, observe,
+                           path_cost, plan_path, predict, simulate, unicycle,
+                           update_map, world_from_dict, world_to_dict,
+                           write_grid_pgm, write_run_log)
 
 SENSOR_EXACT = SensorConfig(max_range=10.0, n_rays=0)
+FRAME_FIELDS = ("ids", "ranges", "bearings", "ray_angles", "ray_distances",
+                "ray_hits")
+
+
+def ray_frame(angles=(), distances=(), hits=()):
+    """An observation of rays only, no landmarks."""
+    return Observation(ids=np.zeros(0, dtype=int), ranges=np.zeros(0),
+                       bearings=np.zeros(0),
+                       ray_angles=np.asarray(angles, dtype=float),
+                       ray_distances=np.asarray(distances, dtype=float),
+                       ray_hits=np.asarray(hits, dtype=bool),
+                       range_sigma=0.0, bearing_sigma=0.0)
+
+
+def observe_oracle(pose, world, sensor, rng):
+    """The scalar sensor model: landmark by landmark, then ray by ray, each
+    ray against each obstacle edge, one noise draw at a time."""
+    heading = pose[2]
+    ids, ranges, bearings = [], [], []
+    for lid in sorted(world.landmarks):
+        delta = np.asarray(world.landmarks[lid], dtype=float) - pose[:2]
+        dist = float(np.hypot(delta[0], delta[1]))
+        bearing = wrap_pi(np.arctan2(delta[1], delta[0]) - heading)
+        if dist > sensor.max_range or abs(bearing) > sensor.fov / 2.0:
+            continue
+        ids.append(lid)
+        ranges.append(max(dist + sensor.range_sigma * rng.standard_normal(),
+                          0.0))
+        bearings.append(wrap_pi(bearing + sensor.bearing_sigma
+                                * rng.standard_normal()))
+    segments = []
+    for poly in world.obstacles:
+        pts = np.asarray(poly, dtype=float)
+        for i in range(len(pts)):
+            segments.append((pts[i], pts[(i + 1) % len(pts)]))
+    angles = heading + np.linspace(-sensor.fov / 2.0, sensor.fov / 2.0,
+                                   sensor.n_rays, endpoint=False)
+    distances, hits = [], []
+    for angle in angles:
+        d = np.array([np.cos(angle), np.sin(angle)])
+        best, hit = sensor.max_range, False
+        for p, q in segments:
+            e = q - p
+            denom = d[0] * e[1] - d[1] * e[0]
+            if abs(denom) < 1e-15:
+                continue
+            rel = p - pose[:2]
+            t = (rel[0] * e[1] - rel[1] * e[0]) / denom
+            s = (rel[0] * d[1] - rel[1] * d[0]) / denom
+            if t >= 0.0 and 0.0 <= s <= 1.0 and t < best:
+                best, hit = t, True
+        if hit and sensor.range_sigma:
+            best = float(np.clip(best + sensor.range_sigma
+                                 * rng.standard_normal(),
+                                 0.0, sensor.max_range))
+        distances.append(best)
+        hits.append(hit)
+    return dict(ids=ids, ranges=ranges, bearings=bearings,
+                ray_angles=[wrap_pi(a) for a in angles],
+                ray_distances=distances, ray_hits=hits)
+
+
+def bresenham(start, end):
+    """Integer cells from start to end inclusive (8-connected line)."""
+    (r0, c0), (r1, c1) = start, end
+    cells = []
+    dr, dc = abs(r1 - r0), abs(c1 - c0)
+    sr = 1 if r1 >= r0 else -1
+    sc = 1 if c1 >= c0 else -1
+    err = dc - dr
+    r, c = r0, c0
+    while True:
+        cells.append((r, c))
+        if (r, c) == (r1, c1):
+            return cells
+        e2 = 2 * err
+        if e2 > -dr:
+            err -= dr
+            c += sc
+        if e2 < dc:
+            err += dc
+            r += sr
+
+
+def stamp_oracle(grid, position, z):
+    """Per-cell log-odds stamping of the rays of z from position, ray by
+    ray along Bresenham lines, each cell clipped as it is stamped."""
+
+    def cell_of(point):
+        return (int(np.floor((point[1] - grid.origin[1]) / grid.resolution)),
+                int(np.floor((point[0] - grid.origin[0]) / grid.resolution)))
+
+    def stamp(cell, increment):
+        if grid.contains(cell):
+            value = grid.log_odds[cell] + increment
+            grid.log_odds[cell] = np.clip(value, -LOG_ODDS_LIMIT,
+                                          LOG_ODDS_LIMIT)
+
+    x, y = position
+    origin = cell_of(position)
+    nudge = 0.25 * grid.resolution
+    for angle, distance, hit in zip(z.ray_angles.tolist(),
+                                    z.ray_distances.tolist(),
+                                    z.ray_hits.tolist()):
+        reach = distance + (nudge if hit else 0.0)
+        end = np.array([x + reach * np.cos(angle), y + reach * np.sin(angle)])
+        cells = bresenham(origin, cell_of(end))
+        for cell in cells[:-1] if hit else cells:
+            stamp(cell, LOG_ODDS_FREE)
+        if hit:
+            stamp(cells[-1], LOG_ODDS_OCCUPIED)
 
 
 def single_landmark_world():
@@ -97,7 +212,9 @@ class TestObserve:
                       grid_width=8, grid_height=8)
         z = observe(np.array([0.0, 0.0, 0.0]), world, SENSOR_EXACT,
                     np.random.default_rng(0))
-        assert z.measurements == ((7, 1.0, 0.0),)
+        assert z.ids.tolist() == [7]
+        assert z.ranges.tolist() == [1.0]
+        assert z.bearings.tolist() == [0.0]
 
     def test_landmark_beyond_range_excluded(self):
         world = World(landmarks={7: np.array([50.0, 0.0])}, obstacles=(),
@@ -106,7 +223,7 @@ class TestObserve:
                       grid_width=8, grid_height=8)
         z = observe(np.array([0.0, 0.0, 0.0]), world, SENSOR_EXACT,
                     np.random.default_rng(0))
-        assert z.measurements == ()
+        assert z.ids.size == z.ranges.size == z.bearings.size == 0
 
     def test_seeded_noise_reproducible(self):
         world = desk_world()
@@ -116,17 +233,53 @@ class TestObserve:
                     np.random.default_rng(99))
         b = observe(np.array([0.2, 0.1, 0.4]), world, sensor,
                     np.random.default_rng(99))
-        assert a.measurements == b.measurements
-        assert a.rays == b.rays
+        for name in FRAME_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_rays_hit_obstacle(self):
         world = desk_world()
         pose = np.array([0.0, 1.2, 0.0])  # obstacle sits ahead at x ~ 0.8
         z = observe(pose, world, SensorConfig(max_range=5.0, n_rays=8),
                     np.random.default_rng(1))
-        forward = [r for r in z.rays if abs(r.angle) < 1e-9]
-        assert forward and forward[0].hit
-        assert abs(forward[0].distance - 0.8) < 1e-12
+        forward = np.flatnonzero(np.abs(z.ray_angles) < 1e-9)
+        assert forward.size and z.ray_hits[forward[0]]
+        assert abs(z.ray_distances[forward[0]] - 0.8) < 1e-12
+
+    @pytest.mark.parametrize("pose, world, sensor", [
+        # the forward ray runs along the obstacle's bottom edge (denom 0)
+        ((0.0, 0.8, 0.0), desk_world(), SensorConfig(n_rays=4)),
+        # the forward ray passes through the obstacle's corner (0.8, 0.8)
+        ((0.0, 0.0, np.pi / 4), desk_world(), SensorConfig(n_rays=2)),
+        ((0.5, 0.5, 0.0), World(landmarks={1: np.array([1.0, 1.0])},
+                                obstacles=(), grid_resolution=0.5,
+                                grid_origin=np.zeros(2), grid_width=4,
+                                grid_height=4),
+         SensorConfig(n_rays=12, range_sigma=0.1, bearing_sigma=0.1)),
+        ((0.2, -0.3, 2.5), desk_world(),
+         SensorConfig(max_range=4.0, fov=np.pi, n_rays=90, range_sigma=0.05,
+                      bearing_sigma=0.02)),
+        ((1.2, 1.2, -1.0), desk_world(),  # inside the obstacle
+         SensorConfig(max_range=5.0, n_rays=36, range_sigma=0.3)),
+    ], ids=["ray-along-edge", "ray-through-vertex", "no-obstacles",
+            "half-fov-noisy", "inside-obstacle"])
+    def test_frame_matches_scalar_sensor(self, pose, world, sensor):
+        pose = np.asarray(pose, dtype=float)
+        rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(3):
+            z = observe(pose, world, sensor, rng)
+            expected = observe_oracle(pose, world, sensor, oracle_rng)
+            for name in FRAME_FIELDS:
+                assert np.array_equal(getattr(z, name),
+                                      np.asarray(expected[name])), name
+        assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    def test_no_obstacles_no_hits(self):
+        world = World(landmarks={}, obstacles=(), grid_resolution=0.5,
+                      grid_origin=np.zeros(2), grid_width=4, grid_height=4)
+        z = observe(np.zeros(3), world, SensorConfig(max_range=3.0, n_rays=7),
+                    np.random.default_rng(0))
+        assert not z.ray_hits.any()
+        assert z.ray_distances.tolist() == [3.0] * 7
 
 
 class TestCorrect:
@@ -192,10 +345,7 @@ class TestCorrect:
 class TestUpdateMap:
     def test_empty_observation_is_noop(self):
         state = initial_state([0.0, 0.0, 0.0], desk_world())
-        from legsynth.slam import Observation
-        empty = Observation(measurements=(), rays=(), range_sigma=0.0,
-                            bearing_sigma=0.0)
-        result = update_map(state, empty)
+        result = update_map(state, ray_frame())
         assert result.added_ids == ()
         assert np.array_equal(result.state.grid.log_odds,
                               state.grid.log_odds)
@@ -213,13 +363,126 @@ class TestUpdateMap:
         assert np.allclose(result.state.landmarks[5], [2.0, 0.0], atol=1e-12)
 
     def test_log_odds_stay_bounded(self):
-        grid = OccupancyGrid(resolution=1.0, origin=np.zeros(2), width=4,
-                             height=4)
+        world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
+                      grid_origin=np.zeros(2), grid_width=4, grid_height=4)
+        state = initial_state([0.5, 1.5, 0.0], world)
+        # from cell (1, 0): a hit in cell (1, 1), then a ray through it
+        frame = ray_frame([0.0, 0.0], [1.0, 2.0], [True, False])
         for _ in range(1000):
-            grid.stamp((1, 1), 0.85)
-            grid.stamp((1, 1), -0.4)
-        p = grid.probabilities()[1, 1]
+            state = update_map(state, frame).state
+        assert np.abs(state.grid.log_odds).max() <= LOG_ODDS_LIMIT
+        assert state.grid.log_odds[1, 1] == LOG_ODDS_LIMIT + LOG_ODDS_FREE
+        p = state.grid.probabilities()[1, 1]
         assert 0.0 < p < 1.0
+
+    def test_walk_matches_bresenham(self):
+        rng = np.random.default_rng(5)
+        octants = set()
+        for start in rng.integers(-30, 30, (6, 2)):
+            deltas = rng.integers(-40, 41, (150, 2))
+            deltas[:10] = 0                          # zero-length lines
+            deltas[10:20, 1] = deltas[10:20, 0]      # diagonals, |dr| = |dc|
+            deltas[20:30, 0] = 0                     # along a row
+            octants |= {(dr > 0, dc > 0, abs(dr) > abs(dc))
+                        for dr, dc in deltas if dr and dc and abs(dr) != abs(dc)}
+            ends = start + deltas
+            rows, cols, length = _walk(start, ends)
+            for i, end in enumerate(ends.tolist()):
+                walked = list(zip(rows[i, :length[i]].tolist(),
+                                  cols[i, :length[i]].tolist()))
+                assert walked == bresenham(tuple(start.tolist()), tuple(end))
+        assert len(octants) == 8
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_seeded_runs_match_per_cell_stamping(self, seed):
+        world = desk_world()
+        sensor = SensorConfig(max_range=5.0, n_rays=120, range_sigma=0.05,
+                              bearing_sigma=0.01)
+        rng = np.random.default_rng(seed)
+        truth = np.array([0.0, 0.0, 0.0])
+        state = initial_state(truth, world)
+        expected = copy.deepcopy(state.grid)
+        for u in loop_script()[:120:4]:
+            truth = unicycle(truth, MotionInput(u.velocity * 4, u.angular_velocity * 4,
+                                                u.dt))
+            # the map is drawn from an estimate off the true pose, at times
+            # off the grid altogether
+            offset = rng.normal(0.0, 0.4, 3) * (1 if rng.random() < 0.8 else 10)
+            state.mean[:3] = truth + offset
+            z = observe(truth, world, sensor, rng)
+            stamp_oracle(expected, state.mean[:2], z)
+            state = update_map(state, z).state
+            assert np.array_equal(state.grid.log_odds, expected.log_odds)
+        assert (np.abs(expected.log_odds) == LOG_ODDS_LIMIT).any()
+
+    def test_saturated_cell_stamped_free_and_occupied(self):
+        # clipping is per stamp in ray order: a cell at +10 hit and then
+        # crossed ends at 9.6, a cell at -10 crossed and then hit at -9.15
+        world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
+                      grid_origin=np.zeros(2), grid_width=8, grid_height=8)
+        state = initial_state([0.5, 0.5, 0.0], world)
+        state.grid.log_odds[0, 3] = LOG_ODDS_LIMIT
+        state.grid.log_odds[0, 1] = -LOG_ODDS_LIMIT
+        frame = ray_frame([0.0, 0.0, 0.0], [3.0, 5.0, 1.0], [True, False, True])
+        expected = copy.deepcopy(state.grid)
+        stamp_oracle(expected, state.mean[:2], frame)
+        result = update_map(state, frame).state.grid.log_odds
+        assert np.array_equal(result, expected.log_odds)
+        assert result[0, 3] == LOG_ODDS_LIMIT + LOG_ODDS_FREE
+        assert result[0, 1] == -LOG_ODDS_LIMIT + LOG_ODDS_OCCUPIED
+
+    def test_pose_far_off_the_grid_stamps_nothing(self):
+        state = initial_state([0.0, 0.0, 0.0], desk_world())
+        frame = ray_frame(np.linspace(-np.pi, np.pi, 16, endpoint=False),
+                          np.full(16, 5.0), np.arange(16) % 2 == 0)
+        for x in (1e20, -1e150, 1e300, np.inf, np.nan):
+            state.mean[0] = x
+            result = update_map(state, frame).state
+            assert not result.grid.log_odds.any()
+
+    def test_frame_at_the_caps_walks_in_bounded_memory(self):
+        # 10 000 rays of 4096 cells: walked at once they would take
+        # gigabytes; walked in chunks the peak stays under 32 MB
+        world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
+                      grid_origin=np.array([-32.0, -32.0]), grid_width=64,
+                      grid_height=64)
+        state = initial_state([0.0, 0.0, 0.0], world)
+        angles = np.linspace(-np.pi, np.pi, 10_000, endpoint=False)
+        frame = ray_frame(angles, np.full(10_000, 4095.5),
+                          np.zeros(10_000, dtype=bool))
+        tracemalloc.start()
+        try:
+            result = update_map(state, frame).state
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert (result.grid.log_odds == -LOG_ODDS_LIMIT).all()
+
+
+class TestStateUntouched:
+    def test_predict_correct_update_map_leave_input_unchanged(self):
+        world = desk_world()
+        state = initial_state([0.1, 0.2, 0.3], world,
+                              pose_cov=np.diag([0.1, 0.1, 0.02]))
+        sensor = SensorConfig(max_range=5.0, n_rays=36, range_sigma=0.05,
+                              bearing_sigma=0.01)
+        rng = np.random.default_rng(4)
+        state = update_map(state, observe(np.zeros(3), world, sensor, rng)).state
+        z = observe(np.array([0.05, 0.0, 0.0]), world, sensor, rng)
+        before = (state.mean.copy(), state.cov.copy(), state.landmark_ids,
+                  state.grid.log_odds.copy())
+        outputs = [predict(state, MotionInput(0.2, 0.1, 0.5),
+                           ProcessNoise(0.01, 0.01, 0.01)),
+                   correct(state, z).state, update_map(state, z).state]
+        assert np.array_equal(state.mean, before[0])
+        assert np.array_equal(state.cov, before[1])
+        assert state.landmark_ids == before[2]
+        assert np.array_equal(state.grid.log_odds, before[3])
+        # only update_map writes to the grid; the other two share it
+        assert outputs[0].grid is state.grid and outputs[1].grid is state.grid
+        assert outputs[2].grid is not state.grid
+        assert not np.array_equal(outputs[2].grid.log_odds, before[3])
 
 
 class TestPlanner:
@@ -325,6 +588,13 @@ class TestSimulate:
             assert np.array_equal(sa.slam, sb.slam)
             assert np.array_equal(sa.dead_reckoning, sb.dead_reckoning)
             assert sa.cov_trace == sb.cov_trace
+
+    def test_state_not_finite_raises(self):
+        script = [MotionInput(0.2, 0.0, 0.1)] * 3
+        with pytest.raises(FilterDivergedError) as err:
+            simulate(desk_world(), script, SensorConfig(),
+                     odometry=OdometryNoise(velocity_sigma=1e300))
+        assert err.value.step == 1
 
     def test_grid_gets_painted(self):
         log = simulate(desk_world(), loop_script(),
