@@ -25,10 +25,9 @@ crossing = int(np.argmax(hv >= 0.99 * hv[-1]))
 print(f"final hypervolume {hv[-1]:.3f}, 99% reached at generation "
       f"{crossing}")
 
-front = [result.population[i] for i in result.fronts[0] if
-         result.population[i].feasible]
-errors = np.array([ind.objectives[0] for ind in front])
-angles = np.degrees([-ind.objectives[1] for ind in front])
+front = [i for i in result.fronts[0] if result.violation[i] <= 0.0]
+errors = result.F[front, 0]
+angles = np.degrees(-result.F[front, 1])
 print(f"front size {len(front)}: error {errors.min():.2e}..{errors.max():.2e}, "
       f"transmission {angles.min():.1f}..{angles.max():.1f} deg")
 

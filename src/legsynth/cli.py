@@ -318,20 +318,18 @@ def cmd_pareto(config, out, seed):
     plot.add_line(np.arange(len(hv)), np.array(hv), label="hypervolume")
     plot.write(out / "hypervolume.svg", comment=f"config {tag}")
 
-    front = [result.population[i] for i in result.fronts[0]]
-    front = [ind for ind in front if ind.feasible]
+    front = [i for i in result.fronts[0] if result.violation[i] <= 0.0]
+    F = result.F[front]
     with open(out / "front.csv", "w") as fh:
         fh.write(f"# config {tag}\n")
         names = ["crank", "coupler", "rocker", "start_angle", "support_arc"]
         if coupler == "explicit":
             names += ["coupler_x", "coupler_y"]
         fh.write(",".join(names) + ",error,transmission_rad\n")
-        for ind in front:
-            genes = ",".join(f"{g:.12g}" for g in ind.genome)
-            fh.write(f"{genes},{ind.objectives[0]:.12g},"
-                     f"{-ind.objectives[1]:.12g}\n")
+        for genome, f in zip(result.genomes[front], F):
+            genes = ",".join(f"{g:.12g}" for g in genome)
+            fh.write(f"{genes},{f[0]:.12g},{-f[1]:.12g}\n")
 
-    F = np.array([ind.objectives for ind in front]).reshape(-1, 2)
     if len(F):
         plot = SvgPlot(title="final front: error vs -transmission")
         plot.add_scatter(F[:, 0], F[:, 1], label="front")
@@ -343,7 +341,7 @@ def cmd_pareto(config, out, seed):
         _write_json(out / "overlap.json", report)
 
     final_hv = hv[-1] if hv else 0.0
-    print(f"pareto: front size {len(front)}, final hypervolume "
+    print(f"pareto: front size {len(F)}, final hypervolume "
           f"{final_hv:.4f}")
     return EXIT_OK
 

@@ -59,19 +59,6 @@ class Problem:
         return len(self.lower)
 
 
-@dataclass
-class Individual:
-    genome: np.ndarray
-    objectives: np.ndarray
-    violation: float
-    rank: int = -1
-    crowding: float = 0.0
-
-    @property
-    def feasible(self):
-        return self.violation <= 0.0
-
-
 @dataclass(frozen=True)
 class GAConfig:
     """Engine hyperparameters.
@@ -109,21 +96,26 @@ class GenerationStats:
 
 @dataclass
 class EvolveResult:
-    population: list
+    """The final population as arrays, one row per individual: `genomes`,
+    objectives `F` and total constraint `violation`; its nondomination
+    `fronts` (ascending index lists, rank order); the hypervolume `trace`;
+    and the nondominated `archive` of every feasible point evaluated, with
+    the frozen reference and ideal points of its normalization."""
+
+    genomes: np.ndarray
+    F: np.ndarray
+    violation: np.ndarray
     fronts: list
     trace: list
     archive: np.ndarray
     reference_point: np.ndarray
     ideal_point: np.ndarray
 
-    def front_objectives(self):
-        return np.array([self.population[i].objectives for i in self.fronts[0]])
 
+def _evaluate(problem, genomes):
+    """(F, violation) of one generation's genomes, from a single call.
 
-def _individuals(problem, genomes):
-    """Evaluate one generation's genomes in a single call.
-
-    Non-finite objective or violation values mark an individual maximally
+    Non-finite objective or violation values mark a row maximally
     infeasible instead of aborting the run.
     """
     F, violation = problem.evaluate(genomes)
@@ -136,44 +128,35 @@ def _individuals(problem, genomes):
     bad = ~(np.all(np.isfinite(F), axis=1) & np.isfinite(violation))
     F[bad] = OBJECTIVE_SENTINEL
     violation[bad] = np.inf
-    return [Individual(genome=g, objectives=f, violation=float(v))
-            for g, f, v in zip(genomes, F, violation)]
+    return F, violation
 
 
-def _domination_matrix(F, violation):
-    """D[i, j] = individual i constraint-dominates individual j."""
-    feas = violation <= 0.0
-    obj_dom = dominates(F, F)
-    fi = feas[:, None]
-    fj = feas[None, :]
-    viol_dom = violation[:, None] < violation[None, :]
-    return np.where(fi & fj, obj_dom,
-                    np.where(fi & ~fj, True,
-                             np.where(~fi & ~fj, viol_dom, False)))
-
-
-def fast_nondominated_sort(population):
-    """Partition the population into nondomination fronts (index lists).
+def fast_nondominated_sort(F, violation):
+    """Partition rows into nondomination fronts (ascending index lists).
 
     Front 0 is the nondominated set; each later front is nondominated
-    once all earlier fronts are removed.  Constraint-domination is
-    applied throughout.
+    once all earlier fronts are removed, under constraint-domination:
+    feasible rows (violation <= 0) are peeled by objective dominance, and
+    every other row follows, one front per distinct violation in
+    increasing order (NaN last).
     """
-    n = len(population)
-    if n == 0:
-        return []
-    F = np.array([ind.objectives for ind in population])
-    violation = np.array([ind.violation for ind in population])
-    D = _domination_matrix(F, violation)
+    F = np.asarray(F, dtype=float)
+    violation = np.asarray(violation, dtype=float)
+    feasible = np.flatnonzero(violation <= 0.0)
+    D = dominates(F[feasible], F[feasible])
     dominators = D.sum(axis=0)
     fronts = []
-    assigned = np.zeros(n, dtype=bool)
+    assigned = np.zeros(len(feasible), dtype=bool)
     while not assigned.all():
-        current = np.nonzero(~assigned & (dominators == 0))[0]
-        fronts.append([int(i) for i in current])
+        current = np.flatnonzero(~assigned & (dominators == 0))
+        fronts.append(feasible[current].tolist())
         assigned[current] = True
         dominators = dominators - D[current].sum(axis=0)
         dominators[assigned] = -1
+    infeasible = np.flatnonzero(~(violation <= 0.0))
+    _, level = np.unique(violation[infeasible], return_inverse=True)
+    fronts.extend(infeasible[level == k].tolist()
+                  for k in range(level.max(initial=-1) + 1))
     return fronts
 
 
@@ -213,9 +196,9 @@ def hypervolume_2d(front, reference, normalization=None, return_excluded=False):
     area = 0.0
     if len(pts):
         stairs = _nondominated_2d(pts)
-        xs = np.append(stairs[:, 0], ref[0])
-        for i, y in enumerate(stairs[:, 1]):
-            area += (xs[i + 1] - xs[i]) * (ref[1] - y)
+        widths = np.diff(np.append(stairs[:, 0], ref[0]))
+        # a running sum adds the strips left to right, as a loop would
+        area = np.cumsum(widths * (ref[1] - stairs[:, 1]))[-1]
     if normalization is not None:
         ideal = np.asarray(normalization, dtype=float)
         box = float(np.prod(ref - ideal))
@@ -230,44 +213,46 @@ def _nondominated_2d(points):
     """Nondominated subset of 2-D points (duplicates removed)."""
     if len(points) == 0:
         return points
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    pts = points[order]
-    kept = []
-    best_y = np.inf
-    for p in pts:
-        if p[1] < best_y:
-            kept.append(p)
-            best_y = p[1]
-    return np.array(kept)
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    # keep a point below the lowest y seen before it; fmin skips NaN as
+    # the point-by-point scan does
+    lowest_before = np.fmin.accumulate(np.append(np.inf, pts[:-1, 1]))
+    return pts[pts[:, 1] < lowest_before]
 
 
-def _ranked_fronts(individuals):
-    """Nondomination fronts in rank order, each with its crowding distances.
+def _survivors(F, violation, size):
+    """The `size` rows that survive truncation, in survival order, and
+    the rank and crowding distance of every row in the fronts read.
 
-    Sets the rank and crowding fields of each yielded front's members; a
-    caller that stops early leaves the later fronts unassigned.
+    Whole fronts enter in rank order, each in index order; of the front
+    that does not fit, the members of largest crowding distance enter.
+    Rows of fronts not read keep rank -1 and crowding 0.
     """
-    for rank, front in enumerate(fast_nondominated_sort(individuals)):
-        d = crowding_distance(np.array([individuals[i].objectives for i in front]))
-        for i, dist in zip(front, d):
-            individuals[i].rank = rank
-            individuals[i].crowding = float(dist)
-        yield front, d
+    rank = np.full(len(F), -1)
+    crowding = np.zeros(len(F))
+    rows = []
+    for r, front in enumerate(fast_nondominated_sort(F, violation)):
+        if len(rows) == size:
+            break
+        d = crowding_distance(F[front])
+        rank[front], crowding[front] = r, d
+        room = size - len(rows)
+        if len(front) > room:
+            front = np.asarray(front)[np.argsort(-d, kind="stable")[:room]]
+        rows.extend(front)
+    return np.array(rows), rank, crowding
 
 
-def _breed(parents, problem, config, rng):
+def _breed(genomes, rank, crowding, problem, config, rng):
     """One generation of offspring genomes (vectorized operators)."""
     pop = config.population
     dim = problem.dimension
     lo, hi = problem.lower, problem.upper
-    ranks = np.array([p.rank for p in parents])
-    crowds = np.array([p.crowding for p in parents])
 
     draws = rng.integers(0, pop, size=(pop, 2))
     a, b = draws[:, 0], draws[:, 1]
-    b_wins = (ranks[b] < ranks[a]) | ((ranks[b] == ranks[a]) & (crowds[b] > crowds[a]))
-    winners = np.where(b_wins, b, a)
-    genomes = np.array([parents[i].genome for i in winners])
+    b_wins = (rank[b] < rank[a]) | ((rank[b] == rank[a]) & (crowding[b] > crowding[a]))
+    genomes = genomes[np.where(b_wins, b, a)]
 
     # simulated binary crossover on consecutive pairs
     half = pop // 2
@@ -302,14 +287,15 @@ def _breed(parents, problem, config, rng):
 def evolve(problem, config):
     """Run the NSGA-II loop; deterministic for a fixed config seed.
 
-    Returns the final population with its fronts and, for two-objective
-    problems, the per-generation hypervolume trace of the nondominated
-    archive (normalized to the initial population's ideal/nadir box).
+    Returns the final population as arrays with its fronts and, for
+    two-objective problems, the per-generation hypervolume trace of the
+    nondominated archive (normalized to the initial population's
+    ideal/nadir box).
     """
     rng = np.random.default_rng(config.seed)
     lo, hi = problem.lower, problem.upper
     genomes = lo + rng.random((config.population, problem.dimension)) * (hi - lo)
-    population = _individuals(problem, genomes)
+    F, violation = _evaluate(problem, genomes)
 
     track_hv = problem.n_objectives == 2
     archive = np.empty((0, problem.n_objectives))
@@ -317,14 +303,10 @@ def evolve(problem, config):
     ideal = None
     trace = []
 
-    def good_points(inds):
-        pts = [ind.objectives for ind in inds
-               if ind.feasible and np.all(np.abs(ind.objectives) < OBJECTIVE_SENTINEL)]
-        return np.array(pts) if pts else np.empty((0, problem.n_objectives))
-
-    def record(generation, new_individuals):
+    def record(generation, F_new, v_new):
         nonlocal archive, reference, ideal
-        pts = good_points(new_individuals)
+        pts = F_new[(v_new <= 0.0)
+                    & np.all(np.abs(F_new) < OBJECTIVE_SENTINEL, axis=1)]
         if track_hv:
             if reference is None and len(pts):
                 reference = pts.max(axis=0)
@@ -339,30 +321,23 @@ def evolve(problem, config):
         trace.append(GenerationStats(generation=generation, hypervolume=float(hv),
                                      best_objectives=best))
 
-    list(_ranked_fronts(population))  # breeding reads rank and crowding
-    record(0, population)
+    _, rank, crowding = _survivors(F, violation, len(F))
+    record(0, F, violation)
 
     for generation in range(1, config.generations + 1):
-        offspring = _individuals(problem,
-                                 _breed(population, problem, config, rng))
+        children = _breed(genomes, rank, crowding, problem, config, rng)
+        F_children, v_children = _evaluate(problem, children)
+        record(generation, F_children, v_children)
+        genomes = np.vstack([genomes, children])
+        F = np.vstack([F, F_children])
+        violation = np.append(violation, v_children)
+        rows, rank, crowding = _survivors(F, violation, config.population)
+        genomes, F, violation = genomes[rows], F[rows], violation[rows]
+        rank, crowding = rank[rows], crowding[rows]
 
-        combined = population + offspring
-        survivors = []
-        for front, d in _ranked_fronts(combined):
-            if len(survivors) + len(front) <= config.population:
-                survivors.extend(front)
-            else:
-                order = np.argsort(-d, kind="stable")
-                need = config.population - len(survivors)
-                survivors.extend(front[j] for j in order[:need])
-            if len(survivors) >= config.population:
-                break
-        population = [combined[i] for i in survivors]
-        record(generation, offspring)
-
-    fronts = [front for front, _ in _ranked_fronts(population)]
-    return EvolveResult(population=population, fronts=fronts, trace=trace,
-                        archive=archive,
+    return EvolveResult(genomes=genomes, F=F, violation=violation,
+                        fronts=fast_nondominated_sort(F, violation),
+                        trace=trace, archive=archive,
                         reference_point=reference, ideal_point=ideal)
 
 

@@ -136,25 +136,39 @@ def filter_feasible(table, limits):
 def dominates(A, B):
     """D[i, j] = row A_i strictly dominates row B_j under componentwise
     minimization: no worse in every objective, better in at least one."""
-    A = np.asarray(A, dtype=float)[:, None, :]
-    B = np.asarray(B, dtype=float)[None, :, :]
-    return np.all(A <= B, axis=2) & np.any(A < B, axis=2)
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    no_worse = np.ones((len(A), len(B)), dtype=bool)
+    better = np.zeros((len(A), len(B)), dtype=bool)
+    for a, b in zip(A.T, B.T):  # one objective at a time
+        no_worse &= a[:, None] <= b
+        better |= a[:, None] < b
+    return no_worse & better
 
 
 def pareto_filter(table):
     """Nondominated rows under componentwise minimization of
-    (delta0, -min transmission angle, -cycle ratio).
+    (delta0, -min transmission angle, -cycle ratio), in input order.
 
     Rows with identical objective vectors are all kept.  Infeasible
-    rows are excluded (their objectives are not comparable).
+    rows are excluded (their objectives are not comparable).  A row's
+    dominators precede it in lexicographic order, and a dominated
+    dominator is itself dominated by a front row, so after one sort each
+    block is checked only against itself and the front found before it
+    (Kung, Luccio and Preparata, JACM 1975).
     """
     candidates = table.take(table.feasible)
     F = candidates.objectives()
-    n = len(candidates)
-    dominated = np.zeros(n, dtype=bool)
-    chunk = 256  # bounds the (n, chunk, 3) comparison arrays
-    for start in range(0, n, chunk):
-        dominated[start:start + chunk] = dominates(F, F[start:start + chunk]).any(axis=0)
+    order = np.lexsort(F.T[::-1])
+    front = np.empty((0, F.shape[1]))
+    dominated = np.zeros(len(F), dtype=bool)
+    block = 256  # bounds the (front, block) comparison arrays
+    for start in range(0, len(F), block):
+        rows = order[start:start + block]
+        beaten = (dominates(F[rows], F[rows]).any(axis=0)
+                  | dominates(front, F[rows]).any(axis=0))
+        dominated[rows] = beaten
+        front = np.vstack([front, F[rows[~beaten]]])
     return candidates.take(~dominated)
 
 

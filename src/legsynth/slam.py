@@ -34,6 +34,10 @@ MEASUREMENT_VARIANCE_FLOOR = 1e-12
 # of many long rays keeps its temporary arrays to a few megabytes.
 WALK_CELLS = 2 ** 16
 
+# Ray-edge pairs observe intersects at once, so a frame against a world of
+# many obstacle edges keeps its temporary arrays to a few megabytes.
+CAST_PAIRS = 2 ** 16
+
 
 class NoPathError(RuntimeError):
     """The goal cell cannot be reached on the current grid."""
@@ -285,22 +289,28 @@ def observe(state, world, sensor, rng):
     ranges = np.maximum(dist[visible] + sensor.range_sigma * noise[:, 0], 0.0)
     bearings = wrap_pi(bearing[visible] + sensor.bearing_sigma * noise[:, 1])
 
-    # every ray against every obstacle edge: ray = pose + t d, edge =
+    # each ray against every obstacle edge: ray = pose + t d, edge =
     # start + s e; the nearest crossing with t >= 0 and s in [0, 1] is a hit
     angles = pose[2] + np.linspace(-sensor.fov / 2.0, sensor.fov / 2.0,
                                    sensor.n_rays, endpoint=False)
     starts, edges = world.segments()
-    d = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, None, :]
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, None, :]
     rel = starts - pose[:2]
-    denom = d[..., 0] * edges[:, 1] - d[..., 1] * edges[:, 0]
-    parallel = np.abs(denom) < 1e-15
-    denom = np.where(parallel, 1.0, denom)
-    t = (rel[:, 0] * edges[:, 1] - rel[:, 1] * edges[:, 0]) / denom
-    s = (rel[:, 0] * d[..., 1] - rel[:, 1] * d[..., 0]) / denom
-    crossing = (~parallel & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
-                & (t < sensor.max_range))
-    hits = crossing.any(axis=1)
-    distances = t.min(axis=1, initial=sensor.max_range, where=crossing)
+    hits = np.zeros(sensor.n_rays, dtype=bool)
+    distances = np.full(sensor.n_rays, float(sensor.max_range))
+    step = max(1, CAST_PAIRS // max(1, len(edges)))
+    for first in range(0, sensor.n_rays, step):
+        part = slice(first, first + step)
+        d = directions[part]
+        denom = d[..., 0] * edges[:, 1] - d[..., 1] * edges[:, 0]
+        parallel = np.abs(denom) < 1e-15
+        denom = np.where(parallel, 1.0, denom)
+        t = (rel[:, 0] * edges[:, 1] - rel[:, 1] * edges[:, 0]) / denom
+        s = (rel[:, 0] * d[..., 1] - rel[:, 1] * d[..., 0]) / denom
+        crossing = (~parallel & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
+                    & (t < sensor.max_range))
+        hits[part] = crossing.any(axis=1)
+        distances[part] = t.min(axis=1, initial=sensor.max_range, where=crossing)
     if sensor.range_sigma:
         noisy = distances[hits] + sensor.range_sigma * rng.standard_normal(
             np.count_nonzero(hits))

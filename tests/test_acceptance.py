@@ -22,7 +22,7 @@ from legsynth.isotropy import (ab_matrices, closed_form_family,
                                isotropy_residuals, jacobian_via_AB)
 from legsynth.lptau import lp_tau
 from legsynth.mobility import mobility, rationality_report, reference_graphs
-from legsynth.nsga2 import (GAConfig, Individual, evolve,
+from legsynth.nsga2 import (GAConfig, evolve,
                             fast_nondominated_sort, hypervolume_2d,
                             leg_problem)
 from legsynth.slam import (MotionInput, NoPathError, OccupancyGrid,
@@ -286,10 +286,6 @@ def test_criterion_7_mobility_fixtures():
                   "(expected [3, 6, 6, 8]; 6 vs 12 inputs flagged irrational)")
 
 
-def _dominates(fi, fj):
-    return bool(np.all(fi <= fj) and np.any(fi < fj))
-
-
 def test_criterion_8_oracle_equivalences():
     # non-dominated sorting against the quadratic peeling oracle
     rng = np.random.default_rng(17)
@@ -298,18 +294,21 @@ def test_criterion_8_oracle_equivalences():
         n = int(rng.integers(1, 201))
         m = int(rng.integers(2, 4))
         F = rng.integers(0, 8, size=(n, m)).astype(float)
-        population = [Individual(genome=np.zeros(1), objectives=row,
-                                 violation=0.0) for row in F]
-        fronts = fast_nondominated_sort(population)
-        remaining = set(range(n))
+        fronts = fast_nondominated_sort(F, np.zeros(n))
+        # beats[j, i]: row j is no worse than row i in every objective
+        # and better in one
+        beats = ((F[:, None, :] <= F[None, :, :]).all(axis=2)
+                 & (F[:, None, :] < F[None, :, :]).any(axis=2))
+        remaining = np.ones(n, dtype=bool)
         for front in fronts:
-            expected = sorted(i for i in remaining
-                              if not any(_dominates(F[j], F[i])
-                                         for j in remaining if j != i))
-            if front != expected:
+            expected = np.flatnonzero(remaining
+                                      & ~beats[remaining].any(axis=0))
+            if front != expected.tolist():
                 sort_ok = False
                 break
-            remaining -= set(front)
+            remaining[front] = False
+        if remaining.any():
+            sort_ok = False
         if not sort_ok:
             break
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from legsynth.fourbar import coupler_path, sweep, FourBarParams
-from legsynth.nsga2 import (GAConfig, Individual, OBJECTIVE_SENTINEL, Problem,
-                            crowding_distance, evolve,
+from legsynth.nsga2 import (GAConfig, OBJECTIVE_SENTINEL, Problem,
+                            _nondominated_2d, crowding_distance, evolve,
                             fast_nondominated_sort, hypervolume_2d,
                             leg_problem)
 from legsynth.search import ParamBox
@@ -14,28 +14,27 @@ HOEKEN_GENOME = np.array([0.5, 1.25, 1.25, np.radians(65.0),
 
 
 def individuals(objective_rows, violations=None):
-    rows = np.asarray(objective_rows, dtype=float)
-    violations = violations if violations is not None else [0.0] * len(rows)
-    return [Individual(genome=np.zeros(1), objectives=row, violation=v)
-            for row, v in zip(rows, violations)]
+    """(F, violation) arrays of a population, all feasible by default."""
+    F = np.asarray(objective_rows, dtype=float)
+    if violations is None:
+        violations = np.zeros(len(F))
+    return F, np.asarray(violations, dtype=float)
 
 
 def dominates(fi, fj, vi, vj):
-    """Constraint-domination oracle for tests."""
-    if vi <= 0.0 and vj > 0.0:
-        return True
-    if vi > 0.0 and vj <= 0.0:
-        return False
-    if vi > 0.0 and vj > 0.0:
-        return vi < vj
+    """Constraint-domination oracle for tests.  A violation that is not
+    <= 0 (NaN included) is infeasible, and NaN is the largest violation."""
+    feasible_i, feasible_j = vi <= 0.0, vj <= 0.0
+    if feasible_i != feasible_j:
+        return feasible_i
+    if not feasible_i:
+        return vi < vj or (np.isnan(vj) and not np.isnan(vi))
     return bool(np.all(fi <= fj) and np.any(fi < fj))
 
 
-def brute_force_fronts(population):
+def brute_force_fronts(F, V):
     """O(n^2) peeling oracle."""
-    n = len(population)
-    F = [ind.objectives for ind in population]
-    V = [ind.violation for ind in population]
+    n = len(F)
     remaining = set(range(n))
     fronts = []
     while remaining:
@@ -45,6 +44,38 @@ def brute_force_fronts(population):
         fronts.append(sorted(front))
         remaining -= set(front)
     return fronts
+
+
+def staircase_oracle(points):
+    """Point-by-point scan of the 2-D nondominated subset."""
+    if len(points) == 0:
+        return points
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    kept = []
+    best_y = np.inf
+    for p in points[order]:
+        if p[1] < best_y:
+            kept.append(p)
+            best_y = p[1]
+    return np.array(kept).reshape(-1, 2)
+
+
+def hypervolume_oracle(front, reference, normalization=None):
+    """Strip-by-strip area sum, left to right."""
+    F = np.asarray(front, dtype=float).reshape(-1, 2)
+    ref = np.asarray(reference, dtype=float)
+    pts = F[np.all(F < ref, axis=1)]
+    area = 0.0
+    if len(pts):
+        stairs = staircase_oracle(pts)
+        xs = np.append(stairs[:, 0], ref[0])
+        for i, y in enumerate(stairs[:, 1]):
+            area += (xs[i + 1] - xs[i]) * (ref[1] - y)
+    if normalization is not None:
+        box = float(np.prod(ref - np.asarray(normalization, dtype=float)))
+        if box > 0:
+            area /= box
+    return area
 
 
 def zdt1_problem(dim=10):
@@ -67,23 +98,23 @@ def leg_objectives(genome, **kwargs):
 class TestNondominatedSort:
     def test_two_front_example(self):
         pop = individuals([(1, 2), (2, 1), (3, 3)])
-        assert fast_nondominated_sort(pop) == [[0, 1], [2]]
+        assert fast_nondominated_sort(*pop) == [[0, 1], [2]]
 
     def test_identical_objectives_single_front(self):
         pop = individuals([(1, 1)] * 5)
-        assert fast_nondominated_sort(pop) == [[0, 1, 2, 3, 4]]
+        assert fast_nondominated_sort(*pop) == [[0, 1, 2, 3, 4]]
 
     def test_chain_gives_singletons(self):
         pop = individuals([(1, 1), (2, 2), (3, 3)])
-        assert fast_nondominated_sort(pop) == [[0], [1], [2]]
+        assert fast_nondominated_sort(*pop) == [[0], [1], [2]]
 
     def test_feasible_dominates_infeasible(self):
         pop = individuals([(5, 5), (0, 0)], violations=[0.0, 1.0])
-        assert fast_nondominated_sort(pop) == [[0], [1]]
+        assert fast_nondominated_sort(*pop) == [[0], [1]]
 
     def test_lower_violation_dominates(self):
         pop = individuals([(0, 0), (0, 0)], violations=[2.0, 1.0])
-        assert fast_nondominated_sort(pop) == [[1], [0]]
+        assert fast_nondominated_sort(*pop) == [[1], [0]]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(4)
@@ -92,14 +123,32 @@ class TestNondominatedSort:
             m = int(rng.integers(2, 4))
             F = rng.integers(0, 6, size=(n, m)).astype(float)
             V = np.where(rng.random(n) < 0.3, rng.uniform(0, 2, n), 0.0)
-            pop = individuals(F, violations=V)
-            assert fast_nondominated_sort(pop) == brute_force_fronts(pop)
+            assert fast_nondominated_sort(F, V) == brute_force_fronts(F, V)
+        # rows that are not feasible: none feasible, all at one violation,
+        # NaN among them, inf beside negative violations.  Every row lands
+        # in exactly one front: a violation that is not <= 0 counts as
+        # infeasible and is never dropped
+        cases = [lambda n: rng.uniform(0.5, 2.0, n),
+                 lambda n: np.full(n, 1.5),
+                 lambda n: np.where(rng.random(n) < 0.3, np.nan,
+                                    np.where(rng.random(n) < 0.3,
+                                             rng.integers(1, 3, n), 0.0)),
+                 lambda n: np.where(rng.random(n) < 0.5, np.inf,
+                                    -rng.random(n))]
+        for violations in cases:
+            for _ in range(30):
+                n = int(rng.integers(1, 40))
+                F = rng.integers(0, 4, size=(n, 2)).astype(float)
+                V = violations(n)
+                fronts = fast_nondominated_sort(F, V)
+                flat = sorted(i for front in fronts for i in front)
+                assert flat == list(range(n))
+                assert fronts == brute_force_fronts(F, V)
 
     def test_fronts_partition_population(self):
         rng = np.random.default_rng(5)
         F = rng.random((40, 2))
-        pop = individuals(F)
-        fronts = fast_nondominated_sort(pop)
+        fronts = fast_nondominated_sort(*individuals(F))
         flat = sorted(i for front in fronts for i in front)
         assert flat == list(range(40))
         for k in range(len(fronts) - 1):
@@ -141,8 +190,8 @@ class TestCrowdingDistance:
         F = rng.random((15, 2))
         scaled = F * np.array([7.3, 1.0])
         pop_a, pop_b = individuals(F), individuals(scaled)
-        assert fast_nondominated_sort(pop_a) == fast_nondominated_sort(pop_b)
-        front = fast_nondominated_sort(pop_a)[0]
+        assert fast_nondominated_sort(*pop_a) == fast_nondominated_sort(*pop_b)
+        front = fast_nondominated_sort(*pop_a)[0]
         da = crowding_distance(F[front])
         db = crowding_distance(scaled[front])
         finite = np.isfinite(da)
@@ -174,12 +223,34 @@ class TestHypervolume:
                                normalization=(0.0, 0.0))
         assert value == 1.0
 
+    def test_staircase_matches_scan_oracle_bitwise(self):
+        # duplicates, ties in x and in y, and NaN in either coordinate
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            points = rng.integers(0, 12, size=(n, 2)) + rng.choice(
+                [0.0, 0.25, 1e-9], size=(n, 2))
+            points[rng.random((n, 2)) < 0.05] = np.nan
+            fast, oracle = _nondominated_2d(points), staircase_oracle(points)
+            assert fast.tobytes() == oracle.tobytes()
+
+    def test_matches_strip_sum_oracle_bitwise(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            front = rng.random((n, 2)) * rng.uniform(1e-6, 1e3, 2)
+            front[rng.random(n) < 0.1] = front[0]
+            reference = front.max(axis=0) * rng.uniform(0.8, 1.2)
+            ideal = front.min(axis=0) if rng.random() < 0.5 else None
+            value = hypervolume_2d(front, reference, normalization=ideal)
+            assert value == hypervolume_oracle(front, reference, ideal)
+
 
 class TestEvolve:
     def test_zdt1_reaches_analytic_front(self):
         result = evolve(zdt1_problem(), GAConfig(population=100,
                                                  generations=250, seed=1))
-        F = result.front_objectives()
+        F = result.F[result.fronts[0]]
         ts = np.linspace(0.0, 1.0, 2001)
         curve = np.stack([ts, 1.0 - np.sqrt(ts)], axis=1)
         dists = np.sqrt(((F[:, None, :] - curve[None, :, :]) ** 2)
@@ -192,16 +263,14 @@ class TestEvolve:
         b = evolve(zdt1_problem(dim=5), config)
         assert [s.hypervolume for s in a.trace] == [s.hypervolume
                                                     for s in b.trace]
-        for ia, ib in zip(a.population, b.population):
-            assert np.array_equal(ia.genome, ib.genome)
+        assert np.array_equal(a.genomes, b.genomes)
 
     def test_genomes_stay_in_bounds(self):
         problem = zdt1_problem(dim=4)
         result = evolve(problem, GAConfig(population=20, generations=40,
                                           seed=3))
-        for ind in result.population:
-            assert np.all(ind.genome >= problem.lower)
-            assert np.all(ind.genome <= problem.upper)
+        assert np.all(result.genomes >= problem.lower)
+        assert np.all(result.genomes <= problem.upper)
 
     def test_archive_hypervolume_monotone(self):
         result = evolve(zdt1_problem(dim=6), GAConfig(population=30,
@@ -213,7 +282,7 @@ class TestEvolve:
         problem = zdt1_problem(dim=5)
         result = evolve(problem, GAConfig(population=16, generations=0,
                                           seed=11))
-        oracle = brute_force_fronts(result.population)
+        oracle = brute_force_fronts(result.F, result.violation)
         assert result.fronts == oracle
 
     def test_non_finite_objectives_survive_as_infeasible(self):
@@ -226,9 +295,9 @@ class TestEvolve:
                           n_objectives=2, evaluate=evaluate)
         result = evolve(problem, GAConfig(population=16, generations=10,
                                           seed=5))
-        assert len(result.population) == 16
-        front = [result.population[i] for i in result.fronts[0]]
-        assert all(ind.violation == 0.0 for ind in front)
+        assert result.genomes.shape == (16, 2)
+        assert len(result.F) == len(result.violation) == 16
+        assert np.all(result.violation[result.fronts[0]] == 0.0)
 
     def test_one_evaluate_call_per_generation(self):
         calls = []

@@ -36,10 +36,11 @@ def fake_table(objectives):
 
 def brute_force_pareto(table):
     """O(n^2) dominance oracle: indices of the nondominated rows."""
-    F = table.objectives()
+    F = table.objectives().tolist()
     keep = []
     for i, fi in enumerate(F):
-        dominated = any(np.all(fj <= fi) and np.any(fj < fi)
+        dominated = any(all(a <= b for a, b in zip(fj, fi))
+                        and any(a < b for a, b in zip(fj, fi))
                         for j, fj in enumerate(F) if j != i)
         if not dominated:
             keep.append(int(table.index[i]))
@@ -132,6 +133,34 @@ class TestParetoFilter:
                              -rng.uniform(1, 2)) for _ in range(200)])
         fast = pareto_filter(table)
         assert list(fast.index) == brute_force_pareto(table)
+
+    def test_matches_brute_force_oracle_on_integer_grids(self):
+        # 300-1000 integer rows with repeats, so ties in every objective
+        # and duplicate rows fall inside and across the 256-row blocks the
+        # filter works in.  Near a plane, a row's dominators mostly have a
+        # smaller first objective; on three levels of the first objective
+        # they mostly share it; on a cube, front rows sort early and
+        # dominate rows several blocks later
+        rng = np.random.default_rng(79)
+
+        def plane(n):
+            a, b = rng.integers(0, 13, size=(2, n))
+            return np.column_stack([a, b, 30 - a - b + rng.integers(0, 3, n)])
+
+        def levels(n):
+            level, b = rng.integers(0, 3, n), rng.integers(0, 21, n)
+            return np.column_stack([level, b, 30 - b - 3 * level
+                                    + rng.integers(0, 4, n)])
+
+        def cube(n):
+            return rng.integers(0, 30, size=(n, 3)) + [0, 0, 2]
+
+        for n in (300, 640, 1000):
+            for grid in (plane, levels, cube):
+                F = grid(n)
+                F[rng.integers(0, n, n // 3)] = F[rng.integers(0, n, n // 3)]
+                table = fake_table(F)
+                assert list(pareto_filter(table).index) == brute_force_pareto(table)
 
     def test_no_output_member_dominated(self):
         rng = np.random.default_rng(78)

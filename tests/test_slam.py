@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from legsynth import slam
 from legsynth.geometry import wrap_pi
 from legsynth.slam import (LOG_ODDS_FREE, LOG_ODDS_LIMIT, LOG_ODDS_OCCUPIED,
                            FilterDivergedError, MotionInput, NoPathError,
@@ -272,6 +273,50 @@ class TestObserve:
                 assert np.array_equal(getattr(z, name),
                                       np.asarray(expected[name])), name
         assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    @pytest.mark.parametrize("rays_per_chunk", [1, 7])
+    def test_chunked_cast_matches_scalar_sensor(self, monkeypatch,
+                                                rays_per_chunk):
+        # the cast works through CAST_PAIRS ray-edge pairs at a time; one
+        # ray per chunk, and chunks of 7 rays with a ragged last one, give
+        # the scalar sensor's frame and keep the noise streams aligned
+        world = desk_world()
+        edges = len(world.segments()[0])
+        monkeypatch.setattr(slam, "CAST_PAIRS", rays_per_chunk * edges)
+        sensor = SensorConfig(max_range=4.0, n_rays=90, range_sigma=0.05,
+                              bearing_sigma=0.02)
+        pose = np.array([0.2, -0.3, 2.5])
+        rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(3):
+            z = observe(pose, world, sensor, rng)
+            expected = observe_oracle(pose, world, sensor, oracle_rng)
+            for name in FRAME_FIELDS:
+                assert np.array_equal(getattr(z, name),
+                                      np.asarray(expected[name])), name
+        assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    def test_frame_against_many_edges_casts_in_bounded_memory(self):
+        # 10 000 rays against 2000 edges: cast at once, each (rays x edges)
+        # array would take 160 MB; cast in chunks the peak stays under 32 MB
+        corners = np.array([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1], [0.0, 0.1]])
+        cells = [(i, j) for i in range(-12, 13) for j in range(-10, 11)
+                 if (i, j) != (0, 0)][:500]
+        world = World(landmarks={}, grid_resolution=1.0,
+                      obstacles=tuple(corners + 0.5 * np.array(c) for c in cells),
+                      grid_origin=np.array([-8.0, -8.0]), grid_width=16,
+                      grid_height=16)
+        sensor = SensorConfig(max_range=10.0, n_rays=10_000)
+        tracemalloc.start()
+        try:
+            z = observe(np.array([0.2, 0.2, 0.0]), world, sensor,
+                        np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(world.segments()[0]) == 2000
+        assert peak < 32 * 2 ** 20
+        assert 0 < np.count_nonzero(z.ray_hits) < sensor.n_rays
+        assert (z.ray_distances[z.ray_hits] < sensor.max_range).all()
 
     def test_no_obstacles_no_hits(self):
         world = World(landmarks={}, obstacles=(), grid_resolution=0.5,
