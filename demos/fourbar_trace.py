@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from legsynth.fourbar import (FourBarParams, coupler_path, gait_metrics,
-                              sweep)
+from legsynth.fourbar import (FourBarParams, arc_check, coupler_path,
+                              gait_metrics, sweep)
 from legsynth.svgplot import SvgPlot
 
 OUT = Path("demo-output/fourbar")
@@ -24,7 +24,7 @@ params = FourBarParams(crank=0.5, coupler=1.25, rocker=1.25,
 trace = sweep(params, 200)
 foot = coupler_path(trace, (2.5, 0.0))
 
-metrics = gait_metrics(params, trace.mu.min())
+metrics = gait_metrics(params, arc_check(params).mu_min[0])
 print(f"support arc     : {metrics.support_deg:.1f} deg")
 print(f"transfer arc    : {metrics.transfer_deg:.1f} deg")
 print(f"step-cycle ratio: {metrics.cycle_ratio:.3f}")

@@ -17,7 +17,7 @@ Library layers:
 
 __version__ = "0.1.0"
 
-from .fourbar import (FourBarParams, GaitMetrics, Sweep,
+from .fourbar import (ArcCheck, FourBarParams, GaitMetrics, Sweep, arc_check,
                       coupler_path, force_ratio_angle, gait_metrics,
                       sample_schedule, solve_position, sweep)
 from .lptau import lp_tau
@@ -28,7 +28,7 @@ from .synthesis import (LinearSystem, LineTarget, SynthesisSolution, assemble,
                         reduced_objective, residual_delta, solve)
 
 __all__ = [
-    "FourBarParams", "GaitMetrics", "Sweep",
+    "ArcCheck", "FourBarParams", "GaitMetrics", "Sweep", "arc_check",
     "coupler_path", "force_ratio_angle", "gait_metrics", "sample_schedule",
     "solve_position", "sweep",
     "lp_tau",

@@ -43,6 +43,7 @@ MAX_RAY_CELLS = 4096         # grid cells a ray walks, max_range / resolution
 MAX_STEPS = 10 ** 6          # script steps, given or derived
 MAX_GRID_CELLS = 10 ** 7     # occupancy grid width x height
 MAX_LANDMARKS = 2048         # the EKF covariance is (3 + 2 landmarks)^2
+MAX_RAY_EDGES = 2 ** 15      # ray-edge pairs one sensor frame casts
 
 
 class ConfigError(ValueError):
@@ -195,12 +196,7 @@ def cmd_synth(config, out, seed):
     best = int(np.argmin(feasible.delta0))
     p = FourBarParams(*feasible.params[best], branch=branch)
     x = feasible.x[best]
-    trace = sweep(p, 200)
-    if trace.error is not None:
-        # a design feasible at the scan resolution can straddle a thin
-        # unassemblable sliver at finer sampling; plot what was checked
-        trace = sweep(p, count)
-    path = coupler_path(trace, x[:2])
+    path = coupler_path(sweep(p, 200), x[:2])
     line = LineTarget(*x[2:])
     targets = line.points(np.linspace(0.0, 1.0, 200))
     plot = SvgPlot(title="best foot trajectory vs target line",
@@ -240,24 +236,36 @@ def cmd_synth(config, out, seed):
 # pareto
 
 
+OVERLAP_PAIRS = 2 ** 18  # front-table pairs _overlap_report compares at once
+
+
 def _overlap_report(front, table_points):
-    """Front-to-table comparison: chamfer distances in normalized
-    objective space plus mutual domination counts."""
+    """Front-to-table comparison, over blocks of OVERLAP_PAIRS pairs:
+    chamfer distances in normalized objective space plus mutual
+    domination counts."""
     combined = np.vstack([front, table_points])
     lo = combined.min(axis=0)
     extent = np.ptp(combined, axis=0)
     span = np.where(extent > 0, extent, 1.0)
     f = (front - lo) / span
     t = (table_points - lo) / span
-    d_ft = np.sqrt(((f[:, None, :] - t[None, :, :]) ** 2).sum(axis=2))
-    front_dominated = search.dominates(table_points, front).any(axis=0).sum()
-    table_dominated = search.dominates(front, table_points).any(axis=0).sum()
+    front_to_table, table_to_front = np.full(len(f), np.inf), np.empty(len(t))
+    front_dominated, table_dominated = np.zeros(len(f), dtype=bool), 0
+    block = max(1, OVERLAP_PAIRS // len(f))
+    for start in range(0, len(t), block):
+        rows = slice(start, start + block)
+        d = np.sqrt(((f[:, None, :] - t[None, rows, :]) ** 2).sum(axis=2))
+        front_to_table = np.minimum(front_to_table, d.min(axis=1))
+        table_to_front[rows] = d.min(axis=0)
+        block_points = table_points[rows]
+        front_dominated |= search.dominates(block_points, front).any(axis=0)
+        table_dominated += search.dominates(front, block_points).any(axis=0).sum()
     return {
         "front_size": int(len(front)),
         "table_size": int(len(table_points)),
-        "mean_front_to_table": float(d_ft.min(axis=1).mean()),
-        "mean_table_to_front": float(d_ft.min(axis=0).mean()),
-        "front_points_dominated_by_table": int(front_dominated),
+        "mean_front_to_table": float(front_to_table.mean()),
+        "mean_table_to_front": float(table_to_front.mean()),
+        "front_points_dominated_by_table": int(front_dominated.sum()),
         "table_points_dominated_by_front": int(table_dominated),
     }
 
@@ -522,6 +530,9 @@ def cmd_slam(config, out, seed):
     sensor = _build(slam.SensorConfig, config.get("sensor", {}), "sensor")
     if sensor.n_rays > MAX_RAYS:
         raise ConfigError(f"sensor n_rays must be at most {MAX_RAYS}")
+    if sensor.n_rays * sum(map(len, world.obstacles)) > MAX_RAY_EDGES:
+        raise ConfigError(f"sensor n_rays times the world's obstacle edges "
+                          f"must be at most {MAX_RAY_EDGES}")
     ray_cells = sensor.max_range / world.grid_resolution
     if sensor.n_rays and ray_cells > MAX_RAY_CELLS:
         raise ConfigError(f"a sensor ray spans at most {MAX_RAY_CELLS} grid "

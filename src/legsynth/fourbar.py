@@ -15,15 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import angle_diff
+from .geometry import TWO_PI
 
 # Absolute tolerance on the circle-intersection discriminant below which a
 # configuration is reported as degenerate (near-tangent circles).
 DEGENERACY_TOL = 1e-9
-
-# Bound on the coupler-angle step between consecutive sweep samples (rad).
-# A larger jump is treated as a branch-continuity violation.
-CONTINUITY_BOUND = 1.0
 
 
 class LinkageError(Exception):
@@ -48,15 +44,6 @@ class DegenerateConfigurationError(LinkageError):
         self.discriminant = float(discriminant)
         super().__init__(f"near-tangent configuration at crank angle {phi:.6f} rad "
                          f"(discriminant {discriminant:.3e})")
-
-
-class SweepInvalidError(LinkageError):
-    """A crank sweep failed assemblability or branch continuity."""
-
-    def __init__(self, index, reason):
-        self.index = int(index)
-        self.reason = reason
-        super().__init__(f"sweep invalid at sample {index}: {reason}")
 
 
 class SingularTransmissionError(LinkageError):
@@ -119,9 +106,7 @@ class Sweep:
     B and C are the joint positions (phi's shape plus a last axis of 2),
     beta the coupler angle of BC from the x-axis, and mu the classical
     transmission angle between coupler and rocker at C folded into
-    [0, pi/2].  error is the SweepInvalidError of a design's first
-    failing sample, or None; a batch has a list of them, one per row, and
-    the C, beta and mu of a failed row are NaN.
+    [0, pi/2].
     """
 
     phi: np.ndarray
@@ -130,12 +115,30 @@ class Sweep:
     C: np.ndarray
     beta: np.ndarray
     mu: np.ndarray
-    error: object = None
 
     def row(self, i):
         """Design i of a batch, as a sweep of its own."""
         return Sweep(self.phi[i], self.fractions, self.B[i], self.C[i],
-                     self.beta[i], self.mu[i], self.error[i])
+                     self.beta[i], self.mu[i])
+
+
+@dataclass(frozen=True)
+class ArcCheck:
+    """Closed-form whole-arc figures, one entry per design: the crank angle
+    phi of the smallest circle-intersection discriminant, the closure gap
+    and that discriminant there, the violation max(DEGENERACY_TOL -
+    discriminant, 0), positive exactly on the designs that do not assemble
+    over the whole arc, and the worst transmission angle mu_min (rad)."""
+
+    phi: np.ndarray
+    gap: np.ndarray
+    discriminant: np.ndarray
+    violation: np.ndarray
+    mu_min: np.ndarray
+
+    def error(self, i):
+        """Design i's error at its worst crank angle, or None."""
+        return _failure(self.phi[i], self.gap[i], self.discriminant[i])
 
 
 @dataclass(frozen=True)
@@ -168,16 +171,10 @@ def sample_schedule(start_angle, support_arc, count):
 
 def _positions(params, phis, fractions=None):
     """Circle-intersection position analysis of a batch of designs, row r
-    at the crank angles phis[r].
-
-    Each row's error reports the first failing sample of the first check
-    that fails, in this order: the coupler and rocker circles meet
-    (NotAssemblableError); B does not sit on D and the circles are not
-    near-tangent (DegenerateConfigurationError); the coupler angle does
-    not jump by more than CONTINUITY_BOUND between consecutive samples.
-    The last guards against solutions whose samples live on different
-    assembly modes and are therefore not physically traceable.
-    """
+    at the crank angles phis[r]: the Sweep, and the closure gap and the
+    discriminant p2^2 - a^2 of every angle, 0 where B sits on D (|BD| <
+    1e-12, no intersection direction).  C and beta are meaningless where
+    the discriminant is below DEGENERACY_TOL."""
     p1, p2, p3 = (np.reshape(v, (-1, 1))
                   for v in (params.crank, params.coupler, params.rocker))
     phis = np.reshape(phis, (len(p1), -1))
@@ -186,45 +183,54 @@ def _positions(params, phis, fractions=None):
     d = np.hypot(BD[..., 0], BD[..., 1])
     gap = np.maximum(d - (p2 + p3), abs(p2 - p3) - d)
 
-    # a failing row may divide by d = 0 or take the root of a negative
-    # discriminant; its positions are replaced by NaN below
     with np.errstate(divide="ignore", invalid="ignore"):
         a = (p2 * p2 - p3 * p3 + d * d) / (2.0 * d)
-        disc = p2 * p2 - a * a
+        disc = np.where(d < 1e-12, 0.0, p2 * p2 - a * a)
         h = np.sqrt(disc)
         u = BD / d[..., None]
         perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
         C = B + a[..., None] * u + params.branch * h[..., None] * perp
         beta = np.arctan2(C[..., 1] - B[..., 1], C[..., 0] - B[..., 0])
-        steps = np.abs(angle_diff(beta[:, 1:], beta[:, :-1]))
 
     cos_mu = (p2 * p2 + p3 * p3 - d * d) / (2.0 * p2 * p3)
     mu = np.arccos(np.clip(cos_mu, -1.0, 1.0))
     mu = np.minimum(mu, np.pi - mu)
+    return (Sweep(phi=phis, fractions=fractions, B=B, C=C, beta=beta, mu=mu),
+            gap, disc)
 
-    jump = np.zeros(d.shape, dtype=bool)
-    jump[:, 1:] = steps > CONTINUITY_BOUND
-    checks = (
-        (gap > 0.0, lambda r, i: NotAssemblableError(phis[r, i], gap[r, i])),
-        # B on top of D (crank ratio 1 at phi = 0 with equal coupler/rocker)
-        # leaves the intersection direction undefined
-        (d < 1e-12,
-         lambda r, i: DegenerateConfigurationError(phis[r, i], 0.0)),
-        (disc < DEGENERACY_TOL,
-         lambda r, i: DegenerateConfigurationError(phis[r, i], disc[r, i])),
-        (jump, lambda r, i: f"coupler-angle jump {steps[r, i - 1]:.3f} rad "
-                            f"exceeds continuity bound {CONTINUITY_BOUND}"),
-    )
-    errors = [None] * len(phis)
-    for bad, reason in checks:
-        first = bad.argmax(axis=1)
-        for r in np.flatnonzero(bad.any(axis=1)):
-            if errors[r] is None:
-                errors[r] = SweepInvalidError(first[r], reason(r, first[r]))
-    failed = np.array([e is not None for e in errors])
-    C[failed] = beta[failed] = mu[failed] = np.nan
-    return Sweep(phi=phis, fractions=fractions, B=B, C=C, beta=beta, mu=mu,
-                 error=errors)
+
+def _failure(phi, gap, discriminant):
+    """The error of one crank angle, or None where joint C can be placed."""
+    if gap > 0.0:
+        return NotAssemblableError(phi, gap)
+    if not discriminant >= DEGENERACY_TOL:
+        return DegenerateConfigurationError(phi, discriminant)
+    return None
+
+
+def arc_check(params):
+    """Whole-arc assemblability and worst transmission angle of each
+    design, in closed form.
+
+    Coupler and rocker see the crank only through |BD|^2 = 1 + p1^2 -
+    2 p1 cos(phi); the discriminant is concave in it, and the folded mu
+    falls as |cos mu|, linear in it, grows.  So both are worst where |BD|
+    is shortest or longest: at phi = 0 and pi (modulo 2 pi) where the arc
+    reaches them, else at the arc end of larger or smaller cosine
+    (Grashof; Freudenstein 1954).
+    """
+    start = np.reshape(params.start_angle, -1)
+    end = start + np.reshape(params.support_arc, -1)
+    extreme = np.array([[0.0], [np.pi]])
+    turn = extreme + TWO_PI * np.ceil((start - extreme) / TWO_PI)
+    ends = np.where(np.cos(start) >= np.cos(end), [start, end], [end, start])
+    phi = np.where(turn <= end, turn, ends).T
+    trace, gap, disc = _positions(params, phi)
+    rows, worst = np.arange(len(start)), np.argmin(disc, axis=1)
+    least = disc[rows, worst]
+    return ArcCheck(phi[rows, worst], gap[rows, worst], least,
+                    np.maximum(DEGENERACY_TOL - least, 0.0),
+                    trace.mu.min(axis=1))
 
 
 def solve_position(params, phi):
@@ -234,23 +240,28 @@ def solve_position(params, phi):
     Raises NotAssemblableError / DegenerateConfigurationError when joint C
     cannot be placed on the selected branch.
     """
-    at = _positions(params, float(phi)).row(0)
-    if at.error is not None:
-        raise at.error.reason
-    return Sweep(phi=at.phi[0], fractions=None, B=at.B[0], C=at.C[0],
-                 beta=at.beta[0], mu=at.mu[0])
+    trace, gap, disc = _positions(params, float(phi))
+    if (error := _failure(float(phi), gap[0, 0], disc[0, 0])) is not None:
+        raise error
+    at = trace.row(0)
+    return Sweep(at.phi[0], None, at.B[0], at.C[0], at.beta[0], at.mu[0])
 
 
 def sweep(params, count):
     """Position analysis over the support schedule of one design, or of
-    each design of a batch, on the params' assembly branch.
+    each design of a batch, on the params' assembly branch.  Raises
+    NotAssemblableError / DegenerateConfigurationError at the worst crank
+    angle of the first design that arc_check rejects."""
+    check = arc_check(params)
+    if not np.all(check.violation <= 0.0):
+        raise check.error(np.argmin(check.violation <= 0.0))
+    return _sampled(params, count)
 
-    A design that fails a check of _positions is reported in the Sweep's
-    error, not raised.
-    """
-    angles, fractions = sample_schedule(params.start_angle,
-                                        params.support_arc, count)
-    trace = _positions(params, angles, fractions)
+
+def _sampled(params, count):
+    """sweep without its arc_check, for designs already accepted."""
+    trace, _, _ = _positions(params, *sample_schedule(
+        params.start_angle, params.support_arc, count))
     return trace if np.ndim(params.crank) else trace.row(0)
 
 
@@ -267,9 +278,9 @@ def coupler_path(sweep, local_point):
 
 
 def gait_metrics(params, mu_min):
-    """Step-cycle ratio and worst transmission angle of designs whose valid
-    sweeps have the worst transmission angle mu_min (rad), for example
-    sweep.mu.min(axis=-1)."""
+    """Step-cycle ratio and worst transmission angle of designs whose
+    worst transmission angle is mu_min (rad), for example
+    arc_check(params).mu_min."""
     support_deg = np.degrees(params.support_arc)
     transfer_deg = 360.0 - support_deg
     return GaitMetrics(support_deg=support_deg,
@@ -278,20 +289,18 @@ def gait_metrics(params, mu_min):
                        min_transmission_deg=np.degrees(mu_min))
 
 
-def force_ratio_angle(params, pose, coupler_point=(0.0, 0.0)):
+def force_ratio_angle(pose):
     """Foot-force direction angle arctan(|F_vertical| / |F_horizontal|) at
     a single-angle pose from solve_position.
 
     The coupler is modeled as a massless two-force member, so the contact
     force is transmitted along BC; the returned angle is the inclination
     of BC in the world frame folded into [0, pi/2].  Under this model the
-    direction does not depend on where the foot point sits on the coupler;
-    the argument is accepted for interface symmetry with coupler_path.
+    direction does not depend on where the foot point sits on the coupler.
 
     Raises SingularTransmissionError at a dead point (transmission angle
     zero), where the member direction carries no force information.
     """
-    del coupler_point
     if pose.mu < 1e-9:
         raise SingularTransmissionError(
             f"dead point at crank angle {pose.phi:.6f} rad")

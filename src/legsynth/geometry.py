@@ -31,7 +31,3 @@ def wrap_pi(angle):
         return float(wrapped)
     return wrapped
 
-
-def angle_diff(a, b):
-    """Smallest signed difference a - b, in (-pi, pi]."""
-    return wrap_pi(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))

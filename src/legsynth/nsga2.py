@@ -180,19 +180,16 @@ def crowding_distance(front_objectives):
     return d
 
 
-def hypervolume_2d(front, reference, normalization=None, return_excluded=False):
+def hypervolume_2d(front, reference, normalization=None):
     """Exact area of the region dominated by a 2-D front up to `reference`.
 
-    Points that do not dominate the reference contribute nothing and are
-    excluded (their count is available via return_excluded).  When
+    Points that do not dominate the reference contribute nothing.  When
     `normalization` (an ideal point) is given, the area is divided by the
     reference-to-ideal box area.
     """
     F = np.asarray(front, dtype=float).reshape(-1, 2)
     ref = np.asarray(reference, dtype=float)
-    keep = np.all(F < ref, axis=1)
-    excluded = int(len(F) - keep.sum())
-    pts = F[keep]
+    pts = F[np.all(F < ref, axis=1)]
     area = 0.0
     if len(pts):
         stairs = _nondominated_2d(pts)
@@ -204,8 +201,6 @@ def hypervolume_2d(front, reference, normalization=None, return_excluded=False):
         box = float(np.prod(ref - ideal))
         if box > 0:
             area /= box
-    if return_excluded:
-        return area, excluded
     return area
 
 
@@ -350,8 +345,8 @@ def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1,
     the five nonlinear parameters and the coupler point comes out of the
     inner linear solve; with coupler="explicit" the genome carries
     (x_E, y_E) as two extra genes and only the target line is solved.
-    The single constraint is sweep assemblability, with a violation that
-    grows the earlier the sweep fails.
+    The single constraint is assemblability over the whole support arc,
+    with arc_check's continuous violation as the constraint violation.
     """
     if coupler not in ("solved", "explicit"):
         raise ValueError("coupler must be 'solved' or 'explicit'")
@@ -368,12 +363,8 @@ def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1,
         if coupler == "explicit":
             pinned = {0: genomes[:, 5], 1: genomes[:, 6]}
         result = reduced_objective(params, count, pinned=pinned)
-        failed_at = np.array([count if e is None else e.index
-                              for e in result.error])
-        violation = np.where(failed_at < count,
-                             1.0 + (count - failed_at) / count, 0.0)
         F = np.column_stack([result.delta0, -result.mu_min])
-        F[violation > 0] = OBJECTIVE_SENTINEL
-        return F, violation
+        F[result.arc.violation > 0] = OBJECTIVE_SENTINEL
+        return F, result.arc.violation
 
     return Problem(lower=lower, upper=upper, n_objectives=2, evaluate=evaluate)

@@ -115,11 +115,11 @@ def scan(box, budget, count=DEFAULT_SWEEP_SAMPLES, branch=+1):
     params = FourBarParams(*points.T, branch=branch)
     result = reduced_objective(params, count)
     metrics = gait_metrics(params, result.mu_min)
+    feasible = result.arc.violation <= 0.0
     return SamplingTable(
-        index=np.arange(budget), params=points,
-        feasible=np.array([e is None for e in result.error]),
-        reason=np.array(["" if e is None else str(e) for e in result.error],
-                        dtype=object),
+        index=np.arange(budget), params=points, feasible=feasible,
+        reason=np.array(["" if ok else str(result.arc.error(i))
+                         for i, ok in enumerate(feasible)], dtype=object),
         delta0=result.delta0, x=result.x,
         min_transmission_deg=metrics.min_transmission_deg,
         cycle_ratio=metrics.cycle_ratio, support_deg=metrics.support_deg)

@@ -477,8 +477,10 @@ def update_map(state, z):
         # a line's cells are distinct: one clipped update per ray is exact
         for row, col, inc, keep in zip(rows, cols, increment, inside):
             cell = row[keep], col[keep]
-            grid.log_odds[cell] = np.clip(grid.log_odds[cell] + inc[keep],
-                                          -LOG_ODDS_LIMIT, LOG_ODDS_LIMIT)
+            # minimum of maximum: np.clip's bits without its Python wrapper
+            grid.log_odds[cell] = np.minimum(
+                np.maximum(grid.log_odds[cell] + inc[keep], -LOG_ODDS_LIMIT),
+                LOG_ODDS_LIMIT)
     return MapUpdateResult(state=new, added_ids=added)
 
 

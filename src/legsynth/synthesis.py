@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourbar import sweep
+from .fourbar import ArcCheck, _sampled, arc_check
 
 # Condition number of the normal matrix above which the minimum-norm
 # least-squares path is taken and the solution counts as rank-deficient.
@@ -87,18 +87,16 @@ class SynthesisSolution:
 @dataclass(frozen=True)
 class ReducedObjective:
     """Reduced objective of each design of a batch, with its inner
-    solution x and the worst transmission angle mu_min (rad) of its sweep.
-
-    error holds, per row, the SweepInvalidError of a design whose sweep
-    failed, or None; such a row has delta0 inf and x, condition and mu_min
-    NaN.
+    solution x, the worst transmission angle mu_min (rad) over its support
+    arc, and its ArcCheck arc.  A design with arc.violation > 0 is neither
+    swept nor solved and has delta0 inf and x, condition and mu_min NaN.
     """
 
     delta0: np.ndarray
     x: np.ndarray
     condition: np.ndarray
     mu_min: np.ndarray
-    error: list
+    arc: ArcCheck
 
 
 def assemble(sweep):
@@ -215,14 +213,13 @@ def residual_delta(sweep, x):
 
 
 def reduced_objective(params, count, pinned=None):
-    """Sweep, assemble and solve each design of a batch; the residual is
-    the outer objective.
+    """Check, sweep, assemble and solve each design of a batch; the
+    residual is the outer objective.
 
     One design counts as a batch of one.  pinned is as for solve, with
-    arrays of one value per design.  The designs go through in chunks of
-    CHUNK_ANGLES sample angles; a design whose support arc is not
-    traceable on one assembly branch is reported in the result's error,
-    and outer searches treat it as an infeasible sample.
+    arrays of one value per design.  Only the designs that arc_check
+    accepts are swept, in chunks of CHUNK_ANGLES sample angles, and
+    solved; outer searches take arc.violation as the constraint violation.
     """
     rows = np.size(params.crank)
     pinned = {j: np.broadcast_to(v, (rows,))
@@ -230,23 +227,16 @@ def reduced_objective(params, count, pinned=None):
     delta0 = np.full(rows, np.inf)
     x = np.full((rows, 6), np.nan)
     condition = np.full(rows, np.nan)
-    mu_min = np.full(rows, np.nan)
-    error = []
+    arc = arc_check(params)
+    feasible = np.flatnonzero(arc.violation <= 0.0)
+    mu_min = np.where(arc.violation <= 0.0, arc.mu_min, np.nan)
     step = max(1, CHUNK_ANGLES // count)
-    for start in range(0, rows, step):
-        part = slice(start, start + step)
-        chunk = params.take(part)
-        trace = sweep(chunk, count)
-        ok = np.flatnonzero([e is None for e in trace.error])
-        system = assemble(trace)
-        solution = solve(LinearSystem(system.matrix[ok], system.rhs[ok],
-                                      system.constant[ok]),
-                         pinned={j: v[part][ok] for j, v in pinned.items()})
-        done = start + ok
-        delta0[done] = solution.delta
-        x[done] = solution.x
-        condition[done] = solution.condition
-        mu_min[done] = trace.mu[ok].min(axis=-1)
-        error += trace.error
+    for start in range(0, len(feasible), step):
+        part = feasible[start:start + step]
+        solution = solve(assemble(_sampled(params.take(part), count)),
+                         pinned={j: v[part] for j, v in pinned.items()})
+        delta0[part] = solution.delta
+        x[part] = solution.x
+        condition[part] = solution.condition
     return ReducedObjective(delta0=delta0, x=x, condition=condition,
-                            mu_min=mu_min, error=error)
+                            mu_min=mu_min, arc=arc)

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from legsynth import nsga2, search, slam
+from legsynth import cli, nsga2, search, slam
 from legsynth.cli import _overlap_report, main
 from legsynth.slam import desk_world, world_to_dict
 
@@ -78,6 +79,17 @@ class TestSynth:
         assert diagnostics["feasible"] == 0
         assert diagnostics["assemblable"] > 0
 
+    def test_overflowing_link_lengths_are_infeasible(self, tmp_path, capsys):
+        # |BD|^2 overflows, so no discriminant is finite: every design is
+        # rejected with its reason, and no sweep reaches the solver
+        box = {"lower": [1e200, 1e200, 1e200, 0.0, 3.2],
+               "upper": [2e200, 2e200, 2e200, 6.0, 5.0]}
+        code, out = run(tmp_path, "synth", {"box": box, "budget": 16})
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (out / "sampling_table.csv").read_text().splitlines()[2:]
+        assert all(row.endswith("(discriminant nan)") for row in rows)
+
 
 class TestPareto:
     def test_zero_generations_front_is_initial_rank0(self, tmp_path):
@@ -147,6 +159,44 @@ class TestPareto:
             == dominated_count(front.tolist(), table.tolist())
         assert report["table_points_dominated_by_front"] \
             == dominated_count(table.tolist(), front.tolist())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_blocked_overlap_report_equals_one_shot(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        # a 4 x 4 grid repeats rows, so blocks of a few rows cut through ties
+        front = rng.integers(0, 4, size=(rng.integers(1, 15), 2)).astype(float)
+        table = rng.integers(0, 4, size=(rng.integers(1, 60), 2)).astype(float)
+        combined = np.vstack([front, table])
+        extent = np.ptp(combined, axis=0)
+        span = np.where(extent > 0, extent, 1.0)
+        f = (front - combined.min(axis=0)) / span
+        t = (table - combined.min(axis=0)) / span
+        d_ft = np.sqrt(((f[:, None, :] - t[None, :, :]) ** 2).sum(axis=2))
+        one_shot = {
+            "front_size": len(front), "table_size": len(table),
+            "mean_front_to_table": float(d_ft.min(axis=1).mean()),
+            "mean_table_to_front": float(d_ft.min(axis=0).mean()),
+            "front_points_dominated_by_table": int(
+                search.dominates(table, front).any(axis=0).sum()),
+            "table_points_dominated_by_front": int(
+                search.dominates(front, table).any(axis=0).sum()),
+        }
+        for pairs in (1, 3 * len(front), 7 * len(front), 10 ** 6):
+            monkeypatch.setattr(cli, "OVERLAP_PAIRS", pairs)
+            assert _overlap_report(front, table) == one_shot
+
+    def test_overlap_report_memory_is_bounded(self):
+        rng = np.random.default_rng(0)
+        front, table = rng.random((200, 2)), rng.random((500_000, 2))
+        tracemalloc.start()
+        try:
+            report = _overlap_report(front, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["table_size"] == 500_000
+        # one (front, table) array of distances alone would take 800 MB
+        assert peak < 64 * 2 ** 20
 
 
 class TestIsotropy:
@@ -364,6 +414,12 @@ BAD_CONFIGS = [
         id="world-2049-landmarks"),
     pytest.param("slam", lambda tmp: {"sensor": {"n_rays": 10 ** 9}},
                  id="n-rays-10^9"),
+    pytest.param("slam", lambda tmp: {
+        "world": dict(_desk_world(), obstacles=[
+            [[np.cos(a), np.sin(a)] for a in np.linspace(0.0, 6.28, 20000)]]),
+        "sensor": {"n_rays": 10000},
+        "script": {"type": "constant", "steps": 1}},
+        id="10000-rays-on-20000-edges"),
     pytest.param("slam", lambda tmp: {"script": {"type": "constant", "steps": 3},
                                       "sensor": {"max_range": 1e300,
                                                  "n_rays": 4}},

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from legsynth.fourbar import (DegenerateConfigurationError, FourBarParams,
+from legsynth.fourbar import (DEGENERACY_TOL, DegenerateConfigurationError,
+                              FourBarParams, LinkageError,
                               NotAssemblableError, SingularTransmissionError,
-                              Sweep, SweepInvalidError, coupler_path,
+                              Sweep, arc_check, coupler_path,
                               force_ratio_angle, gait_metrics,
                               sample_schedule, solve_position, sweep)
+from legsynth.geometry import wrap_pi
 
 PARALLELOGRAM = FourBarParams(crank=0.4, coupler=1.0, rocker=0.4,
                               start_angle=0.2, support_arc=1.5)
@@ -150,9 +152,9 @@ class TestSweep:
     def test_unassemblable_sample_rejected(self):
         params = FourBarParams(crank=0.6, coupler=0.4, rocker=0.5,
                                start_angle=np.pi / 2, support_arc=np.pi)
-        trace = sweep(params, 8)
-        assert isinstance(trace.error, SweepInvalidError)
-        assert np.all(np.isnan(trace.mu))
+        with pytest.raises(NotAssemblableError) as info:
+            sweep(params, 8)
+        assert info.value.phi == arc_check(params).phi[0]
 
     def test_chebyshev_arc_inside_assemblable_range(self):
         phis, ok = brute_force_assemblable_angles(CHEBYSHEV)
@@ -161,7 +163,6 @@ class TestSweep:
         inside = (phis >= arc[0] - 1e-9) & (phis <= arc[1] + 1e-9)
         assert ok[inside].all()
         trace = sweep(CHEBYSHEV, 16)
-        assert trace.error is None
         assert trace.phi.shape == trace.mu.shape == (16,)
         assert trace.B.shape == trace.C.shape == (16, 2)
 
@@ -175,9 +176,10 @@ class TestSweep:
             assert np.abs(radii - PARALLELOGRAM.crank).max() <= 1e-10
 
     def test_batch_rows_match_single_designs(self):
-        # one design per failure kind, plus assemblable ones: every row of
-        # the batch sweep equals the sweep of its design alone, bit for bit,
-        # and carries the same error text
+        # one design per rejection kind, plus accepted ones: every row of a
+        # batch arc check equals the check of its design alone, bit for
+        # bit, a rejected design's sweep raises the error of its row, and
+        # the batch sweep of the accepted designs matches their own sweeps
         designs = [CHEBYSHEV, PARALLELOGRAM,
                    FourBarParams(0.6, 0.4, 0.5, np.pi / 2, np.pi),
                    FourBarParams(1.0, 0.7, 0.7, 0.0, 1.5),
@@ -186,19 +188,148 @@ class TestSweep:
                    FourBarParams(0.5, 1.25, 1.25, 1.1, 3.9)]
         columns = np.array([[d.crank, d.coupler, d.rocker, d.start_angle,
                              d.support_arc] for d in designs]).T
-        batch = sweep(FourBarParams(*columns), 5)
+        batch = arc_check(FourBarParams(*columns))
         kinds = []
         for i, design in enumerate(designs):
-            alone, row = sweep(design, 5), batch.row(i)
-            for name in ("phi", "B", "C", "beta", "mu"):
-                np.testing.assert_array_equal(getattr(row, name),
-                                              getattr(alone, name))
-            assert str(row.error) == str(alone.error)
-            kinds.append(None if row.error is None else type(row.error.reason))
+            alone = arc_check(design)
+            for name in ("phi", "gap", "discriminant", "violation", "mu_min"):
+                np.testing.assert_array_equal(getattr(batch, name)[i],
+                                              getattr(alone, name)[0])
+            error = batch.error(i)
+            assert (error is None) == (batch.violation[i] <= 0.0)
+            kinds.append(None if error is None else type(error))
+            if error is not None:
+                with pytest.raises(type(error)) as info:
+                    sweep(design, 5)
+                assert str(info.value) == str(error)
         assert kinds == [None, None, NotAssemblableError,
                          DegenerateConfigurationError,
-                         DegenerateConfigurationError, str, None]
-        assert "continuity bound 1.0" in str(batch.error[5])
+                         DegenerateConfigurationError, None, None]
+        accepted = [0, 1, 5, 6]
+        rows = sweep(FourBarParams(*columns[:, accepted]), 5)
+        for r, i in enumerate(accepted):
+            alone = sweep(designs[i], 5)
+            for name in ("phi", "B", "C", "beta", "mu"):
+                np.testing.assert_array_equal(getattr(rows.row(r), name),
+                                              getattr(alone, name))
+
+    def test_coarse_sweep_on_one_branch_is_accepted(self):
+        # five samples of this design step the coupler angle by more than
+        # 1 rad, which a sampled continuity bound would take for a branch
+        # jump; a fine sweep shows one continuous branch over the arc
+        design = FourBarParams(2.0, 2.5, 2.2, 0.0, 1.9 * np.pi)
+        coarse = sweep(design, 5)
+        assert np.abs(wrap_pi(np.diff(coarse.beta))).max() > 1.0
+        fine = sweep(design, 4096)
+        assert np.abs(wrap_pi(np.diff(fine.beta))).max() < 0.01
+
+
+def sampled_checks(params, count):
+    """The sampled feasibility test of a single design, computed directly
+    from the circle intersection at `count` crank angles (test oracle).
+
+    Returns (ok, worst mu): ok when every sample assembles (closure gap
+    <= 0), keeps B off D, stays DEGENERACY_TOL away from tangency, and no
+    coupler-angle step between consecutive samples exceeds 1 rad.
+    """
+    p1, p2, p3 = params.crank, params.coupler, params.rocker
+    phi = params.start_angle + params.support_arc * np.linspace(0.0, 1.0,
+                                                                count)
+    bx, by = p1 * np.cos(phi), p1 * np.sin(phi)
+    dx, dy = 1.0 - bx, -by
+    d = np.hypot(dx, dy)
+    gap = np.maximum(d - (p2 + p3), abs(p2 - p3) - d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (p2 ** 2 - p3 ** 2 + d ** 2) / (2.0 * d)
+        disc = p2 ** 2 - a ** 2
+        h = params.branch * np.sqrt(disc)
+        cx = bx + (a * dx - h * dy) / d
+        cy = by + (a * dy + h * dx) / d
+    beta = np.arctan2(cy - by, cx - bx)
+    jump = np.abs(wrap_pi(np.diff(beta)))
+    ok = bool(np.all(gap <= 0.0) and np.all(d >= 1e-12)
+              and np.all(disc >= DEGENERACY_TOL) and np.all(jump <= 1.0))
+    mu = np.arccos(np.clip((p2 ** 2 + p3 ** 2 - d ** 2) / (2.0 * p2 * p3),
+                           -1.0, 1.0))
+    return ok, np.minimum(mu, np.pi - mu).min()
+
+
+def extreme_angles(params):
+    """The arc ends and every multiple of pi the arc reaches (test
+    oracle): |BD| is extreme over the arc at one of these angles."""
+    start, arc = params.start_angle, params.support_arc
+    multiples = np.arange(np.ceil(start / np.pi), np.floor((start + arc)
+                                                          / np.pi) + 1)
+    return [start, start + arc, *(np.pi * multiples)]
+
+
+def oracle_designs(rng, n):
+    """n seeded designs: random ones, with the crank on both sides of 1,
+    arcs that wrap past 2 pi with and without 0 or pi inside and coupler
+    equal to rocker; and designs built within 1e-6 of tangency at pi, at
+    0 and at an arc end."""
+    rows = []
+    for i in range(n):
+        p1 = rng.uniform(0.1, 2.0)
+        p2 = rng.uniform(0.2, 2.5)
+        p3 = p2 if i % 7 == 0 else rng.uniform(0.2, 2.5)
+        arc = rng.uniform(0.05, 2.0 * np.pi - 0.05)
+        start = rng.uniform(-2.0 * np.pi, 4.0 * np.pi)
+        eps = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -6.0)
+        kind = i % 4
+        if kind == 1:
+            # |BD| longest at pi, within eps of coupler + rocker
+            start = np.pi - rng.uniform(0.0, 1.0) * arc \
+                + 2.0 * np.pi * rng.integers(-1, 2)
+            p3 = 1.0 + p1 - p2 + eps
+        elif kind == 2:
+            # |BD| shortest at 0, within eps of |coupler - rocker|
+            start = -rng.uniform(0.0, 1.0) * arc \
+                + 2.0 * np.pi * rng.integers(-1, 2)
+            p3 = p2 + abs(1.0 - p1) + eps
+        elif kind == 3:
+            # an arc inside (0, pi), where |BD| grows with the crank
+            # angle: tangent at its end to coupler + rocker
+            arc = rng.uniform(0.05, np.pi - 0.1)
+            start = rng.uniform(0.01, np.pi - arc - 0.01) \
+                + 2.0 * np.pi * rng.integers(-1, 2)
+            end = start + arc
+            p3 = np.sqrt(1.0 + p1 ** 2 - 2.0 * p1 * np.cos(end)) - p2 + eps
+        if p3 <= 0.0:
+            p3 = p2
+        rows.append((p1, p2, p3, start, arc))
+    return np.array(rows)
+
+
+class TestArcCheck:
+    def test_matches_sampled_oracle(self):
+        rng = np.random.default_rng(2025)
+        designs = oracle_designs(rng, 2400)
+        accepted = rejected = tangent = 0
+        for branch in (+1, -1):
+            rows = designs[(branch > 0)::2]
+            check = arc_check(FourBarParams(*rows.T, branch=branch))
+            for i, row in enumerate(rows):
+                params = FourBarParams(*row, branch=branch)
+                start, arc = row[3], row[4]
+                assert -1e-12 <= check.phi[i] - start <= arc + 1e-12
+                tangent += abs(check.discriminant[i]) < 1e-6
+                if check.violation[i] > 0.0:
+                    rejected += 1
+                    assert check.violation[i] == DEGENERACY_TOL \
+                        - check.discriminant[i]
+                    with pytest.raises(LinkageError):
+                        solve_position(params, check.phi[i])
+                    continue
+                accepted += 1
+                assert check.violation[i] == 0.0
+                ok, sampled_mu = sampled_checks(params, 4096)
+                assert ok, row
+                exact = [solve_position(params, phi).mu
+                         for phi in extreme_angles(params)]
+                assert abs(check.mu_min[i] - min(exact)) <= 1e-12
+                assert check.mu_min[i] <= sampled_mu + 1e-12
+        assert accepted >= 600 and rejected >= 600 and tangent >= 300
 
 
 class TestGaitMetrics:
@@ -236,11 +367,11 @@ class TestForceRatioAngle:
                                start_angle=0.0, support_arc=np.pi)
         pose = solve_position(params, np.pi / 2)
         assert abs(pose.C[0] - pose.B[0]) < 1e-12  # BC vertical
-        assert abs(force_ratio_angle(params, pose) - np.pi / 2) < 1e-12
+        assert abs(force_ratio_angle(pose) - np.pi / 2) < 1e-12
 
     def test_horizontal_coupler(self):
         pose = solve_position(PARALLELOGRAM, np.pi / 2)
-        assert abs(force_ratio_angle(PARALLELOGRAM, pose)) < 1e-12
+        assert abs(force_ratio_angle(pose)) < 1e-12
 
     def test_against_equilibrium_solve(self):
         # independent oracle: solve the two-force-member equilibrium
@@ -252,7 +383,7 @@ class TestForceRatioAngle:
                            [bc[0], bc[1]]])
         force = np.linalg.solve(system, np.array([0.0, np.hypot(*bc)]))
         expected = np.arctan2(abs(force[1]), abs(force[0]))
-        got = force_ratio_angle(CHEBYSHEV, pose, coupler_point=(0.25, 0.1))
+        got = force_ratio_angle(pose)
         assert abs(got - expected) < 1e-12
 
     def test_dead_point_rejected(self):
@@ -261,7 +392,7 @@ class TestForceRatioAngle:
         pose = Sweep(phi=0.0, fractions=None, B=np.array([0.1, 0.0]),
                      C=np.array([0.6, 0.0]), beta=0.0, mu=0.0)
         with pytest.raises(SingularTransmissionError):
-            force_ratio_angle(PARALLELOGRAM, pose)
+            force_ratio_angle(pose)
 
 
 class TestParamValidation:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from legsynth.fourbar import coupler_path, sweep, FourBarParams
+from legsynth.fourbar import (FourBarParams, LinkageError, arc_check,
+                              coupler_path, sweep)
 from legsynth.nsga2 import (GAConfig, OBJECTIVE_SENTINEL, Problem,
                             _nondominated_2d, crowding_distance, evolve,
                             fast_nondominated_sort, hypervolume_2d,
@@ -212,10 +213,8 @@ class TestHypervolume:
                               (1.0, 1.0))
         assert base == more
 
-    def test_non_dominating_point_excluded_with_count(self):
-        value, excluded = hypervolume_2d([(0.5, 0.5), (2.0, 0.1)], (1.0, 1.0),
-                                         return_excluded=True)
-        assert excluded == 1
+    def test_non_dominating_point_excluded(self):
+        value = hypervolume_2d([(0.5, 0.5), (2.0, 0.1)], (1.0, 1.0))
         assert abs(value - 0.25) < 1e-15
 
     def test_normalization(self):
@@ -358,7 +357,8 @@ class TestLegProblem:
 
     def test_batch_matches_single_genomes(self):
         # a generation evaluated in one call gives each genome's own
-        # objectives, and a failed sweep the violation 1 + (count - i)/count
+        # objectives, and a genome whose support arc does not assemble
+        # the arc check's violation, with a sweep that raises
         problem = leg_problem(count=12)
         rng = np.random.default_rng(14)
         genomes = problem.lower + rng.random((40, 5)) * (problem.upper
@@ -367,11 +367,15 @@ class TestLegProblem:
         for genome, f, v in zip(genomes, F, violation):
             alone, v_alone = leg_objectives(genome, count=12)
             assert np.array_equal(f, alone) and v == v_alone
-            error = sweep(FourBarParams(*genome), 12).error
-            if error is None:
-                assert v == 0.0 and f[1] < 0.0
+            params = FourBarParams(*genome)
+            assert v == arc_check(params).violation[0]
+            if v == 0.0:
+                assert f[1] < 0.0
+                sweep(params, 12)
             else:
-                assert v == 1.0 + (12 - error.index) / 12
+                assert np.all(f == OBJECTIVE_SENTINEL)
+                with pytest.raises(LinkageError):
+                    sweep(params, 12)
         assert 0 < np.count_nonzero(violation) < len(genomes)
 
     def test_straight_line_genome_scores_well(self):

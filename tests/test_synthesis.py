@@ -5,8 +5,8 @@ import pytest
 
 from legsynth import synthesis
 from legsynth.fourbar import (DegenerateConfigurationError, FourBarParams,
-                              NotAssemblableError, SweepInvalidError,
-                              coupler_path, sweep)
+                              NotAssemblableError, arc_check, coupler_path,
+                              sweep)
 from legsynth.synthesis import (RANK_DEFICIENCY_COND, InvalidSystemError,
                                 LinearSystem, LineTarget, assemble,
                                 reduced_objective, residual_delta, solve)
@@ -180,8 +180,10 @@ class TestReducedObjective:
         params = FourBarParams(crank=0.6, coupler=0.4, rocker=0.5,
                                start_angle=np.pi / 2, support_arc=np.pi)
         result = reduced_objective(params, 12)
-        assert isinstance(result.error[0], SweepInvalidError)
+        assert result.arc.violation[0] > 0.0
+        assert isinstance(result.arc.error(0), NotAssemblableError)
         assert result.delta0[0] == np.inf
+        assert np.isnan(result.mu_min[0])
 
     def test_nonnegative_on_random_valid_params(self):
         rng = np.random.default_rng(21)
@@ -193,7 +195,7 @@ class TestReducedObjective:
                                    rng.uniform(0.0, 2.0 * np.pi),
                                    rng.uniform(np.pi, 1.9 * np.pi))
             result = reduced_objective(params, 16)
-            if result.error[0] is not None:
+            if result.arc.violation[0] > 0.0:
                 continue
             checked += 1
             assert result.delta0[0] >= 0.0
@@ -227,15 +229,16 @@ class TestReducedObjective:
         solution = solve(assemble(trace))
         assert result.delta0[0] == solution.delta
         assert np.array_equal(result.x[0], solution.x)
-        assert result.mu_min[0] == trace.mu.min()
-        assert result.error == [None]
+        assert result.mu_min[0] == arc_check(HOEKEN).mu_min[0] \
+            <= trace.mu.min()
+        assert result.arc.violation[0] == 0.0
 
 
 # A batch with every kind of row, in this order: assemblable designs, a
 # not-assemblable one, coincident pivots and near-tangency (degenerate),
-# a coupler-angle jump, and the rank-deficient parallelogram; seeded
-# random designs fill the rest.  At 5 samples each of these is what its
-# name says (checked below).
+# a design whose 5 samples step the coupler angle by more than 1 rad on
+# one branch, and the rank-deficient parallelogram; seeded random designs
+# fill the rest.  Each of these is what its name says (checked below).
 KERNEL_COUNT = 5
 KERNEL_DESIGNS = [
     HOEKEN, FourBarParams(1.25, 0.5, 1.25, 0.7, 0.96),
@@ -272,11 +275,12 @@ class TestBatchKernel:
         pinned = {0: coupler[:, 0], 1: coupler[:, 1]} if explicit else None
         batch = reduced_objective(params, KERNEL_COUNT, pinned=pinned)
         rows = len(coupler)
-        assert len(batch.error) == batch.delta0.shape[0] == rows
-        kinds = [None if e is None else type(e.reason) for e in batch.error]
+        assert len(batch.arc.violation) == batch.delta0.shape[0] == rows
+        errors = [batch.arc.error(i) for i in range(rows)]
+        kinds = [None if e is None else type(e) for e in errors]
         assert kinds[:7] == [None, None, NotAssemblableError,
                              DegenerateConfigurationError,
-                             DegenerateConfigurationError, str, None]
+                             DegenerateConfigurationError, None, None]
         # pinning the coupler point takes the parallelogram's degeneracy out
         assert (batch.condition[6] > RANK_DEFICIENCY_COND) != explicit
         assert kinds[7:].count(None) >= 3
@@ -285,17 +289,21 @@ class TestBatchKernel:
             alone = reduced_objective(
                 design, KERNEL_COUNT,
                 pinned=pinned and {j: v[i] for j, v in pinned.items()})
-            assert str(batch.error[i]) == str(alone.error[0])
+            assert str(errors[i]) == str(alone.arc.error(0))
             for name in ("delta0", "x", "condition", "mu_min"):
                 np.testing.assert_array_equal(getattr(batch, name)[i],
                                               getattr(alone, name)[0])
-            if batch.error[i] is not None:
+            for name in ("phi", "gap", "discriminant", "violation", "mu_min"):
+                np.testing.assert_array_equal(getattr(batch.arc, name)[i],
+                                              getattr(alone.arc, name)[0])
+            if errors[i] is not None:
                 assert batch.delta0[i] == np.inf
+                assert np.isnan(batch.mu_min[i])
                 continue
             trace = sweep(design, KERNEL_COUNT)
             direct = residual_delta(trace, batch.x[i])
             assert abs(direct - batch.delta0[i]) <= 1e-12 * (1.0 + direct)
-            assert batch.mu_min[i] == trace.mu.min()
+            assert batch.mu_min[i] == batch.arc.mu_min[i] <= trace.mu.min()
             if explicit:
                 assert np.array_equal(batch.x[i, :2], coupler[i])
 
@@ -307,4 +315,6 @@ class TestBatchKernel:
         for name in ("delta0", "x", "condition", "mu_min"):
             np.testing.assert_array_equal(getattr(chunked, name),
                                           getattr(whole, name))
-        assert list(map(str, chunked.error)) == list(map(str, whole.error))
+        for name in ("phi", "gap", "discriminant", "violation", "mu_min"):
+            np.testing.assert_array_equal(getattr(chunked.arc, name),
+                                          getattr(whole.arc, name))
