@@ -572,7 +572,8 @@ def cmd_slam(config, out, seed):
         "steps": len(log.steps),
         "final_slam_error": slam_err,
         "final_dead_reckoning_error": dr_err,
-        "min_cov_eigenvalue": min(s.min_cov_eigenvalue for s in log.steps),
+        "min_cov_eigenvalue": float(
+            np.linalg.eigvalsh(log.final_state.cov).min()),
         "landmarks_mapped": len(log.final_state.landmark_ids),
     }
 

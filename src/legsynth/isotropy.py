@@ -72,10 +72,6 @@ class TripodLeg:
     def beta(self):
         return float(np.arctan2(self.extension, self.foot_offset))
 
-    @property
-    def foot_distance(self):
-        return float(np.hypot(self.foot_offset, self.extension))
-
 
 @dataclass(frozen=True)
 class TripodConfig:

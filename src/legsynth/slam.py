@@ -222,7 +222,6 @@ class CorrectionResult:
     """Outcome of one Kalman correction."""
 
     state: SlamState
-    gain: np.ndarray
     innovation: np.ndarray
     moved_ids: tuple
     skipped: bool = False
@@ -265,7 +264,8 @@ def predict(state, u, noise=None):
     P[3:, :3] = P[:3, 3:].T
     if noise is not None:
         P[:3, :3] += noise.matrix(u.dt)
-    new.cov = 0.5 * (P + P.T)
+    # the rest of P is exactly symmetric on entry and stays so
+    P[:3, :3] = 0.5 * (P[:3, :3] + P[:3, :3].T)
     return new
 
 
@@ -323,8 +323,10 @@ def observe(state, world, sensor, rng):
 
 
 def _measurement_jacobian(mean, slots):
-    """Stacked range-bearing Jacobian rows for the landmarks in the given
-    state slots."""
+    """Stacked range-bearing Jacobian of the landmarks in the given state
+    slots, on the columns it touches: the (2k, 3 + 2k) matrix J, the state
+    columns of J's columns (the pose, then each landmark's x and y), and
+    the predicted measurements."""
     x, y, heading = mean[:3]
     cols = 3 + 2 * slots
     dx = mean[cols] - x
@@ -336,13 +338,15 @@ def _measurement_jacobian(mean, slots):
     # d(range, bearing) / d(landmark x, y); the block for the pose's x, y
     # is its negative, and the bearing falls one for one with the heading
     block = np.stack([dx / sq, dy / sq, -dy / q, dx / q], axis=1).reshape(-1, 2, 2)
-    H = np.zeros((len(slots), 2, len(mean)))
-    H[:, :, :2] = -block
-    H[:, 1, 2] = -1.0
-    k = np.arange(len(slots))
-    H[k, :, cols] = block[:, :, 0]
-    H[k, :, cols + 1] = block[:, :, 1]
-    return H.reshape(-1, len(mean)), predicted
+    m = len(slots)
+    J = np.zeros((m, 2, 3 + 2 * m))
+    J[:, :, :2] = -block
+    J[:, 1, 2] = -1.0
+    k = np.arange(m)
+    J[k, :, 3 + 2 * k] = block[:, :, 0]
+    J[k, :, 4 + 2 * k] = block[:, :, 1]
+    columns = np.concatenate([[0, 1, 2], np.stack([cols, cols + 1], axis=1).ravel()])
+    return J.reshape(2 * m, -1), columns, predicted
 
 
 def correct(state, z):
@@ -350,18 +354,25 @@ def correct(state, z):
 
     Measurements whose landmark id is not in the map are ignored here
     (update_map initializes them).  The update is batched over all known
-    landmarks; the covariance update uses the Joseph form, which
-    preserves symmetry and positive semi-definiteness.  A numerically
-    singular innovation covariance skips the whole measurement batch and
-    returns the state unchanged.
+    landmarks and touches only the columns of the covariance P that the
+    measurement Jacobian H reaches, so a step costs O(n^2 k) for n state
+    entries and k observed landmarks.  The gain K = P H^T S^-1 comes from
+    the Cholesky factor L of the innovation covariance S, as
+    (P H^T L^-T) L^-1.  The covariance update is the Joseph form
+    (I - KH) P (I - KH)^T + K R K^T, which keeps P symmetric and positive
+    semi-definite for any gain, written as P + K C^T + C K^T with
+    C = K S / 2 - P H^T.  An innovation covariance that is not finite, has
+    a 2-norm condition number above 1e12 or is not positive definite (no
+    Cholesky factor; a positive semi-definite P never gives one) skips the
+    whole measurement batch and returns the state unchanged.
     """
     match = z.ids[:, None] == np.asarray(state.landmark_ids, dtype=int)
     known = match.any(axis=1)
     if not known.any():
-        return CorrectionResult(state=state.copy(), gain=np.zeros((len(state.mean), 0)),
-                                innovation=np.zeros(0), moved_ids=())
+        return CorrectionResult(state=state.copy(), innovation=np.zeros(0),
+                                moved_ids=())
     slots = match.argmax(axis=1)[known]
-    H, predicted = _measurement_jacobian(state.mean, slots)
+    J, columns, predicted = _measurement_jacobian(state.mean, slots)
     observed = np.stack([z.ranges[known], z.bearings[known]], axis=1).ravel()
     innovation = observed - predicted
     innovation[1::2] = wrap_pi(innovation[1::2])
@@ -370,21 +381,25 @@ def correct(state, z):
     b_var = max(z.bearing_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
     R = np.diag([r_var, b_var] * len(slots))
     P = state.cov
-    S = H @ P @ H.T + R
-    condition = np.linalg.cond(S)
-    if not np.isfinite(condition) or condition > 1e12:
-        return CorrectionResult(state=state.copy(),
-                                gain=np.zeros((len(state.mean), 0)),
-                                innovation=innovation, moved_ids=(),
-                                skipped=True,
+    PHt = P[:, columns] @ J.T
+    S = J @ PHt[columns] + R
+    # cond2 of the symmetric S is the ratio of its extreme eigenvalues
+    eigenvalues = np.linalg.eigvalsh(S) if np.isfinite(S).all() else [np.nan]
+    if not (eigenvalues[0] > 0 and eigenvalues[-1] <= 1e12 * eigenvalues[0]):
+        return CorrectionResult(state=state.copy(), innovation=innovation,
+                                moved_ids=(), skipped=True,
                                 reason="innovation covariance singular")
-    K = P @ H.T @ np.linalg.inv(S)
+    # L^-1 by one solve against the identity: 2k right-hand sides, fewer
+    # than the n columns of P H^T that two solves for K would take
+    L_inv = np.linalg.solve(np.linalg.cholesky(S), np.eye(len(S)))
+    K = (PHt @ L_inv.T) @ L_inv
     mean = state.mean + K @ innovation
     mean[2] = wrap_pi(mean[2])
-    IKH = np.eye(len(state.mean)) - K @ H
-    P = IKH @ state.cov @ IKH.T + K @ R @ K.T
+    # with 2C = K S - 2 P H^T, P + K C^T + C K^T is the symmetric part of
+    # P + K (2C)^T
+    P = P + K @ (K @ S - 2.0 * PHt).T
     return CorrectionResult(state=replace(state, mean=mean, cov=0.5 * (P + P.T)),
-                            gain=K, innovation=innovation,
+                            innovation=innovation,
                             moved_ids=tuple(z.ids[known].tolist()))
 
 
@@ -551,7 +566,6 @@ class StepLog:
     dead_reckoning: np.ndarray
     slam: np.ndarray
     cov_trace: float
-    min_cov_eigenvalue: float
     n_measurements: int
     events: tuple = ()
 
@@ -602,12 +616,10 @@ def simulate(world, script, sensor, odometry=None, process=None, seed=0,
         if not all(np.isfinite(a).all()
                    for a in (state.mean, state.cov, dead_reckoning)):
             raise FilterDivergedError(i)
-        eigenvalues = np.linalg.eigvalsh(state.cov) if state.cov.size else np.zeros(1)
         steps.append(StepLog(step=i, truth=truth.copy(),
                              dead_reckoning=dead_reckoning.copy(),
                              slam=state.pose,
                              cov_trace=float(np.trace(state.cov)),
-                             min_cov_eigenvalue=float(eigenvalues.min()),
                              n_measurements=len(z.ids),
                              events=events))
     return RunLog(steps=steps, final_state=state, seed=seed)

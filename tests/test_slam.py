@@ -132,6 +132,85 @@ def stamp_oracle(grid, position, z):
             stamp(cells[-1], LOG_ODDS_OCCUPIED)
 
 
+def jacobian_oracle(mean, slots):
+    """The dense 2k x n range-bearing Jacobian of the landmarks in the given
+    state slots, and the predicted measurements."""
+    x, y, heading = mean[:3]
+    cols = 3 + 2 * slots
+    dx = mean[cols] - x
+    dy = mean[cols + 1] - y
+    q = dx * dx + dy * dy
+    sq = np.sqrt(q)
+    predicted = np.stack([sq, wrap_pi(np.arctan2(dy, dx) - heading)],
+                         axis=1).ravel()
+    block = np.stack([dx / sq, dy / sq, -dy / q, dx / q], axis=1).reshape(-1, 2, 2)
+    H = np.zeros((len(slots), 2, len(mean)))
+    H[:, :, :2] = -block
+    H[:, 1, 2] = -1.0
+    k = np.arange(len(slots))
+    H[k, :, cols] = block[:, :, 0]
+    H[k, :, cols + 1] = block[:, :, 1]
+    return H.reshape(-1, len(mean)), predicted
+
+
+def correct_oracle(state, z):
+    """The dense correction: the full H, the gain through inv(S), the
+    Joseph form as (I - KH) P (I - KH)^T + K R K^T, and the skip rule on
+    np.linalg.cond.  Returns (mean, cov) or None when skipped, and cond(S)."""
+    match = z.ids[:, None] == np.asarray(state.landmark_ids, dtype=int)
+    known = match.any(axis=1)
+    H, predicted = jacobian_oracle(state.mean, match.argmax(axis=1)[known])
+    observed = np.stack([z.ranges[known], z.bearings[known]], axis=1).ravel()
+    innovation = observed - predicted
+    innovation[1::2] = wrap_pi(innovation[1::2])
+    r_var = max(z.range_sigma ** 2, slam.MEASUREMENT_VARIANCE_FLOOR)
+    b_var = max(z.bearing_sigma ** 2, slam.MEASUREMENT_VARIANCE_FLOOR)
+    R = np.diag([r_var, b_var] * np.count_nonzero(known))
+    P = state.cov
+    S = H @ P @ H.T + R
+    condition = np.linalg.cond(S)
+    if not np.isfinite(condition) or condition > 1e12:
+        return None, condition
+    K = P @ H.T @ np.linalg.inv(S)
+    mean = state.mean + K @ innovation
+    mean[2] = wrap_pi(mean[2])
+    IKH = np.eye(len(state.mean)) - K @ H
+    P = IKH @ P @ IKH.T + K @ R @ K.T
+    return (mean, 0.5 * (P + P.T)), condition
+
+
+def seeded_filter_case(rng, n_landmarks, every, sigmas, rank=None):
+    """A state of n_landmarks landmarks in shuffled id order, 1 to 4 m from
+    the pose, and one frame of landmark id 0 (unknown) plus one or every
+    mapped landmark, measured from a perturbed truth.  The covariance is
+    B B^T for an n x rank B, full rank when rank is None."""
+    n = 3 + 2 * n_landmarks
+    pose = rng.uniform(-0.5, 0.5, 3)
+    angle = rng.uniform(-np.pi, np.pi, n_landmarks)
+    reach = rng.uniform(1.0, 4.0, n_landmarks)
+    spots = pose[:2] + reach[:, None] * np.stack([np.cos(angle),
+                                                  np.sin(angle)], axis=1)
+    ids = rng.permutation(n_landmarks) + 1
+    B = rng.standard_normal((n, rank or n)) * (3.0 if rank else 0.1)
+    cov = B @ B.T
+    state = SlamState(mean=np.concatenate([pose, spots.ravel()]),
+                      cov=0.5 * (cov + cov.T), landmark_ids=tuple(ids.tolist()),
+                      grid=single_landmark_world().make_grid())
+    seen = np.sort(ids if every else ids[:1])
+    slot = np.argsort(ids)[seen - 1]
+    truth = spots[slot] + rng.normal(0.0, 0.05, (len(seen), 2))
+    true_pose = pose + rng.normal(0.0, 0.05, 3)
+    d = truth - true_pose[:2]
+    z = Observation(ids=np.concatenate([[0], seen]),
+                    ranges=np.concatenate([[1.0], np.hypot(d[:, 0], d[:, 1])]),
+                    bearings=np.concatenate([[0.0], wrap_pi(
+                        np.arctan2(d[:, 1], d[:, 0]) - true_pose[2])]),
+                    ray_angles=np.zeros(0), ray_distances=np.zeros(0),
+                    ray_hits=np.zeros(0, dtype=bool),
+                    range_sigma=sigmas[0], bearing_sigma=sigmas[1])
+    return state, z
+
+
 def single_landmark_world():
     return World(landmarks={1: np.array([2.0, 1.0])}, obstacles=(),
                  grid_resolution=0.5, grid_origin=np.array([-1.0, -1.0]),
@@ -387,6 +466,82 @@ class TestCorrect:
         assert np.array_equal(a.state.cov, b.state.cov)
 
 
+    # the forward error of a linear solve in S is bounded by cond2(S) eps;
+    # the compact path and the dense oracle stay within 16 times that
+    @pytest.mark.parametrize("n_landmarks", [1, 3, 12, 40])
+    def test_matches_dense_oracle(self, n_landmarks):
+        eps = np.finfo(float).eps
+        skipped = 0
+        for seed in range(10):
+            for every in (False, True):
+                # (0, 0) puts both variances at the 1e-12 floor
+                for sigmas in ((0.05, 0.01), (0.0, 0.0)):
+                    for rank in (None, 1):
+                        rng = np.random.default_rng([seed, n_landmarks])
+                        state, z = seeded_filter_case(rng, n_landmarks, every,
+                                                      sigmas, rank)
+                        before = (state.mean.copy(), state.cov.copy())
+                        result = correct(state, z)
+                        oracle, condition = correct_oracle(state, z)
+                        assert result.skipped == (oracle is None), condition
+                        if oracle is None:
+                            skipped += 1
+                            assert np.array_equal(result.state.mean, before[0])
+                            assert np.array_equal(result.state.cov, before[1])
+                            continue
+                        tol = 16 * eps * condition
+                        scale = np.abs(state.mean).max()
+                        assert (np.abs(result.state.mean - oracle[0]).max()
+                                <= tol * scale)
+                        assert (np.abs(result.state.cov - oracle[1]).max()
+                                <= tol * np.abs(state.cov).max())
+                        assert np.array_equal(result.state.cov,
+                                              result.state.cov.T)
+        # a rank-1 covariance seen through every landmark at the floor
+        assert skipped >= 10
+
+    def test_compact_jacobian_scatters_to_dense_oracle(self):
+        rng = np.random.default_rng(11)
+        for n_landmarks in (1, 3, 12, 40):
+            for every in (False, True):
+                state, z = seeded_filter_case(rng, n_landmarks, every,
+                                              (0.05, 0.01))
+                match = z.ids[:, None] == np.asarray(state.landmark_ids)
+                slots = match.argmax(axis=1)[match.any(axis=1)]
+                J, columns, predicted = slam._measurement_jacobian(state.mean,
+                                                                   slots)
+                H, oracle_predicted = jacobian_oracle(state.mean, slots)
+                dense = np.zeros_like(H)
+                dense[:, columns] = J
+                assert J.shape == (2 * len(slots), 3 + 2 * len(slots))
+                assert np.array_equal(dense, H)
+                assert np.array_equal(predicted, oracle_predicted)
+
+    def test_singular_innovation_skips_and_is_logged(self):
+        # only the pose's x is uncertain and the landmark lies dead ahead,
+        # so S = diag(10 + 1e-12, 1e-12) at the variance floor: cond > 1e12
+        state = seeded_state_with_landmark([0.0, 0.0, 0.0], [2.0, 0.0],
+                                           np.diag([10.0, 0.0, 0.0]))
+        world = World(landmarks={1: np.array([2.0, 0.0])}, obstacles=(),
+                      grid_resolution=0.5, grid_origin=np.array([-1.0, -1.0]),
+                      grid_width=10, grid_height=10)
+        z = observe(np.array([0.1, 0.0, 0.0]), world, SENSOR_EXACT,
+                    np.random.default_rng(0))
+        result = correct(state, z)
+        assert result.skipped
+        assert result.reason == "innovation covariance singular"
+        assert result.moved_ids == ()
+        assert np.array_equal(result.state.mean, state.mean)
+        assert np.array_equal(result.state.cov, state.cov)
+        # in a run: the landmark enters at step 0 carrying the pose's x
+        # variance; at step 1 the range sees their difference, variance 10,
+        # and the bearing only the floor
+        log = simulate(world, [MotionInput(0.0, 0.0, 1.0)] * 2, SENSOR_EXACT,
+                       process=ProcessNoise(x=10.0), seed=0)
+        assert [s.events for s in log.steps] == [
+            (), ("correction-skipped: innovation covariance singular",)]
+
+
 class TestUpdateMap:
     def test_empty_observation_is_noop(self):
         state = initial_state([0.0, 0.0, 0.0], desk_world())
@@ -607,13 +762,23 @@ class TestSimulate:
             wins += slam_err < dr_err
         assert wins >= 9
 
-    def test_covariance_stays_psd(self):
+    def test_covariance_stays_psd(self, monkeypatch):
+        # every state a step ends in is the one update_map returns
+        minima = []
+
+        def spy(state, z):
+            result = update_map(state, z)
+            minima.append(np.linalg.eigvalsh(result.state.cov).min())
+            return result
+
+        monkeypatch.setattr(slam, "update_map", spy)
         sensor = SensorConfig(max_range=5.0, range_sigma=0.05,
                               bearing_sigma=0.01, n_rays=0)
         log = simulate(desk_world(), loop_script(), sensor,
                        odometry=OdometryNoise(0.05, 0.03),
                        process=ProcessNoise(0.001, 0.001, 0.0005), seed=5)
-        assert min(s.min_cov_eigenvalue for s in log.steps) >= -1e-12
+        assert len(minima) == len(log.steps)
+        assert min(minima) >= -1e-12
 
     def test_heading_always_wrapped(self):
         log = simulate(desk_world(), loop_script(),
