@@ -24,8 +24,8 @@ from .lptau import lp_tau
 from .mobility import MechanismGraph, MobilityResult, mobility, rationality_report
 from .search import (FeasibilityLimits, ParamBox, SamplingTable,
                      filter_feasible, pareto_filter, scan)
-from .synthesis import (LinearSystem, LineTarget, SynthesisSolution, assemble,
-                        reduced_objective, residual_delta, solve)
+from .synthesis import (LineTarget, SynthesisSolution, reduced_objective,
+                        residual_delta, solve)
 
 __all__ = [
     "ArcCheck", "FourBarParams", "GaitMetrics", "Sweep", "arc_check",
@@ -35,6 +35,6 @@ __all__ = [
     "MechanismGraph", "MobilityResult", "mobility", "rationality_report",
     "FeasibilityLimits", "ParamBox", "SamplingTable", "filter_feasible",
     "pareto_filter", "scan",
-    "LinearSystem", "LineTarget", "SynthesisSolution", "assemble",
-    "reduced_objective", "residual_delta", "solve",
+    "LineTarget", "SynthesisSolution", "reduced_objective", "residual_delta",
+    "solve",
 ]

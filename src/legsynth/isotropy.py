@@ -177,35 +177,39 @@ def u_values(config):
     ])
 
 
+def _residuals(M, u):
+    """Isotropy residuals from the stance product M = J_inv^T J_inv and
+    the rotational couplings u."""
+    u_gap = float(np.max(np.abs(u[:, None] - u[None, :])))
+    return np.array([M[0, 0] - M[1, 1], M[1, 1] - M[2, 2],
+                     2.0 * M[0, 1], M[0, 2], M[1, 2], u_gap])
+
+
 def isotropy_residuals(config):
     """Six scalars that vanish exactly at an isotropic configuration.
 
-    The three diagonal sums of (J_inv)^T J_inv must be equal (their two
-    differences are residuals 1 and 2, eliminating the free isotropy
-    scalar), the three off-diagonal sums must vanish (residuals 3 to 5),
-    and the per-leg rotational couplings u_i must agree (residual 6, the
-    max pairwise gap).  The rotational diagonal and couplings use the
-    matrix-consistent (r_O / L) scaling.
+    The three diagonal entries of M = (J_inv)^T J_inv must be equal (their
+    two differences are residuals 1 and 2, eliminating the free isotropy
+    scalar), the three off-diagonal entries must vanish (residuals 3 to 5,
+    the first as 2 M_01, the sum of sin(2 (theta + alpha + beta)) / sin^2
+    beta over the legs), and the per-leg rotational couplings u_i must
+    agree (residual 6, the max pairwise gap).
     """
-    sines = _leg_sines(config)
-    theta, L = config.heading, config.char_length
-    total = np.array([theta + leg.leg_angle + leg.beta for leg in config.legs])
-    swing = np.array([leg.leg_angle + leg.beta - leg.mount_angle
-                      for leg in config.legs])
-    radius = np.array([leg.mount_radius for leg in config.legs])
-    s2 = sines * sines
+    J_inv = inverse_jacobian(config)
+    return _residuals(J_inv.T @ J_inv, u_values(config))
 
-    diag_x = np.sum(np.cos(total) ** 2 / s2)
-    diag_y = np.sum(np.sin(total) ** 2 / s2)
-    diag_rot = np.sum((radius / L) ** 2 * np.sin(swing) ** 2 / s2)
-    cross_xy = np.sum(np.sin(2.0 * total) / s2)
-    cross_xr = np.sum((radius / L) * np.cos(total) * np.sin(swing) / s2)
-    cross_yr = np.sum((radius / L) * np.sin(total) * np.sin(swing) / s2)
 
-    u = u_values(config)
-    u_gap = float(np.max(np.abs(u[:, None] - u[None, :])))
-    return np.array([diag_x - diag_y, diag_y - diag_rot,
-                     cross_xy, cross_xr, cross_yr, u_gap])
+def _isotropy(J_inv, tol):
+    """(flag, lambda, condition, M) of is_isotropic for a built J_inv."""
+    M = J_inv.T @ J_inv
+    scale = np.linalg.norm(M)
+    off = np.abs(M - np.diag(np.diag(M))).max()
+    diag = np.diag(M)
+    spread = diag.max() - diag.min()
+    flag = bool(off <= tol * scale and spread <= tol * scale)
+    lam = float(1.0 / np.sqrt(diag.mean()))
+    condition = float(np.linalg.cond(J_inv, 2))
+    return flag, lam, condition, M
 
 
 def is_isotropic(config, tol=1e-8):
@@ -216,24 +220,16 @@ def is_isotropic(config, tol=1e-8):
     the same measure.  lambda = 1/sqrt(mean diagonal); the 2-norm
     condition number of J_inv (exactly 1 at isotropy) is also returned.
     """
-    J_inv = inverse_jacobian(config)
-    M = J_inv.T @ J_inv
-    scale = np.linalg.norm(M)
-    off = np.abs(M - np.diag(np.diag(M))).max()
-    diag = np.diag(M)
-    spread = diag.max() - diag.min()
-    flag = bool(off <= tol * scale and spread <= tol * scale)
-    lam = float(1.0 / np.sqrt(diag.mean()))
-    condition = float(np.linalg.cond(J_inv, 2))
-    return flag, lam, condition
+    return _isotropy(inverse_jacobian(config), tol)[:3]
 
 
 def isotropy_report(config, tol=1e-8):
-    """Bundle residuals, isotropy flag, scalar and condition number."""
-    flag, lam, condition = is_isotropic(config, tol)
-    return IsotropyReport(residuals=isotropy_residuals(config),
-                          isotropic=flag, lam=lam,
-                          u_values=u_values(config), condition=condition)
+    """Bundle residuals, isotropy flag, scalar and condition number, from
+    one inverse Jacobian."""
+    flag, lam, condition, M = _isotropy(inverse_jacobian(config), tol)
+    u = u_values(config)
+    return IsotropyReport(residuals=_residuals(M, u), isotropic=flag,
+                          lam=lam, u_values=u, condition=condition)
 
 
 def closed_form_family(alpha1, gamma1, beta, char_length=1.0,

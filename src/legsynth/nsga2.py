@@ -359,10 +359,9 @@ def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1,
 
     def evaluate(genomes):
         params = FourBarParams(*genomes[:, :5].T, branch=branch)
-        pinned = None
-        if coupler == "explicit":
-            pinned = {0: genomes[:, 5], 1: genomes[:, 6]}
-        result = reduced_objective(params, count, pinned=pinned)
+        result = reduced_objective(
+            params, count,
+            genomes[:, 5:7] if coupler == "explicit" else None)
         F = np.column_stack([result.delta0, -result.mu_min])
         F[result.arc.violation > 0] = OBJECTIVE_SENTINEL
         return F, result.arc.violation

@@ -2,18 +2,19 @@
 
 Given a crank sweep of the four-bar, the coupler-point location (x_E, y_E)
 and the straight target line (start point plus direction-times-length
-vector) enter the trajectory error quadratically.  Their least-squares
-optimum therefore solves a 6x6 linear system assembled from sweep means,
-and the value of the error at that optimum is the reduced objective: a
-function of the five nonlinear linkage parameters only, which the outer
-quasi-random search minimizes.
+vector) enter the trajectory error linearly.  Written in complex numbers,
+their least-squares optimum is a closed-form projection: fitting the line
+basis {1, k} out of the sweep leaves one complex unknown, the coupler
+point, which is a ratio of two sweep means (variable projection, Golub
+and Pereyra 1973).  The error at that optimum is the reduced objective:
+a function of the five nonlinear linkage parameters only, which the
+outer quasi-random search minimizes.
 
 The error is the mean (not the bare sum) of squared deviations over the
-sweep samples, so the normal-equation blocks and the error share one
-normalization.  Every function here also takes a batch of designs as
-stacked arrays; reduced_objective, which sweeps, assembles and solves a
-batch in bounded chunks, is the one evaluation kernel of the scan,
-NSGA-II and the CLI.
+sweep samples.  Every function here also takes a batch of designs as
+stacked arrays; reduced_objective, which sweeps and solves a batch in
+bounded chunks, is the one evaluation kernel of the scan, NSGA-II and
+the CLI.
 """
 
 from dataclasses import dataclass
@@ -22,8 +23,9 @@ import numpy as np
 
 from .fourbar import ArcCheck, _sampled, arc_check
 
-# Condition number of the normal matrix above which the minimum-norm
-# least-squares path is taken and the solution counts as rank-deficient.
+# Variance-inflation factor of the coupler point above which the
+# minimum-norm solution is taken and the solution counts as
+# rank-deficient.
 RANK_DEFICIENCY_COND = 1e10
 
 # Sample angles reduced_objective evaluates at once (512 designs of 24
@@ -33,7 +35,7 @@ CHUNK_ANGLES = 512 * 24
 
 
 class InvalidSystemError(ValueError):
-    """The assembled normal equations contain non-finite entries."""
+    """The sweep or the given coupler point has non-finite entries."""
 
 
 @dataclass(frozen=True)
@@ -55,28 +57,13 @@ class LineTarget:
 
 
 @dataclass(frozen=True)
-class LinearSystem:
-    """Normal equations of the mean-square trajectory error.
-
-    matrix is symmetric 6x6, rhs the 6-vector of sweep means, constant the
-    error value at the zero unknown vector (mean squared B magnitude); the
-    error is constant - 2 rhs.x + x.matrix.x for any unknown vector x.
-    A stack of systems has a leading axis on all three.
-    """
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    constant: float
-
-
-@dataclass(frozen=True)
 class SynthesisSolution:
     """Solved unknowns and the residual error of the inner stage.
 
     x packs (coupler_x, coupler_y, line_x0, line_y0, line_span_x,
-    line_span_y) in that order; a stack of systems has a leading axis on
-    x, delta and condition.  A condition above RANK_DEFICIENCY_COND marks
-    a rank-deficient system, solved in the minimum-norm sense.
+    line_span_y) in that order; a batch sweep adds a leading axis to x,
+    delta and condition.  A condition above RANK_DEFICIENCY_COND marks a
+    rank-deficient design, solved in the minimum-norm sense.
     """
 
     x: np.ndarray
@@ -99,131 +86,108 @@ class ReducedObjective:
     arc: ArcCheck
 
 
-def assemble(sweep):
-    """Build the 6x6 normal equations from a sweep (a stack of them for a
-    batch sweep)."""
-    beta, B, k = sweep.beta, sweep.B, sweep.fractions
-    c, s = np.cos(beta), np.sin(beta)
-    XB, YB = B[..., 0], B[..., 1]
+def _line_fit(f, k):
+    """Least-squares line w0 + w1 k through each row of f: w0, w1 and the
+    residual f - w0 - w1 k.
 
-    mc, ms = c.mean(axis=-1), s.mean(axis=-1)
-    mkc, mks = (k * c).mean(axis=-1), (k * s).mean(axis=-1)
-    mk2 = (k * k).mean()
-
-    # the 2x2 blocks as the last two axes of each system
-    A1 = np.moveaxis(np.array([[-mc, -ms], [ms, -mc]]), (0, 1), (-2, -1))
-    A2 = np.moveaxis(np.array([[-mkc, -mks], [mks, -mkc]]), (0, 1), (-2, -1))
-    eye2 = np.eye(2)
-
-    A = np.zeros(mc.shape + (6, 6))
-    A[..., 0:2, 0:2] = eye2
-    A[..., 2:4, 2:4] = eye2
-    A[..., 4:6, 4:6] = mk2 * eye2
-    A[..., 0:2, 2:4] = A1
-    A[..., 2:4, 0:2] = np.swapaxes(A1, -1, -2)
-    A[..., 0:2, 4:6] = A2
-    A[..., 4:6, 0:2] = np.swapaxes(A2, -1, -2)
-    A[..., 2:4, 4:6] = 0.5 * eye2
-    A[..., 4:6, 2:4] = 0.5 * eye2
-
-    b = np.stack([
-        -(XB * c + YB * s).mean(axis=-1),
-        (XB * s - YB * c).mean(axis=-1),
-        XB.mean(axis=-1),
-        YB.mean(axis=-1),
-        (k * XB).mean(axis=-1),
-        (k * YB).mean(axis=-1),
-    ], axis=-1)
-    constant = (XB * XB + YB * YB).mean(axis=-1)
-    return LinearSystem(matrix=A, rhs=b, constant=constant)
-
-
-def solve(system, pinned=None):
-    """Solve the normal equations, or a stack of them, optionally with
-    pinned unknowns.
-
-    pinned maps unknown indices (0..5) to fixed values, one number for
-    every system or one per system; the remaining coordinates are solved
-    from the correspondingly reduced system.  When the (reduced) matrix is
-    ill-conditioned beyond RANK_DEFICIENCY_COND the minimum-norm
-    least-squares solution is returned, one system at a time, instead of
-    failing, so degenerate sweeps (for example constant coupler angle)
-    stay usable inside an outer search.
+    Products and sums run elementwise and along the last axis, so each
+    row of a batch is fitted exactly as it would be alone.
     """
-    A, b = system.matrix, system.rhs
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise InvalidSystemError("normal equations contain non-finite entries")
-    pinned = dict(pinned or {})
-    for j, v in pinned.items():
-        if not 0 <= j < 6:
-            raise ValueError(f"pinned index {j} out of range")
-        if not np.all(np.isfinite(v)):
-            raise InvalidSystemError("pinned value is non-finite")
+    kc = k - k.mean()
+    w1 = (f * kc).mean(axis=-1) / (kc * kc).mean()
+    mean = f.mean(axis=-1)
+    return mean - w1 * k.mean(), w1, f - mean[..., None] - w1[..., None] * kc
 
-    shape = b.shape[:-1]
-    A, b = A.reshape(-1, 6, 6), b.reshape(-1, 6)
-    free = [j for j in range(6) if j not in pinned]
-    x = np.zeros(b.shape)
-    for j, v in pinned.items():
-        x[:, j] = np.ravel(v)
 
-    condition = np.ones(len(b))
-    if free:
-        Aff = A[:, free][:, :, free]
-        rhs = b[:, free]
-        if pinned:
-            fixed = sorted(pinned)
-            # contiguous operands take the same matmul path in any batch
-            coupling = np.ascontiguousarray(A[:, free][:, :, fixed])
-            known = np.ascontiguousarray(x[:, fixed, None])
-            rhs = rhs - (coupling @ known)[..., 0]
-        condition = np.linalg.cond(Aff)
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def solve(sweep, coupler=None):
+    """Least-squares coupler point and target line of a sweep (or a batch
+    sweep), in closed form.
+
+    In complex numbers the error is mean|b + e z - w0 - w1 k|^2 over the
+    samples, with b the joint B, e = exp(i beta), z the coupler point and
+    w0 + w1 k the target line.  Projecting the line basis {1, k} out of
+    b and e (tilde) leaves mean|b~ + e~ z|^2, minimized by
+    z = -mean(conj(e~) b~) / P with P = mean|e~|^2 <= 1; the line is then
+    the fit of b + e z, and delta is residual_delta at x.  condition is
+    1 / P, the variance-inflation factor of the coupler point.  Above
+    RANK_DEFICIENCY_COND, e counts as lying on the line basis: every z
+    fits equally well, and the minimum-norm solution is returned, so
+    degenerate sweeps (for example constant coupler angle) stay usable
+    inside an outer search.
+
+    coupler, when given, fixes the coupler point of every design (shape
+    (2,), or (rows, 2) for a batch); only the line is solved, and
+    condition is 1.
+    """
+    B, beta, k = sweep.B, sweep.beta, sweep.fractions
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(beta))):
+        raise InvalidSystemError("sweep contains non-finite entries")
+    a0, a1, e_res = _line_fit(np.cos(beta) + 1j * np.sin(beta), k)
+    b0, b1, b_res = _line_fit(B[..., 0] + 1j * B[..., 1], k)
+    if coupler is None:
+        power = _abs2(e_res).mean(axis=-1)
+        with np.errstate(divide="ignore"):
+            condition = 1.0 / power
         deficient = ~(condition <= RANK_DEFICIENCY_COND)
-        xf = np.empty(rhs.shape)
-        xf[~deficient] = np.linalg.solve(Aff[~deficient],
-                                         rhs[~deficient, :, None])[..., 0]
-        for i in np.flatnonzero(deficient):
-            xf[i] = np.linalg.lstsq(Aff[i], rhs[i], rcond=None)[0]
-        x[:, free] = xf
-
-    # batched matmul, not einsum: it sums in the same order as the
-    # single-system products, so a batch row matches its own solve
-    delta = (np.reshape(system.constant, -1)
-             - (2.0 * b[:, None, :] @ x[:, :, None])[:, 0, 0]
-             + (x[:, None, :] @ A @ x[:, :, None])[:, 0, 0])
-    return SynthesisSolution(x=x.reshape(shape + (6,)),
-                             delta=np.maximum(delta, 0.0).reshape(shape)[()],
-                             condition=condition.reshape(shape)[()])
+        # e = a0 + a1 k leaves z free; the norm |z|^2 + |b0 + a0 z|^2
+        # + |b1 + a1 z|^2 of the solution is least at this z
+        least_norm = -((a0.conjugate() * b0 + a1.conjugate() * b1)
+                       / (1.0 + _abs2(a0) + _abs2(a1)))
+        z = np.where(deficient, least_norm,
+                     -(e_res.conjugate() * b_res).mean(axis=-1)
+                     / np.where(deficient, 1.0, power))
+    else:
+        coupler = np.asarray(coupler, dtype=float)
+        if coupler.shape != b0.shape + (2,):
+            raise ValueError(f"coupler has shape {coupler.shape}, "
+                             f"expected {b0.shape + (2,)}")
+        if not np.all(np.isfinite(coupler)):
+            raise InvalidSystemError("coupler point is non-finite")
+        z = coupler[..., 0] + 1j * coupler[..., 1]
+        condition = np.ones(b0.shape)
+    w0, w1 = b0 + a0 * z, b1 + a1 * z
+    x = np.stack([z.real, z.imag, w0.real, w0.imag, w1.real, w1.imag],
+                 axis=-1)
+    return SynthesisSolution(x=x, delta=residual_delta(sweep, x),
+                             condition=condition[()])
 
 
 def residual_delta(sweep, x):
-    """Mean squared trajectory deviation of one design's sweep for an
-    arbitrary unknown vector.
+    """Mean squared trajectory deviation of a sweep for arbitrary unknown
+    vectors: one design and a 6-vector, or a batch and a (rows, 6) array.
 
-    Evaluates the error directly from the sweep samples (independent of
-    the assembled normal equations), which makes it the cross-check path
-    for the quadratic shortcut used in solve().
+    Evaluates the error directly from the sweep samples and the six real
+    unknowns, independent of the projection; solve() reports it at its
+    own solution.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)[..., None]
     B, k = sweep.B, sweep.fractions
     c, s = np.cos(sweep.beta), np.sin(sweep.beta)
-    u = B[:, 0] + x[0] * c - x[1] * s - x[2] - x[4] * k
-    v = B[:, 1] + x[0] * s + x[1] * c - x[3] - x[5] * k
-    return float(np.mean(u * u + v * v))
+    u = B[..., 0] + x[..., 0, :] * c - x[..., 1, :] * s - x[..., 2, :] \
+        - x[..., 4, :] * k
+    v = B[..., 1] + x[..., 0, :] * s + x[..., 1, :] * c - x[..., 3, :] \
+        - x[..., 5, :] * k
+    return np.mean(u * u + v * v, axis=-1)
 
 
-def reduced_objective(params, count, pinned=None):
-    """Check, sweep, assemble and solve each design of a batch; the
-    residual is the outer objective.
+def reduced_objective(params, count, coupler=None):
+    """Check, sweep and solve each design of a batch; the residual is the
+    outer objective.
 
-    One design counts as a batch of one.  pinned is as for solve, with
-    arrays of one value per design.  Only the designs that arc_check
-    accepts are swept, in chunks of CHUNK_ANGLES sample angles, and
-    solved; outer searches take arc.violation as the constraint violation.
+    One design counts as a batch of one.  coupler, when given, is a
+    (rows, 2) array of fixed coupler points, as for solve.  Only the
+    designs that arc_check accepts are swept, in chunks of CHUNK_ANGLES
+    sample angles, and solved; outer searches take arc.violation as the
+    constraint violation.
     """
     rows = np.size(params.crank)
-    pinned = {j: np.broadcast_to(v, (rows,))
-              for j, v in (pinned or {}).items()}
+    if coupler is not None and np.shape(coupler) != (rows, 2):
+        raise ValueError(f"coupler has shape {np.shape(coupler)}, "
+                         f"expected {(rows, 2)}")
     delta0 = np.full(rows, np.inf)
     x = np.full((rows, 6), np.nan)
     condition = np.full(rows, np.nan)
@@ -233,8 +197,8 @@ def reduced_objective(params, count, pinned=None):
     step = max(1, CHUNK_ANGLES // count)
     for start in range(0, len(feasible), step):
         part = feasible[start:start + step]
-        solution = solve(assemble(_sampled(params.take(part), count)),
-                         pinned={j: v[part] for j, v in pinned.items()})
+        solution = solve(_sampled(params.take(part), count),
+                         None if coupler is None else np.asarray(coupler)[part])
         delta0[part] = solution.delta
         x[part] = solution.x
         condition[part] = solution.condition

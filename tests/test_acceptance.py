@@ -29,8 +29,8 @@ from legsynth.slam import (MotionInput, NoPathError, OccupancyGrid,
                            OdometryNoise, ProcessNoise, SensorConfig,
                            desk_world, loop_script, path_cost, plan_path,
                            simulate, update_map)
-from legsynth.synthesis import (RANK_DEFICIENCY_COND, assemble,
-                                residual_delta, solve)
+from legsynth.synthesis import RANK_DEFICIENCY_COND, residual_delta, solve
+from test_synthesis import assemble, solve_oracle
 
 
 def report(criterion, passed, detail):
@@ -225,7 +225,7 @@ def test_criterion_6_linear_solve_stationarity():
     worst_grad = 0.0
     for _ in range(100):
         trace = _random_sweep(rng)
-        solution = solve(assemble(trace))
+        solution = solve(trace)
         if solution.condition > RANK_DEFICIENCY_COND:
             continue
         h = 1e-6
@@ -235,10 +235,22 @@ def test_criterion_6_linear_solve_stationarity():
             g = (residual_delta(trace, solution.x + e)
                  - residual_delta(trace, solution.x - e)) / (2 * h)
             worst_grad = max(worst_grad, abs(g) / (1.0 + solution.delta))
+    # the blocks of the normal-equation oracle against finite differences
+    # of the residual, and solve() against that oracle at the tolerances
+    # of tests/test_synthesis.py::TestOracle
+    eps = np.finfo(float).eps
     worst_block = 0.0
+    worst_x = worst_delta = 0.0
     for _ in range(10):
         trace = _random_sweep(rng)
         system = assemble(trace)
+        x, delta, cond = solve_oracle(system)
+        solution = solve(trace)
+        scale = np.mean((trace.B ** 2).sum(axis=1)) + x @ x
+        worst_x = max(worst_x, np.abs(solution.x - x).max()
+                      / (eps * cond * (1.0 + np.abs(x).max())))
+        worst_delta = max(worst_delta,
+                          abs(solution.delta - delta) / (eps * scale))
         h = 0.5  # exact for a quadratic, keeps roundoff small
         grad0 = np.empty(6)
         hess = np.empty((6, 6))
@@ -267,10 +279,14 @@ def test_criterion_6_linear_solve_stationarity():
         worst_block = max(worst_block,
                           np.abs(0.5 * hess - system.matrix).max(),
                           np.abs(-0.5 * grad0 - system.rhs).max())
-    ok = worst_grad <= 1e-8 and worst_block <= 1e-10
+    ok = (worst_grad <= 1e-8 and worst_block <= 1e-10
+          and worst_x <= 16 and worst_delta <= 16)
     report(6, ok, f"gradient at optimum: max scaled infinity-norm "
                   f"{worst_grad:.1e} (<= 1e-8); normal-equation blocks vs "
-                  f"finite differences: {worst_block:.1e} (<= 1e-10)")
+                  f"finite differences: {worst_block:.1e} (<= 1e-10); "
+                  f"closed form vs normal equations: x {worst_x:.2f} eps "
+                  f"cond (1 + |x|), delta {worst_delta:.2f} eps "
+                  f"(mean|B|^2 + |x|^2) (both <= 16)")
 
 
 def test_criterion_7_mobility_fixtures():

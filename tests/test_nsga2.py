@@ -8,7 +8,7 @@ from legsynth.nsga2 import (GAConfig, OBJECTIVE_SENTINEL, Problem,
                             fast_nondominated_sort, hypervolume_2d,
                             leg_problem)
 from legsynth.search import ParamBox
-from legsynth.synthesis import LineTarget, assemble, solve
+from legsynth.synthesis import LineTarget, solve
 
 HOEKEN_GENOME = np.array([0.5, 1.25, 1.25, np.radians(65.0),
                           np.radians(221.0)])
@@ -349,7 +349,7 @@ class TestLegProblem:
             params = FourBarParams(*genome)
             count = 24
             trace = sweep(params, count)
-            solution = solve(assemble(trace))
+            solution = solve(trace)
             path = coupler_path(trace, solution.x[:2])
             targets = LineTarget(*solution.x[2:]).points(trace.fractions)
             direct = np.mean(((path - targets) ** 2).sum(axis=1))

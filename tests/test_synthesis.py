@@ -1,15 +1,18 @@
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from legsynth import synthesis
+from legsynth import search, synthesis
 from legsynth.fourbar import (DegenerateConfigurationError, FourBarParams,
-                              NotAssemblableError, arc_check, coupler_path,
-                              sweep)
+                              NotAssemblableError, _sampled, arc_check,
+                              coupler_path, sweep)
+from legsynth.lptau import lp_tau
 from legsynth.synthesis import (RANK_DEFICIENCY_COND, InvalidSystemError,
-                                LinearSystem, LineTarget, assemble,
                                 reduced_objective, residual_delta, solve)
+
+EPS = np.finfo(float).eps
 
 # crank-rocker straight-line proportions; the coupler midpoint extension
 # traces a near-straight segment while the crank sweeps the far side
@@ -22,6 +25,82 @@ PARALLELOGRAM = FourBarParams(crank=0.4, coupler=1.0, rocker=0.4,
 
 def hoeken_sweep(count=32):
     return sweep(HOEKEN, count)
+
+
+# The oracle: the six real unknowns' 6x6 normal equations, solved with an
+# SVD condition number, a batched solve and a per-row minimum-norm lstsq
+# fallback, with the error from the quadratic shortcut.  solve() must
+# agree with it (TestOracle); the finite-difference test below anchors it
+# to residual_delta.
+LinearSystem = namedtuple("LinearSystem", "matrix rhs constant")
+
+
+def assemble(sweep):
+    """The 6x6 normal equations of a sweep (a stack for a batch sweep)."""
+    beta, B, k = sweep.beta, sweep.B, sweep.fractions
+    c, s = np.cos(beta), np.sin(beta)
+    XB, YB = B[..., 0], B[..., 1]
+
+    mc, ms = c.mean(axis=-1), s.mean(axis=-1)
+    mkc, mks = (k * c).mean(axis=-1), (k * s).mean(axis=-1)
+    mk2 = (k * k).mean()
+
+    A1 = np.moveaxis(np.array([[-mc, -ms], [ms, -mc]]), (0, 1), (-2, -1))
+    A2 = np.moveaxis(np.array([[-mkc, -mks], [mks, -mkc]]), (0, 1), (-2, -1))
+    eye2 = np.eye(2)
+
+    A = np.zeros(mc.shape + (6, 6))
+    A[..., 0:2, 0:2] = eye2
+    A[..., 2:4, 2:4] = eye2
+    A[..., 4:6, 4:6] = mk2 * eye2
+    A[..., 0:2, 2:4] = A1
+    A[..., 2:4, 0:2] = np.swapaxes(A1, -1, -2)
+    A[..., 0:2, 4:6] = A2
+    A[..., 4:6, 0:2] = np.swapaxes(A2, -1, -2)
+    A[..., 2:4, 4:6] = 0.5 * eye2
+    A[..., 4:6, 2:4] = 0.5 * eye2
+
+    b = np.stack([
+        -(XB * c + YB * s).mean(axis=-1),
+        (XB * s - YB * c).mean(axis=-1),
+        XB.mean(axis=-1),
+        YB.mean(axis=-1),
+        (k * XB).mean(axis=-1),
+        (k * YB).mean(axis=-1),
+    ], axis=-1)
+    constant = (XB * XB + YB * YB).mean(axis=-1)
+    return LinearSystem(matrix=A, rhs=b, constant=constant)
+
+
+def solve_oracle(system, pinned=None):
+    """Solve the normal equations, or a stack of them; pinned maps unknown
+    indices to one value per system.  Returns (x, delta, condition)."""
+    A, b = system.matrix, system.rhs
+    pinned = dict(pinned or {})
+    shape = b.shape[:-1]
+    A, b = A.reshape(-1, 6, 6), b.reshape(-1, 6)
+    free = [j for j in range(6) if j not in pinned]
+    x = np.zeros(b.shape)
+    for j, v in pinned.items():
+        x[:, j] = np.ravel(v)
+    Aff = A[:, free][:, :, free]
+    rhs = b[:, free]
+    if pinned:
+        fixed = sorted(pinned)
+        rhs = rhs - (A[:, free][:, :, fixed] @ x[:, fixed, None])[..., 0]
+    condition = np.linalg.cond(Aff)
+    deficient = ~(condition <= RANK_DEFICIENCY_COND)
+    xf = np.empty(rhs.shape)
+    xf[~deficient] = np.linalg.solve(Aff[~deficient],
+                                     rhs[~deficient, :, None])[..., 0]
+    for i in np.flatnonzero(deficient):
+        xf[i] = np.linalg.lstsq(Aff[i], rhs[i], rcond=None)[0]
+    x[:, free] = xf
+    delta = (np.reshape(system.constant, -1)
+             - (2.0 * b[:, None, :] @ x[:, :, None])[:, 0, 0]
+             + (x[:, None, :] @ A @ x[:, :, None])[:, 0, 0])
+    return (x.reshape(shape + (6,)), np.maximum(delta, 0.0).reshape(shape),
+            condition.reshape(shape))
 
 
 class TestAssemble:
@@ -86,7 +165,7 @@ class TestAssemble:
 
 class TestSolve:
     def test_parallelogram_is_rank_deficient(self):
-        solution = solve(assemble(sweep(PARALLELOGRAM, 12)))
+        solution = solve(sweep(PARALLELOGRAM, 12))
         assert solution.condition > RANK_DEFICIENCY_COND
         assert np.isfinite(solution.delta)
 
@@ -106,40 +185,62 @@ class TestSolve:
                 delta = (rx[0] + ry[0]) / len(k)
                 best = min(best, delta)
         assert best <= 1e-4  # the grid already exposes a small-error optimum
-        solution = solve(assemble(trace))
+        solution = solve(trace)
         assert solution.delta <= best + 1e-12
         assert solution.delta <= 1e-4
 
     def test_zero_rhs_gives_zero_solution(self):
-        trace = hoeken_sweep(8)
-        system = assemble(trace)
-        homogeneous = LinearSystem(matrix=system.matrix,
-                                   rhs=np.zeros(6),
-                                   constant=system.constant)
-        solution = solve(homogeneous)
+        # B at the origin throughout: every normal-equation mean of B (the
+        # right-hand side) vanishes, and so does the best fit
+        trace = replace(hoeken_sweep(8), B=np.zeros((8, 2)))
+        solution = solve(trace)
         assert np.allclose(solution.x, 0.0, atol=1e-12)
-        assert abs(solution.delta - np.mean((trace.B ** 2).sum(axis=1))) < 1e-12
+        assert solution.delta == 0.0
 
     def test_rejects_non_finite(self):
-        bad = LinearSystem(matrix=np.full((6, 6), np.nan), rhs=np.zeros(6),
-                           constant=0.0)
+        trace = hoeken_sweep(8)
+        B = trace.B.copy()
+        B[3, 1] = np.nan
         with pytest.raises(InvalidSystemError):
-            solve(bad)
+            solve(replace(trace, B=B))
+        with pytest.raises(InvalidSystemError):
+            solve(replace(trace, beta=np.full(8, np.inf)))
 
     def test_pinned_unknowns_respected(self):
         trace = hoeken_sweep(16)
-        system = assemble(trace)
-        pinned = {0: 2.5, 1: 0.1}
-        solution = solve(system, pinned=pinned)
+        solution = solve(trace, coupler=(2.5, 0.1))
         assert solution.x[0] == 2.5 and solution.x[1] == 0.1
-        free = solve(system)
+        assert solution.condition == 1.0
+        free = solve(trace)
         assert free.delta <= solution.delta + 1e-15
+
+    def test_coupler_shape_and_values_checked(self):
+        trace = hoeken_sweep(16)
+        batch = _sampled(HOEKEN.take(np.zeros(3, dtype=int)), 16)
+        for coupler in [(1.0, 2.0, 3.0), np.ones((1, 2))]:
+            with pytest.raises(ValueError, match="coupler has shape"):
+                solve(trace, coupler=coupler)
+        for coupler in [np.ones(2), np.ones((2, 2)), np.ones((3, 1))]:
+            with pytest.raises(ValueError, match="coupler has shape"):
+                solve(batch, coupler=coupler)
+        with pytest.raises(ValueError, match="coupler has shape"):
+            reduced_objective(HOEKEN, 16, coupler=np.ones(2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidSystemError):
+                solve(trace, coupler=(bad, 0.0))
+            coupler = np.ones((3, 2))
+            coupler[1, 1] = bad
+            with pytest.raises(InvalidSystemError):
+                solve(batch, coupler=coupler)
+            with pytest.raises(InvalidSystemError):
+                reduced_objective(HOEKEN, 16, coupler=coupler[1:2])
+        solve(batch, coupler=np.ones((3, 2)))
 
 
 class TestResidual:
     def test_stationary_at_solution(self):
         trace = hoeken_sweep(24)
-        solution = solve(assemble(trace))
+        solution = solve(trace)
         h = 1e-6
         worst = 0.0
         for j in range(6):
@@ -152,7 +253,7 @@ class TestResidual:
 
     def test_perturbation_increases_error(self):
         trace = hoeken_sweep(24)
-        solution = solve(assemble(trace))
+        solution = solve(trace)
         for j in range(6):
             e = np.zeros(6)
             e[j] = 0.1
@@ -161,7 +262,7 @@ class TestResidual:
 
     def test_dominates_random_draws(self):
         trace = hoeken_sweep(24)
-        solution = solve(assemble(trace))
+        solution = solve(trace)
         rng = np.random.default_rng(9)
         draws = rng.uniform(-3.0, 3.0, size=(1000, 6))
         for x in draws:
@@ -169,10 +270,122 @@ class TestResidual:
 
     def test_matches_quadratic_shortcut(self):
         trace = hoeken_sweep(20)
-        system = assemble(trace)
-        solution = solve(system)
+        solution = solve(trace)
         direct = residual_delta(trace, solution.x)
         assert abs(direct - solution.delta) < 1e-12
+
+
+def oracle_designs(rng, rows, branch):
+    """Seeded designs in the default box, seeded parallelograms (coupler
+    equal to the frame, rocker to the crank: constant coupler angle) and
+    near-parallelograms off by 1e-12..1e-1, and PARALLELOGRAM; rows of
+    each kind."""
+    crank = rng.uniform(0.2, 0.8, rows)
+    off = 10.0 ** rng.uniform(-12.0, -1.0, rows) * rng.choice([-1, 1], rows)
+    off[: rows // 4] = 0.0
+    designs = np.concatenate([
+        search.DEFAULT_BOX.map_unit(rng.random((rows, 5))),
+        np.column_stack([crank, 1.0 + off, crank,
+                         rng.uniform(0.0, 2.0 * np.pi, rows),
+                         rng.uniform(0.3, 1.5, rows)]),
+        [[PARALLELOGRAM.crank, PARALLELOGRAM.coupler, PARALLELOGRAM.rocker,
+          PARALLELOGRAM.start_angle, PARALLELOGRAM.support_arc]]])
+    params = FourBarParams(*designs.T, branch=branch)
+    return params.take(np.flatnonzero(arc_check(params).violation <= 0.0))
+
+
+class TestOracle:
+    """solve() against the normal-equation oracle, with tolerances from
+    the oracle's own rounding.
+
+    The oracle's delta is a shortcut that cancels terms as large as
+    mean|B|^2 + |x|^2, so the deltas agree within 16 eps of that.  Its x
+    solves a matrix of condition number cond, so the x agree within
+    16 eps cond (1 + |x|).  cond and solve()'s 1 / P measure different
+    matrices (their ratio is 4-17 here), so the deficiency decisions need
+    to agree only where cond lies outside [1e8, 1e12].  On a deficient
+    design, solve() drops the part of e off the line basis, of norm
+    sqrt(P), while lstsq truncates the normal matrix's least singular
+    pair; the minimum-norm x agree within 16 (eps + sqrt(P)) (1 + |x|)
+    and their residuals within 16 (eps + sqrt(P)) mean|B|^2.
+    """
+
+    @pytest.mark.parametrize("count", [2, 3, 5, 24, 200])
+    @pytest.mark.parametrize("branch", [+1, -1])
+    def test_matches_normal_equations(self, count, branch):
+        rng = np.random.default_rng(count + (branch > 0) * 1000)
+        trace = _sampled(oracle_designs(rng, 120, branch), count)
+        system = assemble(trace)
+        new = solve(trace)
+        x, delta, cond = solve_oracle(system)
+        scale = (trace.B ** 2).sum(axis=-1).mean(axis=-1)
+        size = 1.0 + np.abs(x).max(axis=-1)
+        dx = np.abs(new.x - x).max(axis=-1)
+
+        deficient = new.condition > RANK_DEFICIENCY_COND
+        decided = (cond < 1e8) | (cond > 1e12)
+        assert np.array_equal(deficient[decided],
+                              cond[decided] > RANK_DEFICIENCY_COND)
+
+        regular = ~deficient & (cond <= RANK_DEFICIENCY_COND)
+        assert np.all(np.abs(new.delta - delta)[regular]
+                      <= 16 * EPS * (scale + (x * x).sum(axis=-1))[regular])
+        assert np.all(dx[regular] <= 16 * EPS * (cond * size)[regular])
+
+        singular = deficient & (cond > 1e12)
+        assert singular.sum() >= 10
+        if branch > 0:
+            assert singular[-1]  # PARALLELOGRAM, the last row
+        if count > 2:
+            assert regular.sum() >= 100
+        for i in np.flatnonzero(singular):
+            least = np.linalg.lstsq(system.matrix[i], system.rhs[i],
+                                    rcond=1.0 / RANK_DEFICIENCY_COND)[0]
+            gap = 16 * (EPS + new.condition[i] ** -0.5)
+            assert np.abs(new.x[i] - least).max() \
+                <= gap * (1.0 + np.abs(least).max())
+            assert abs(new.delta[i] - residual_delta(trace.row(i), least)) \
+                <= gap * scale[i]
+
+        coupler = rng.uniform(-3.0, 3.0, (len(scale), 2))
+        given = solve(trace, coupler=coupler)
+        x, delta, cond = solve_oracle(system, {0: coupler[:, 0],
+                                               1: coupler[:, 1]})
+        assert np.array_equal(given.x[:, :2], coupler)
+        assert np.all(given.condition == 1.0)
+        assert np.all(np.abs(given.delta - delta)
+                      <= 16 * EPS * (scale + (x * x).sum(axis=-1)))
+        assert np.all(np.abs(given.x - x).max(axis=-1)
+                      <= 16 * EPS * cond * (1.0 + np.abs(x).max(axis=-1)))
+
+
+class TestDeltaIsResidual:
+    """delta0 is the mean squared deviation at the reported x, within 4
+    ulps of delta0 (solve() evaluates residual_delta itself, so rows come
+    out equal).  The normal-equation shortcut missed the default scan's
+    best row by about 3.5e4 ulps."""
+
+    def test_default_scan_and_seeded_batches(self):
+        count = search.DEFAULT_SWEEP_SAMPLES
+        points = search.DEFAULT_BOX.map_unit(lp_tau(5, 2 ** 14))
+        scan = FourBarParams(*points.T)
+        batches = [scan] + [kernel_batch(seed=seed, extra=60)[0]
+                            for seed in range(3)]
+        for params in batches:
+            result = reduced_objective(params, count)
+            rows = np.flatnonzero(result.arc.violation <= 0.0)
+            trace = _sampled(params.take(rows), count)
+            for j, i in enumerate(rows):
+                direct = residual_delta(trace.row(j), result.x[i])
+                assert abs(result.delta0[i] - direct) \
+                    <= 4 * np.spacing(result.delta0[i]), i
+            if params is scan:
+                # the best design through the public one-design sweep
+                best = np.argmin(result.delta0)
+                direct = residual_delta(sweep(scan.take(best), count),
+                                        result.x[best])
+                assert abs(result.delta0[best] - direct) \
+                    <= 4 * np.spacing(result.delta0[best])
 
 
 class TestReducedObjective:
@@ -204,21 +417,21 @@ class TestReducedObjective:
         # the target line direction is solved, so rotating the whole sweep
         # cannot change the reduced objective
         trace = hoeken_sweep(24)
-        base = solve(assemble(trace)).delta
+        base = solve(trace).delta
         angle = 0.7
         R = np.array([[np.cos(angle), -np.sin(angle)],
                       [np.sin(angle), np.cos(angle)]])
         rotated = replace(trace, B=trace.B @ R.T, C=trace.C @ R.T,
                           beta=trace.beta + angle)
-        turned = solve(assemble(rotated)).delta
+        turned = solve(rotated).delta
         assert abs(turned - base) <= 1e-12
 
     def test_scale_covariance(self):
         trace = hoeken_sweep(24)
-        solution = solve(assemble(trace))
+        solution = solve(trace)
         s = 2.5
         scaled = replace(trace, B=s * trace.B, C=s * trace.C)
-        scaled_solution = solve(assemble(scaled))
+        scaled_solution = solve(scaled)
         assert np.allclose(scaled_solution.x, s * solution.x, rtol=1e-9)
         assert np.isclose(scaled_solution.delta, s ** 2 * solution.delta,
                           rtol=1e-9)
@@ -226,7 +439,7 @@ class TestReducedObjective:
     def test_embeds_solution(self):
         result = reduced_objective(HOEKEN, 24)
         trace = hoeken_sweep(24)
-        solution = solve(assemble(trace))
+        solution = solve(trace)
         assert result.delta0[0] == solution.delta
         assert np.array_equal(result.x[0], solution.x)
         assert result.mu_min[0] == arc_check(HOEKEN).mu_min[0] \
@@ -272,8 +485,8 @@ class TestBatchKernel:
                              ids=["solved", "pinned"])
     def test_rows_match_single_designs_and_residual(self, explicit):
         params, coupler = kernel_batch()
-        pinned = {0: coupler[:, 0], 1: coupler[:, 1]} if explicit else None
-        batch = reduced_objective(params, KERNEL_COUNT, pinned=pinned)
+        given = coupler if explicit else None
+        batch = reduced_objective(params, KERNEL_COUNT, coupler=given)
         rows = len(coupler)
         assert len(batch.arc.violation) == batch.delta0.shape[0] == rows
         errors = [batch.arc.error(i) for i in range(rows)]
@@ -288,7 +501,7 @@ class TestBatchKernel:
             design = params.take(i)
             alone = reduced_objective(
                 design, KERNEL_COUNT,
-                pinned=pinned and {j: v[i] for j, v in pinned.items()})
+                coupler=None if given is None else given[i:i + 1])
             assert str(errors[i]) == str(alone.arc.error(0))
             for name in ("delta0", "x", "condition", "mu_min"):
                 np.testing.assert_array_equal(getattr(batch, name)[i],
