@@ -430,7 +430,10 @@ def update_map(state, z):
     pose estimate, with a covariance block propagated from the pose
     uncertainty and the measurement noise.  Grid cells crossed by a ray
     get the free log-odds decrement; the hit cell gets the occupied
-    increment.  Each stamp clips to +-LOG_ODDS_LIMIT, in ray order.
+    increment.  Each stamp clips to +-LOG_ODDS_LIMIT, in ray order: in a
+    chunk of rays, a cell no ray ends in only falls, so an ordered
+    np.add.at and one clip at -LOG_ODDS_LIMIT give the same bits, and a
+    cell a ray ends in has its stamps replayed one at a time.
     """
     new = state.copy()
     new.grid = replace(state.grid, log_odds=state.grid.log_odds.copy())
@@ -482,20 +485,25 @@ def update_map(state, z):
     hits = z.ray_hits[near]
     longest = np.abs(stops - origin).max(initial=0) + 1
     step = max(1, WALK_CELLS // int(longest))
+    flat = grid.log_odds.reshape(-1)    # a view of update_map's own copy
     for first in range(0, len(hits), step):
         part = slice(first, first + step)
         rows, cols, length = _walk(origin.astype(int), stops[part])
         i = np.arange(rows.shape[1])
         inside = (i < length[:, None]) & grid.contains((rows, cols))
-        occupied = hits[part, None] & (i == length[:, None] - 1)
-        increment = np.where(occupied, LOG_ODDS_OCCUPIED, LOG_ODDS_FREE)
-        # a line's cells are distinct: one clipped update per ray is exact
-        for row, col, inc, keep in zip(rows, cols, increment, inside):
-            cell = row[keep], col[keep]
-            # minimum of maximum: np.clip's bits without its Python wrapper
-            grid.log_odds[cell] = np.minimum(
-                np.maximum(grid.log_odds[cell] + inc[keep], -LOG_ODDS_LIMIT),
-                LOG_ODDS_LIMIT)
+        occupied = (hits[part, None] & (i == length[:, None] - 1))[inside]
+        # the flat cell of every stamp, in ray order
+        cell = (rows * grid.width + cols)[inside]
+        ended = np.isin(cell, cell[occupied])
+        # np.add.at adds one stamp at a time, in ray order; once the sum
+        # passes -LIMIT every later stamp would clip it back to -LIMIT
+        free = cell[~ended]
+        np.add.at(flat, free, LOG_ODDS_FREE)
+        flat[free] = np.maximum(flat[free], -LOG_ODDS_LIMIT)
+        # a cell a ray ends in rises and falls: replay its stamps
+        increment = np.where(occupied, LOG_ODDS_OCCUPIED, LOG_ODDS_FREE)[ended]
+        for c, inc in zip(cell[ended].tolist(), increment.tolist()):
+            flat[c] = min(max(flat[c] + inc, -LOG_ODDS_LIMIT), LOG_ODDS_LIMIT)
     return MapUpdateResult(state=new, added_ids=added)
 
 

@@ -132,6 +132,16 @@ def stamp_oracle(grid, position, z):
             stamp(cells[-1], LOG_ODDS_OCCUPIED)
 
 
+def stamped_as_oracle(state, frame):
+    """update_map's log-odds for frame, checked bit for bit against
+    stamp_oracle from the same state."""
+    expected = copy.deepcopy(state.grid)
+    stamp_oracle(expected, state.mean[:2], frame)
+    result = update_map(state, frame).state.grid.log_odds
+    assert np.array_equal(result, expected.log_odds)
+    return result
+
+
 def jacobian_oracle(mean, slots):
     """The dense 2k x n range-bearing Jacobian of the landmarks in the given
     state slots, and the predicted measurements."""
@@ -630,6 +640,96 @@ class TestUpdateMap:
         assert np.array_equal(result, expected.log_odds)
         assert result[0, 3] == LOG_ODDS_LIMIT + LOG_ODDS_FREE
         assert result[0, 1] == -LOG_ODDS_LIMIT + LOG_ODDS_OCCUPIED
+
+    def test_desk_run_in_small_chunks_matches_per_cell_stamping(self, monkeypatch):
+        # a few rays a chunk: the robot's own cell, crossed by every ray,
+        # gets stamps in every chunk of a frame
+        monkeypatch.setattr(slam, "WALK_CELLS", 256)
+        walked = []
+        walk = slam._walk
+        monkeypatch.setattr(slam, "_walk",
+                            lambda *args: walked.append(1) or walk(*args))
+        world = desk_world()
+        sensor = SensorConfig(max_range=5.0, n_rays=360, range_sigma=0.05,
+                              bearing_sigma=0.01)
+        rng = np.random.default_rng(1)
+        truth = np.array([0.0, 0.0, 0.0])
+        state = initial_state(truth, world)
+        expected = copy.deepcopy(state.grid)
+        frames = loop_script()[:160:10]
+        for u in frames:
+            truth = unicycle(truth, MotionInput(u.velocity * 10,
+                                                u.angular_velocity * 10, u.dt))
+            state.mean[:3] = truth + rng.normal(0.0, 0.05, 3)
+            z = observe(truth, world, sensor, rng)
+            stamp_oracle(expected, state.mean[:2], z)
+            state = update_map(state, z).state
+            assert np.array_equal(state.grid.log_odds, expected.log_odds)
+        assert len(walked) > 10 * len(frames)
+        assert (expected.log_odds == -LOG_ODDS_LIMIT).any()
+        assert (expected.log_odds > 0).any()
+
+    @pytest.mark.parametrize("start", [LOG_ODDS_LIMIT, -LOG_ODDS_LIMIT])
+    def test_hit_cell_crossed_before_and_after_its_hit(self, start):
+        # cell (0, 3) is crossed, hit, then crossed twice, all in one chunk
+        world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
+                      grid_origin=np.zeros(2), grid_width=8, grid_height=8)
+        state = initial_state([0.5, 0.5, 0.0], world)
+        state.grid.log_odds[0, 3] = start
+        frame = ray_frame(np.zeros(4), [5.0, 3.0, 5.0, 5.0],
+                          [False, True, False, False])
+        result = stamped_as_oracle(state, frame)
+        if start > 0:
+            assert result[0, 3] == LOG_ODDS_LIMIT + LOG_ODDS_FREE + LOG_ODDS_FREE
+        else:
+            assert result[0, 3] == (-LOG_ODDS_LIMIT + LOG_ODDS_OCCUPIED
+                                    + LOG_ODDS_FREE + LOG_ODDS_FREE)
+
+    @pytest.mark.parametrize("start", [LOG_ODDS_LIMIT, -LOG_ODDS_LIMIT])
+    def test_hit_in_the_robots_own_cell(self, start):
+        # every ray crosses cell (4, 4) first; rays 0 and 8 end in it
+        world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
+                      grid_origin=np.zeros(2), grid_width=9, grid_height=9)
+        state = initial_state([4.5, 4.5, 0.0], world)
+        state.grid.log_odds[4, 4] = start
+        hits = np.arange(16) % 8 == 0
+        frame = ray_frame(np.linspace(-np.pi, np.pi, 16, endpoint=False),
+                          np.where(hits, 0.1, 3.0), hits)
+        result = stamped_as_oracle(state, frame)
+        value = start
+        for inc in ([LOG_ODDS_OCCUPIED] + [LOG_ODDS_FREE] * 7) * 2:
+            value = min(max(value + inc, -LOG_ODDS_LIMIT), LOG_ODDS_LIMIT)
+        assert result[4, 4] == value
+
+    def test_free_cell_passes_the_limit_within_a_frame(self):
+        # four rays cross row 0; cells that fall below -LIMIT after their
+        # first, second, third or fourth stamp end at -LIMIT
+        world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
+                      grid_origin=np.zeros(2), grid_width=8, grid_height=8)
+        state = initial_state([0.5, 0.5, 0.0], world)
+        state.grid.log_odds[0, :5] = [-8.7, -9.3, -9.9, -8.9, -7.7]
+        frame = ray_frame(np.zeros(4), np.full(4, 4.0), np.zeros(4, dtype=bool))
+        result = stamped_as_oracle(state, frame)
+        assert (result[0, :4] == -LOG_ODDS_LIMIT).all()
+        assert result[0, 4] > -LOG_ODDS_LIMIT
+
+    def test_add_at_adds_in_index_order(self):
+        # update_map's free cells rely on np.add.at adding repeated indices
+        # one at a time, in index order, as a Python loop does
+        rng = np.random.default_rng(11)
+        start = rng.normal(0.0, 3.0, 50)
+        index = rng.integers(0, 50, 5000)
+        increment = rng.normal(0.0, 0.7, 5000)
+        expected = start.copy()
+        for i, inc in zip(index.tolist(), increment.tolist()):
+            expected[i] += inc
+        result = start.copy()
+        np.add.at(result, index, increment)
+        assert np.array_equal(result, expected)
+        # the other order gives other bits, so a reordering would show
+        reordered = start.copy()
+        np.add.at(reordered, index[::-1], increment[::-1])
+        assert not np.array_equal(reordered, expected)
 
     def test_pose_far_off_the_grid_stamps_nothing(self):
         state = initial_state([0.0, 0.0, 0.0], desk_world())
