@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from legsynth.isotropy import (TripodConfig, TripodLeg, closed_form_family,
-                               is_isotropic, isotropy_residuals)
+                               isotropy_report)
 from legsynth.svgplot import SvgPlot
 
 OUT = Path("demo-output/isotropy")
@@ -21,12 +21,12 @@ for gamma1 in (np.pi / 3.0, -np.pi / 3.0):
     for variant in (1, 2):
         stance = closed_form_family(alpha1=0.0, gamma1=gamma1,
                                     beta=np.pi / 2, variant=variant)
-        flag, lam, condition = is_isotropic(stance)
+        report = isotropy_report(stance)
         gammas = ", ".join(f"{np.degrees(l.mount_angle):7.1f}"
                            for l in stance.legs)
         print(f"gamma1 {np.degrees(gamma1):6.1f} deg variant {variant}: "
-              f"hip angles [{gammas}] deg  isotropic={flag}  "
-              f"lambda={lam:.4f}  condition={condition:.6f}")
+              f"hip angles [{gammas}] deg  isotropic={report.isotropic}  "
+              f"lambda={report.lam:.4f}  condition={report.condition:.6f}")
 
 # perturb one hip angle away from the family and watch conditioning decay
 base = closed_form_family(alpha1=0.0, gamma1=np.pi / 3, beta=np.pi / 2)
@@ -42,10 +42,9 @@ for offset in offsets:
                         extension=bent.extension)
     stance = TripodConfig(legs=tuple(legs), heading=base.heading,
                           char_length=base.char_length)
-    _, _, condition = is_isotropic(stance)
-    conditions.append(condition)
+    conditions.append(isotropy_report(stance).condition)
 
-worst = np.abs(isotropy_residuals(base)).max()
+worst = np.abs(isotropy_report(base).residuals).max()
 print(f"family residuals at the optimum: max |r| = {worst:.1e}")
 
 plot = SvgPlot(title="condition number vs hip-angle perturbation")

@@ -16,25 +16,3 @@ Library layers:
 """
 
 __version__ = "0.1.0"
-
-from .fourbar import (ArcCheck, FourBarParams, GaitMetrics, Sweep, arc_check,
-                      coupler_path, force_ratio_angle, gait_metrics,
-                      sample_schedule, solve_position, sweep)
-from .lptau import lp_tau
-from .mobility import MechanismGraph, MobilityResult, mobility, rationality_report
-from .search import (FeasibilityLimits, ParamBox, SamplingTable,
-                     filter_feasible, pareto_filter, scan)
-from .synthesis import (LineTarget, SynthesisSolution, reduced_objective,
-                        residual_delta, solve)
-
-__all__ = [
-    "ArcCheck", "FourBarParams", "GaitMetrics", "Sweep", "arc_check",
-    "coupler_path", "force_ratio_angle", "gait_metrics", "sample_schedule",
-    "solve_position", "sweep",
-    "lp_tau",
-    "MechanismGraph", "MobilityResult", "mobility", "rationality_report",
-    "FeasibilityLimits", "ParamBox", "SamplingTable", "filter_feasible",
-    "pareto_filter", "scan",
-    "LineTarget", "SynthesisSolution", "reduced_objective", "residual_delta",
-    "solve",
-]

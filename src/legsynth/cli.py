@@ -423,10 +423,7 @@ def cmd_isotropy(config, out, seed):
     _write_json(out / "isotropy.json", payload)
 
     feet = iso.foot_positions(stance)
-    hips = np.array([stance.position + iso.rot2(stance.heading) @ (
-        leg.mount_radius * np.array([np.cos(leg.mount_angle),
-                                     np.sin(leg.mount_angle)]))
-        for leg in stance.legs])
+    hips = iso.hip_positions(stance)
     plot = SvgPlot(title="tripod stance layout", equal_aspect=True)
     loop = np.vstack([feet, feet[:1]])
     plot.add_line(loop[:, 0], loop[:, 1], label="support triangle")

@@ -28,6 +28,10 @@ from .geometry import rot2
 # |sin beta| below this is reported as a singular leg (foot on the leg
 # x-axis, prismatic rate unobservable in the closure projection).
 SIN_BETA_TOL = 1e-12
+# forward_kinematics stops at this closure residual (infinity norm) and
+# gives up after this many Newton steps.
+_FK_TOL = 1e-12
+_FK_MAX_ITER = 50
 
 
 class SingularLegError(ValueError):
@@ -177,59 +181,35 @@ def u_values(config):
     ])
 
 
-def _residuals(M, u):
-    """Isotropy residuals from the stance product M = J_inv^T J_inv and
-    the rotational couplings u."""
-    u_gap = float(np.max(np.abs(u[:, None] - u[None, :])))
-    return np.array([M[0, 0] - M[1, 1], M[1, 1] - M[2, 2],
-                     2.0 * M[0, 1], M[0, 2], M[1, 2], u_gap])
+def isotropy_report(config, tol=1e-8):
+    """Isotropy diagnostics of one stance, from one inverse Jacobian.
 
-
-def isotropy_residuals(config):
-    """Six scalars that vanish exactly at an isotropic configuration.
-
-    The three diagonal entries of M = (J_inv)^T J_inv must be equal (their
-    two differences are residuals 1 and 2, eliminating the free isotropy
-    scalar), the three off-diagonal entries must vanish (residuals 3 to 5,
-    the first as 2 M_01, the sum of sin(2 (theta + alpha + beta)) / sin^2
-    beta over the legs), and the per-leg rotational couplings u_i must
-    agree (residual 6, the max pairwise gap).
+    The stance is isotropic when M = (J_inv)^T J_inv = (1/lambda^2) I:
+    the flag is set when every off-diagonal entry of M is at most tol
+    times its Frobenius norm and the diagonal entries agree to the same
+    measure.  lambda = 1/sqrt(mean diagonal); the 2-norm condition number
+    of J_inv is exactly 1 at isotropy.  The six residuals vanish exactly
+    at an isotropic configuration: the two differences of the diagonal
+    of M (eliminating the free isotropy scalar), its three off-diagonal
+    entries (the first as 2 M_01, the sum of
+    sin(2 (theta + alpha + beta)) / sin^2 beta over the legs), and the
+    max pairwise gap of the per-leg rotational couplings u_i.
     """
     J_inv = inverse_jacobian(config)
-    return _residuals(J_inv.T @ J_inv, u_values(config))
-
-
-def _isotropy(J_inv, tol):
-    """(flag, lambda, condition, M) of is_isotropic for a built J_inv."""
     M = J_inv.T @ J_inv
     scale = np.linalg.norm(M)
     off = np.abs(M - np.diag(np.diag(M))).max()
     diag = np.diag(M)
     spread = diag.max() - diag.min()
-    flag = bool(off <= tol * scale and spread <= tol * scale)
-    lam = float(1.0 / np.sqrt(diag.mean()))
-    condition = float(np.linalg.cond(J_inv, 2))
-    return flag, lam, condition, M
-
-
-def is_isotropic(config, tol=1e-8):
-    """Test (J_inv)^T J_inv = (1/lambda^2) I and report the scalar.
-
-    The flag is set when every off-diagonal entry is at most tol times
-    the Frobenius norm of the product and the diagonal entries agree to
-    the same measure.  lambda = 1/sqrt(mean diagonal); the 2-norm
-    condition number of J_inv (exactly 1 at isotropy) is also returned.
-    """
-    return _isotropy(inverse_jacobian(config), tol)[:3]
-
-
-def isotropy_report(config, tol=1e-8):
-    """Bundle residuals, isotropy flag, scalar and condition number, from
-    one inverse Jacobian."""
-    flag, lam, condition, M = _isotropy(inverse_jacobian(config), tol)
     u = u_values(config)
-    return IsotropyReport(residuals=_residuals(M, u), isotropic=flag,
-                          lam=lam, u_values=u, condition=condition)
+    u_gap = float(np.max(np.abs(u[:, None] - u[None, :])))
+    residuals = np.array([M[0, 0] - M[1, 1], M[1, 1] - M[2, 2],
+                          2.0 * M[0, 1], M[0, 2], M[1, 2], u_gap])
+    return IsotropyReport(
+        residuals=residuals,
+        isotropic=bool(off <= tol * scale and spread <= tol * scale),
+        lam=float(1.0 / np.sqrt(diag.mean())), u_values=u,
+        condition=float(np.linalg.cond(J_inv, 2)))
 
 
 def closed_form_family(alpha1, gamma1, beta, char_length=1.0,
@@ -276,17 +256,19 @@ def closed_form_family(alpha1, gamma1, beta, char_length=1.0,
     return TripodConfig(legs=legs, heading=0.0, char_length=char_length)
 
 
+def hip_positions(config):
+    """World coordinates of the three hip joints O_i."""
+    return np.array([config.position + rot2(config.heading) @ (
+        leg.mount_radius * np.array([np.cos(leg.mount_angle),
+                                     np.sin(leg.mount_angle)]))
+        for leg in config.legs])
+
+
 def foot_positions(config):
     """World coordinates of the three feet for the given configuration."""
-    theta = config.heading
-    out = np.empty((3, 2))
-    for i, leg in enumerate(config.legs):
-        hip = config.position + rot2(theta) @ (
-            leg.mount_radius * np.array([np.cos(leg.mount_angle),
-                                         np.sin(leg.mount_angle)]))
-        out[i] = hip + rot2(theta + leg.leg_angle) @ np.array(
-            [leg.foot_offset, leg.extension])
-    return out
+    return hip_positions(config) + np.array([
+        rot2(config.heading + leg.leg_angle) @ np.array(
+            [leg.foot_offset, leg.extension]) for leg in config.legs])
 
 
 @dataclass(frozen=True)
@@ -298,26 +280,23 @@ class FkResult:
     iterations: int
 
 
-def forward_kinematics(config, feet, extensions=None, guess=None,
-                       tol=1e-12, max_iter=50):
+def forward_kinematics(config, feet, extensions=None):
     """Solve the stance closure for body pose and passive leg angles.
 
     Given the three foot positions and prismatic extensions, Newton
-    iteration drives the six closure equations
+    iteration, seeded with the pose and passive angles stored in
+    `config`, drives the six closure equations
     S_i = R_C + rot(theta) r_O_i + rot(theta + alpha_i) (a_i, q_i)
-    below `tol` in the infinity norm.  The six unknowns are the body
-    position, heading, and the three passive angles; the seed defaults to
-    the values stored in `config`.  Used as the finite-difference oracle
-    for the analytic stance Jacobian.
+    below 1e-12 in the infinity norm, or raises FkDivergedError after
+    50 steps.  The six unknowns are the body position, heading, and the
+    three passive angles.  Used as the finite-difference oracle for the
+    analytic stance Jacobian.
     """
     feet = np.asarray(feet, dtype=float).reshape(3, 2)
     q = (config.extensions() if extensions is None
          else np.asarray(extensions, dtype=float))
-    if guess is None:
-        z = np.array([config.position[0], config.position[1], config.heading,
-                      *(leg.leg_angle for leg in config.legs)])
-    else:
-        z = np.asarray(guess, dtype=float).copy()
+    z = np.array([config.position[0], config.position[1], config.heading,
+                  *(leg.leg_angle for leg in config.legs)])
 
     radius = np.array([leg.mount_radius for leg in config.legs])
     gamma = np.array([leg.mount_angle for leg in config.legs])
@@ -343,10 +322,10 @@ def forward_kinematics(config, feet, extensions=None, guess=None,
             J[2 * i:2 * i + 2, 3 + i] = d_foot
         return R, J
 
-    for iteration in range(max_iter):
+    for iteration in range(_FK_MAX_ITER):
         R, J = residual_and_jacobian(z)
         err = float(np.abs(R).max())
-        if err <= tol:
+        if err <= _FK_TOL:
             return FkResult(position=z[0:2].copy(), heading=float(z[2]),
                             leg_angles=z[3:6].copy(), residual=err,
                             iterations=iteration)
@@ -356,5 +335,5 @@ def forward_kinematics(config, feet, extensions=None, guess=None,
             raise FkDivergedError("closure Jacobian singular during Newton "
                                   "iteration") from None
         z = z - step
-    raise FkDivergedError(f"no convergence in {max_iter} iterations "
+    raise FkDivergedError(f"no convergence in {_FK_MAX_ITER} iterations "
                           f"(residual {err:.3e})")

@@ -5,15 +5,15 @@ polynomials over GF(2) (Joe/Kuo initialization values, dimensions up to
 16).  Point n is generated from the plain binary expansion of n, not the
 Gray-code shortcut, so dimension 1 reproduces the base-2 radical-inverse
 (van der Corput) sequence exactly; that equivalence is the correctness
-anchor for the whole table.  Output is deterministic: the same
-(dim, count, skip) always yields bit-identical points.
+anchor for the whole table.  Output is deterministic: lp_tau(dim, n) is
+bit-identical on every call and a prefix of lp_tau(dim, m) for m > n.
 """
 
 import numpy as np
 
 MAX_DIM = 16
 _N_BITS = 32
-# Point indices have _N_BITS bits: skip + count must stay below this.
+# Point indices have _N_BITS bits: count must stay below this.
 INDEX_LIMIT = 2 ** _N_BITS
 _SCALE = 2.0 ** -_N_BITS
 
@@ -64,8 +64,8 @@ def _direction_integers(dim):
     return V
 
 
-def lp_tau(dim, count, skip=0):
-    """Points skip .. skip+count-1 of the dim-dimensional sequence.
+def lp_tau(dim, count):
+    """Points 0 .. count-1 of the dim-dimensional sequence.
 
     Returns an array of shape (count, dim) with entries in [0, 1).  Point
     index 0 is the origin; prefixes are nested, so enlarging count only
@@ -73,12 +73,12 @@ def lp_tau(dim, count, skip=0):
     """
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dim must be in 1..{MAX_DIM}, got {dim}")
-    if count < 0 or skip < 0:
-        raise ValueError("count and skip must be non-negative")
-    if skip + count >= INDEX_LIMIT:
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if count >= INDEX_LIMIT:
         raise ValueError("sequence index would exceed 32-bit resolution")
     V = _direction_integers(dim)
-    indices = np.arange(skip, skip + count, dtype=np.uint64)
+    indices = np.arange(count, dtype=np.uint64)
     acc = np.zeros((count, dim), dtype=np.uint64)
     for bit in range(1, _N_BITS + 1):
         rows = (indices >> np.uint64(bit - 1)) & np.uint64(1)

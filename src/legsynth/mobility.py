@@ -87,8 +87,8 @@ def rationality_report(graphs):
     return [mobility(g) for g in graphs]
 
 
-def disjoint_union(first, second, label=""):
-    """Combine two graphs that share no links or joints."""
+def disjoint_union(first, second):
+    """Unlabeled union of two graphs that share no links or joints."""
     if first.space != second.space:
         raise ValueError("cannot union graphs living in different spaces")
     inputs = None
@@ -100,7 +100,7 @@ def disjoint_union(first, second, label=""):
         p5=first.p5 + second.p5, p4=first.p4 + second.p4,
         p3=first.p3 + second.p3, p2=first.p2 + second.p2,
         p1=first.p1 + second.p1,
-        actuated_inputs=inputs, label=label,
+        actuated_inputs=inputs,
     )
 
 

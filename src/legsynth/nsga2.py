@@ -336,17 +336,21 @@ def evolve(problem, config):
                         reference_point=reference, ideal_point=ideal)
 
 
+_COUPLER_BOUND = 3.0  # |x_E| and |y_E| bound of the explicit coupler genes
+
+
 def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1,
-                coupler="solved", coupler_bounds=(-3.0, 3.0)):
+                coupler="solved"):
     """Leg-synthesis Problem instance over the search box.
 
     Objectives are (mean squared trajectory error, -worst support-phase
     transmission angle in radians).  With coupler="solved" the genome is
     the five nonlinear parameters and the coupler point comes out of the
     inner linear solve; with coupler="explicit" the genome carries
-    (x_E, y_E) as two extra genes and only the target line is solved.
-    The single constraint is assemblability over the whole support arc,
-    with arc_check's continuous violation as the constraint violation.
+    (x_E, y_E) as two extra genes, each in [-3, 3], and only the target
+    line is solved.  The single constraint is assemblability over the
+    whole support arc, with arc_check's continuous violation as the
+    constraint violation.
     """
     if coupler not in ("solved", "explicit"):
         raise ValueError("coupler must be 'solved' or 'explicit'")
@@ -354,8 +358,8 @@ def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1,
     lower = np.array(box.lower)
     upper = np.array(box.upper)
     if coupler == "explicit":
-        lower = np.append(lower, [coupler_bounds[0], coupler_bounds[0]])
-        upper = np.append(upper, [coupler_bounds[1], coupler_bounds[1]])
+        lower = np.append(lower, [-_COUPLER_BOUND, -_COUPLER_BOUND])
+        upper = np.append(upper, [_COUPLER_BOUND, _COUPLER_BOUND])
 
     def evaluate(genomes):
         params = FourBarParams(*genomes[:, :5].T, branch=branch)

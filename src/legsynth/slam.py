@@ -210,11 +210,11 @@ class SlamState:
                          grid=self.grid)
 
 
-def initial_state(pose, world, pose_cov=None):
-    pose = np.asarray(pose, dtype=float)
-    cov = np.zeros((3, 3)) if pose_cov is None else np.asarray(pose_cov, float)
-    return SlamState(mean=pose.copy(), cov=cov.copy(), landmark_ids=(),
-                     grid=world.make_grid())
+def initial_state(pose, world):
+    """The robot at a known pose: zero covariance, no landmarks, and the
+    world's empty grid."""
+    return SlamState(mean=np.array(pose, dtype=float), cov=np.zeros((3, 3)),
+                     landmark_ids=(), grid=world.make_grid())
 
 
 @dataclass(frozen=True)
@@ -269,15 +269,15 @@ def predict(state, u, noise=None):
     return new
 
 
-def observe(state, world, sensor, rng):
-    """Simulate one sensor frame from the given pose (or SlamState).
+def observe(pose, world, sensor, rng):
+    """Simulate one sensor frame from the pose (x, y, heading).
 
     Landmarks beyond max_range or outside the field of view are omitted;
     visible ones get seeded Gaussian range/bearing noise.  The ray set is
     cast against the obstacle polygons at fixed angular resolution, with
     the same range noise applied to hits.
     """
-    pose = state.pose if isinstance(state, SlamState) else np.asarray(state, float)
+    pose = np.asarray(pose, dtype=float)
     ids = np.fromiter(world.landmarks, dtype=int, count=len(world.landmarks))
     order = np.argsort(ids)
     delta = np.reshape(list(world.landmarks.values()), (-1, 2))[order] - pose[:2]
@@ -741,15 +741,18 @@ def write_path_csv(path_cells, path, header_comment=None):
             fh.write(f"{r},{c}\n")
 
 
-def loop_script(side=2.0, speed=0.25, dt=0.1, turn_rate=None):
-    """Square loop trajectory: four straight legs joined by quarter turns."""
-    turn_rate = turn_rate if turn_rate is not None else np.pi / 4.0
+_TURN_RATE = np.pi / 4.0  # rad/s
+
+
+def loop_script(side=2.0, speed=0.25, dt=0.1):
+    """Square loop trajectory: four straight legs joined by quarter turns
+    at pi/4 rad/s."""
     straight_steps = int(round(side / (speed * dt)))
-    turn_steps = int(round((np.pi / 2.0) / (turn_rate * dt)))
+    turn_steps = int(round((np.pi / 2.0) / (_TURN_RATE * dt)))
     script = []
     for _ in range(4):
         script.extend(MotionInput(speed, 0.0, dt) for _ in range(straight_steps))
-        script.extend(MotionInput(speed * 0.4, turn_rate, dt)
+        script.extend(MotionInput(speed * 0.4, _TURN_RATE, dt)
                       for _ in range(turn_steps))
     return script
 

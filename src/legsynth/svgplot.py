@@ -7,16 +7,13 @@ plain diff-able text with no plotting-toolkit dependency.
 import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#555555")
+_WIDTH, _HEIGHT, _MARGIN = 640, 480, 50  # document size and plot inset, px
 
 
 class SvgPlot:
     """Accumulates data series, then renders one SVG document."""
 
-    def __init__(self, width=640, height=480, margin=50, title="",
-                 equal_aspect=False):
-        self.width = width
-        self.height = height
-        self.margin = margin
+    def __init__(self, title="", equal_aspect=False):
         self.title = title
         self.equal_aspect = equal_aspect
         self.series = []
@@ -25,9 +22,9 @@ class SvgPlot:
         self.series.append(("line", np.asarray(xs, float),
                             np.asarray(ys, float), label, color))
 
-    def add_scatter(self, xs, ys, label="", color=None, radius=3.0):
+    def add_scatter(self, xs, ys, label="", radius=3.0):
         self.series.append(("scatter", np.asarray(xs, float),
-                            np.asarray(ys, float), label, color, radius))
+                            np.asarray(ys, float), label, None, radius))
 
     def _bounds(self):
         xs = np.concatenate([s[1] for s in self.series if len(s[1])])
@@ -50,38 +47,38 @@ class SvgPlot:
         if not self.series:
             raise ValueError("nothing to plot")
         x0, x1, y0, y1 = self._bounds()
-        iw = self.width - 2 * self.margin
-        ih = self.height - 2 * self.margin
+        iw = _WIDTH - 2 * _MARGIN
+        ih = _HEIGHT - 2 * _MARGIN
 
         def tx(x):
-            return self.margin + (x - x0) / (x1 - x0) * iw
+            return _MARGIN + (x - x0) / (x1 - x0) * iw
 
         def ty(y):
-            return self.height - self.margin - (y - y0) / (y1 - y0) * ih
+            return _HEIGHT - _MARGIN - (y - y0) / (y1 - y0) * ih
 
         parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-                 f'width="{self.width}" height="{self.height}">']
+                 f'width="{_WIDTH}" height="{_HEIGHT}">']
         if comment:
             safe = comment.replace("--", "- -")
             parts.append(f"<!-- {safe} -->")
-        parts.append(f'<rect width="{self.width}" height="{self.height}" '
+        parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" '
                      f'fill="white"/>')
         parts.append(
-            f'<rect x="{self.margin}" y="{self.margin}" width="{iw}" '
+            f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{iw}" '
             f'height="{ih}" fill="none" stroke="#999"/>')
         if self.title:
-            parts.append(f'<text x="{self.width / 2}" y="{self.margin - 15}" '
+            parts.append(f'<text x="{_WIDTH / 2}" y="{_MARGIN - 15}" '
                          f'text-anchor="middle" font-size="14">'
                          f'{self.title}</text>')
         for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
             xv = x0 + tick * (x1 - x0)
             yv = y0 + tick * (y1 - y0)
-            parts.append(f'<text x="{tx(xv):.1f}" y="{self.height - self.margin + 18}" '
+            parts.append(f'<text x="{tx(xv):.1f}" y="{_HEIGHT - _MARGIN + 18}" '
                          f'text-anchor="middle" font-size="10">{xv:.4g}</text>')
-            parts.append(f'<text x="{self.margin - 6}" y="{ty(yv):.1f}" '
+            parts.append(f'<text x="{_MARGIN - 6}" y="{ty(yv):.1f}" '
                          f'text-anchor="end" font-size="10">{yv:.4g}</text>')
 
-        legend_y = self.margin + 14
+        legend_y = _MARGIN + 14
         for i, series in enumerate(self.series):
             kind, xs, ys, label = series[0], series[1], series[2], series[3]
             color = series[4] or _COLORS[i % len(_COLORS)]
@@ -97,10 +94,10 @@ class SvgPlot:
                                  f'r="{radius}" fill="{color}" '
                                  f'fill-opacity="0.7"/>')
             if label:
-                parts.append(f'<rect x="{self.width - self.margin - 130}" '
+                parts.append(f'<rect x="{_WIDTH - _MARGIN - 130}" '
                              f'y="{legend_y - 9}" width="12" height="12" '
                              f'fill="{color}"/>')
-                parts.append(f'<text x="{self.width - self.margin - 112}" '
+                parts.append(f'<text x="{_WIDTH - _MARGIN - 112}" '
                              f'y="{legend_y + 2}" font-size="11">{label}</text>')
                 legend_y += 18
         parts.append("</svg>")

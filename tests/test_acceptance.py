@@ -18,8 +18,8 @@ from legsynth import cli, slam
 from legsynth.fourbar import FourBarParams, arc_check, gait_metrics, sweep
 from legsynth.isotropy import (ab_matrices, closed_form_family,
                                foot_positions, forward_kinematics,
-                               inverse_jacobian, is_isotropic,
-                               isotropy_residuals, jacobian_via_AB)
+                               inverse_jacobian, isotropy_report,
+                               jacobian_via_AB)
 from legsynth.lptau import lp_tau
 from legsynth.mobility import mobility, rationality_report, reference_graphs
 from legsynth.nsga2 import (GAConfig, evolve,
@@ -133,13 +133,12 @@ def test_criterion_4_isotropy_closed_forms():
                                     char_length=char_length,
                                     variant=int(rng.choice([1, 2])),
                                     sign=int(rng.choice([1, -1])))
-        worst_residual = max(worst_residual,
-                             np.abs(isotropy_residuals(config)).max())
-        _, lam, condition = is_isotropic(config)
-        worst_condition = max(worst_condition, abs(condition - 1.0))
+        iso = isotropy_report(config)
+        worst_residual = max(worst_residual, np.abs(iso.residuals).max())
+        worst_condition = max(worst_condition, abs(iso.condition - 1.0))
         if char_length == 1.0:
-            worst_lambda = max(worst_lambda,
-                               abs(lam - np.sin(beta) * np.sqrt(2.0 / 3.0)))
+            expected = np.sin(beta) * np.sqrt(2.0 / 3.0)
+            worst_lambda = max(worst_lambda, abs(iso.lam - expected))
     ok = (worst_residual <= 1e-10 and worst_condition <= 1e-8
           and worst_lambda <= 1e-9)
     report(4, ok, f"50 family configs: max residual {worst_residual:.1e} "

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -623,3 +625,44 @@ class TestConfigFuzz:
             assert code == 1
         if code == 1:
             assert "config error" in err
+
+
+def _readme_sketches():
+    """(command, config) for each sketch in the README's jsonc block under
+    "Config sketches", with the // comments stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Config sketches"):]
+    lines = section.split("```jsonc\n", 1)[1].split("```", 1)[0].splitlines()
+    commands = [m.group(1) for m in map(re.compile(r"// (\w+):").match, lines)
+                if m]
+    text = "\n".join(line.split("//", 1)[0] for line in lines).strip()
+    decoder, configs = json.JSONDecoder(), []
+    while text:
+        config, end = decoder.raw_decode(text)
+        configs.append(config)
+        text = text[end:].strip()
+    assert len(commands) == len(configs)
+    return list(zip(commands, configs))
+
+
+README_SKETCHES = _readme_sketches()
+
+
+class TestReadmeSketches:
+    @pytest.mark.parametrize("command, config", README_SKETCHES,
+                             ids=[command for command, _ in README_SKETCHES])
+    def test_sketch_is_a_valid_config(self, tmp_path, monkeypatch, command,
+                                      config):
+        monkeypatch.setattr(search, "scan", _reached)
+        monkeypatch.setattr(nsga2, "evolve", _reached)
+        monkeypatch.setattr(slam, "simulate", _reached)
+        monkeypatch.chdir(tmp_path)
+        # the pareto sketch names the sampling table a synth run writes
+        table = tmp_path / "runs" / "synth" / "sampling_table.csv"
+        table.parent.mkdir(parents=True)
+        table.write_text("feasible,delta0,min_transmission_deg\n1,1e-4,30\n")
+        if command == "isotropy":
+            assert run(tmp_path, command, config)[0] == 0
+        else:
+            with pytest.raises(_Reached):
+                run(tmp_path, command, config)

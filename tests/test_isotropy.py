@@ -5,9 +5,8 @@ from legsynth.isotropy import (FkDivergedError, SingularConfigurationError,
                                TripodConfig, TripodLeg, UndefinedFamilyError,
                                ab_matrices, closed_form_family,
                                foot_positions, forward_kinematics,
-                               inverse_jacobian, is_isotropic,
-                               isotropy_report, isotropy_residuals,
-                               jacobian_via_AB, u_values)
+                               hip_positions, inverse_jacobian,
+                               isotropy_report, jacobian_via_AB, u_values)
 
 
 def random_config(rng, char_length=None):
@@ -146,7 +145,7 @@ class TestIsotropyConditions:
             config = closed_form_family(alpha1=rng.uniform(-np.pi, np.pi),
                                         gamma1=np.pi / 3, beta=np.pi / 2,
                                         char_length=1.0)
-            assert np.abs(isotropy_residuals(config)).max() <= 1e-12
+            assert np.abs(isotropy_report(config).residuals).max() <= 1e-12
 
     def test_perturbed_family_violates(self):
         base = closed_form_family(alpha1=0.4, gamma1=np.pi / 3,
@@ -160,7 +159,7 @@ class TestIsotropyConditions:
                             extension=bent.extension)
         perturbed = TripodConfig(legs=tuple(legs), heading=base.heading,
                                  char_length=base.char_length)
-        assert np.abs(isotropy_residuals(perturbed)).max() > 1e-3
+        assert np.abs(isotropy_report(perturbed).residuals).max() > 1e-3
 
     def test_residuals_periodic_in_heading(self):
         config = closed_form_family(alpha1=0.9, gamma1=-np.pi / 3,
@@ -168,23 +167,22 @@ class TestIsotropyConditions:
         turned = TripodConfig(legs=config.legs,
                               heading=config.heading + 2.0 * np.pi,
                               char_length=config.char_length)
-        assert np.allclose(isotropy_residuals(config),
-                           isotropy_residuals(turned), atol=1e-9)
+        assert np.allclose(isotropy_report(config).residuals,
+                           isotropy_report(turned).residuals, atol=1e-9)
 
-    def test_is_isotropic_on_family(self):
+    def test_report_flags_family_isotropic(self):
         config = closed_form_family(alpha1=-0.7, gamma1=np.pi / 3,
                                     beta=np.pi / 2, char_length=1.0)
-        flag, lam, condition = is_isotropic(config)
-        assert flag
-        assert abs(lam - np.sqrt(2.0 / 3.0)) < 1e-9
-        assert abs(condition - 1.0) < 1e-8
+        report = isotropy_report(config)
+        assert report.isotropic
+        assert abs(report.lam - np.sqrt(2.0 / 3.0)) < 1e-9
+        assert abs(report.condition - 1.0) < 1e-8
 
     def test_random_configs_are_not_isotropic(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             config = random_nonsingular_config(rng)
-            flag, _, _ = is_isotropic(config)
-            assert not flag
+            assert not isotropy_report(config).isotropic
 
     def test_product_matrix_symmetric_psd(self):
         rng = np.random.default_rng(11)
@@ -204,9 +202,9 @@ class TestIsotropyConditions:
                    for _ in range(10)]
         configs += [random_nonsingular_config(rng) for _ in range(10)]
         for config in configs:
-            flag, _, _ = is_isotropic(config, tol=tol)
-            residual_small = np.abs(isotropy_residuals(config)).max() <= tol
-            assert flag == residual_small
+            report = isotropy_report(config, tol=tol)
+            residual_small = np.abs(report.residuals).max() <= tol
+            assert report.isotropic == residual_small
 
     def test_equal_singular_values_on_family(self):
         rng = np.random.default_rng(13)
@@ -254,7 +252,7 @@ class TestClosedFormFamily:
         config = closed_form_family(alpha1=0.0, gamma1=np.pi / 3,
                                     beta=np.pi / 2, sign=-1)
         assert all(leg.mount_radius > 0 for leg in config.legs)
-        assert np.abs(isotropy_residuals(config)).max() <= 1e-12
+        assert np.abs(isotropy_report(config).residuals).max() <= 1e-12
 
     def test_undefined_family(self):
         # alpha1 + beta - gamma1 = 0 makes the hip radius diverge
@@ -272,6 +270,18 @@ class TestClosedFormFamily:
 
 
 class TestForwardKinematics:
+    def test_hips_and_feet_at_their_leg_lengths(self):
+        rng = np.random.default_rng(19)
+        config = random_config(rng)
+        hips, feet = hip_positions(config), foot_positions(config)
+        radius = [leg.mount_radius for leg in config.legs]
+        reach = [np.hypot(leg.foot_offset, leg.extension)
+                 for leg in config.legs]
+        assert np.allclose(np.linalg.norm(hips - config.position, axis=1),
+                           radius, rtol=1e-12)
+        assert np.allclose(np.linalg.norm(feet - hips, axis=1), reach,
+                           rtol=1e-12)
+
     def test_fixed_point_at_seed(self):
         rng = np.random.default_rng(15)
         config = random_nonsingular_config(rng)
@@ -319,4 +329,4 @@ class TestForwardKinematics:
         centroid = feet.mean(axis=0)
         feet = centroid + 50.0 * (feet - centroid)
         with pytest.raises(FkDivergedError):
-            forward_kinematics(config, feet, max_iter=50)
+            forward_kinematics(config, feet)

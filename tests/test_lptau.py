@@ -23,7 +23,7 @@ class TestDimensionOne:
         assert np.array_equal(points, oracle)
 
     def test_first_points_after_zero(self):
-        points = lp_tau(1, 4, skip=1).ravel()
+        points = lp_tau(1, 5)[1:].ravel()
         assert np.array_equal(points, [0.5, 0.25, 0.75, 0.125])
 
 
@@ -35,14 +35,12 @@ class TestSequenceContract:
         assert points.max() < 1.0
 
     def test_deterministic(self):
-        a = lp_tau(5, 128, skip=7)
-        b = lp_tau(5, 128, skip=7)
+        a = lp_tau(5, 135)
+        b = lp_tau(5, 135)
         assert np.array_equal(a, b)
 
-    def test_skip_matches_prefix(self):
-        full = lp_tau(3, 150)
-        tail = lp_tau(3, 100, skip=50)
-        assert np.array_equal(full[50:], tail)
+    def test_prefixes_are_nested(self):
+        assert np.array_equal(lp_tau(3, 150)[:100], lp_tau(3, 100))
 
     def test_dim_out_of_range(self):
         with pytest.raises(ValueError):

@@ -763,8 +763,8 @@ class TestUpdateMap:
 class TestStateUntouched:
     def test_predict_correct_update_map_leave_input_unchanged(self):
         world = desk_world()
-        state = initial_state([0.1, 0.2, 0.3], world,
-                              pose_cov=np.diag([0.1, 0.1, 0.02]))
+        state = initial_state([0.1, 0.2, 0.3], world)
+        state.cov[:] = np.diag([0.1, 0.1, 0.02])
         sensor = SensorConfig(max_range=5.0, n_rays=36, range_sigma=0.05,
                               bearing_sigma=0.01)
         rng = np.random.default_rng(4)
