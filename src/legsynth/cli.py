@@ -106,6 +106,14 @@ def _vector(block, key, kind, size, context="", default=None):
     return [_value(v, kind, f"{context}{key}") for v in value]
 
 
+def _list(block, key, context=""):
+    """The list under `key`, empty where the key is absent."""
+    value = block.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}{key} must be a list")
+    return value
+
+
 def _build(cls, block, context, **fixed):
     """Dataclass `cls` built from a config block.
 
@@ -127,7 +135,10 @@ def _build(cls, block, context, **fixed):
 
 
 def _config_hash(config, seed):
-    payload = json.dumps({"config": config, "seed": seed}, sort_keys=True)
+    try:
+        payload = json.dumps({"config": config, "seed": seed}, sort_keys=True)
+    except RecursionError:
+        raise ConfigError("config nests too deeply") from None
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -167,7 +178,7 @@ def _scan_args(config):
 # synth
 
 
-def cmd_synth(config, out, seed):
+def cmd_synth(config, out, seed, tag):
     _check_keys(config, {"box", "budget", "sweep_samples", "branch",
                          "limits"}, "synth config")
     box, count, branch = _scan_args(config)
@@ -176,7 +187,6 @@ def cmd_synth(config, out, seed):
     limits = _build(search.FeasibilityLimits, config.get("limits", {}),
                     "limits")
 
-    tag = _config_hash(config, seed)
     table = search.scan(box, budget, count=count, branch=branch)
     feasible = search.filter_feasible(table, limits)
     pareto = search.pareto_filter(feasible)
@@ -191,7 +201,7 @@ def cmd_synth(config, out, seed):
         raise InfeasibleError(
             "no sample satisfies the feasibility limits",
             diagnostics={"budget": budget, "assemblable": assemblable,
-                         "feasible": 0, "config_hash": tag})
+                         "feasible": 0})
 
     best = int(np.argmin(feasible.delta0))
     p = FourBarParams(*feasible.params[best], branch=branch)
@@ -289,12 +299,14 @@ def _read_table_points(path):
                     continue
                 pts.append([float(row["delta0"]),
                             -np.radians(float(row["min_transmission_deg"]))])
+        if not np.isfinite(pts).all():
+            raise ValueError("a feasible row has a non-finite figure")
     except (OSError, TypeError, ValueError, csv.Error) as err:
         raise ConfigError(f"cannot read sampling table {path!r}: {err}") from None
     return pts
 
 
-def cmd_pareto(config, out, seed):
+def cmd_pareto(config, out, seed, tag):
     _check_keys(config, {"box", "sweep_samples", "branch", "coupler", "ga",
                          "sampling_table"}, "pareto config")
     box, count, branch = _scan_args(config)
@@ -310,7 +322,6 @@ def cmd_pareto(config, out, seed):
     table_path = _get(config, "sampling_table", str, None, "pareto ")
     table_points = [] if table_path is None else _read_table_points(table_path)
 
-    tag = _config_hash(config, seed)
     result = nsga2.evolve(problem, ga)
 
     with open(out / "hypervolume.csv", "w") as fh:
@@ -391,10 +402,9 @@ def _isotropy_config(config):
         raise ConfigError(str(err)) from None
 
 
-def cmd_isotropy(config, out, seed):
+def cmd_isotropy(config, out, seed, tag):
     _check_keys(config, {"family", "legs", "heading", "char_length", "tol"},
                 "isotropy config")
-    tag = _config_hash(config, seed)
     try:
         stance = _isotropy_config(config)
         tol = _get(config, "tol", float, 1e-8)
@@ -402,8 +412,7 @@ def cmd_isotropy(config, out, seed):
         jacobian = iso.jacobian_via_AB(stance)
     except (iso.SingularLegError, iso.SingularConfigurationError,
             iso.UndefinedFamilyError) as err:
-        raise InfeasibleError(str(err), diagnostics={"config_hash": tag,
-                                                     "error": str(err)})
+        raise InfeasibleError(str(err), diagnostics={"error": str(err)})
 
     payload = {
         "config_hash": tag,
@@ -445,13 +454,10 @@ def cmd_isotropy(config, out, seed):
 # mobility
 
 
-def cmd_mobility(config, out, seed):
+def cmd_mobility(config, out, seed, tag):
     _check_keys(config, {"graphs", "use_reference_fixtures"},
                 "mobility config")
-    tag = _config_hash(config, seed)
-    blocks = config.get("graphs", [])
-    if not isinstance(blocks, list):
-        raise ConfigError("graphs must be a list of objects")
+    blocks = _list(config, "graphs")
     graphs = [_build(MechanismGraph, block, "graph") for block in blocks]
     if _get(config, "use_reference_fixtures", bool, not blocks):
         graphs = reference_graphs() + graphs
@@ -505,21 +511,45 @@ def _parse_script(block):
     raise ConfigError(f"unknown script type {kind!r}")
 
 
-def cmd_slam(config, out, seed):
+def _world(block):
+    """The world of a slam config: the desk world where none is given,
+    else a world document or the path of a JSON file holding one."""
+    if block is None:
+        return slam.desk_world()
+    if isinstance(block, str):
+        block = _load_config(block)
+    _check_keys(block, {"grid", "landmarks", "obstacles"}, "world")
+    landmarks = {}
+    for item in _list(block, "landmarks", "world "):
+        _check_keys(item, {"id", "x", "y"}, "world landmark")
+        # an id indexes an int64 array
+        lid = _value(item.get("id"), int, "world landmark id", lo=-2 ** 63,
+                     hi=2 ** 63 - 1)
+        if lid in landmarks:
+            raise ConfigError(f"world landmark id {lid} is repeated")
+        landmarks[lid] = np.array([
+            _value(item.get(key), float, f"world landmark {key}")
+            for key in ("x", "y")])
+    obstacles = []
+    for poly in _list(block, "obstacles", "world "):
+        points = [_value(point, np.ndarray, "world obstacle point")
+                  for point in poly] if isinstance(poly, list) else []
+        if len(points) < 3 or any(len(point) != 2 for point in points):
+            raise ConfigError("a world obstacle is a list of at least 3 "
+                              "[x, y] points")
+        obstacles.append(np.array(points))
+    grid = block.get("grid")
+    _check_keys(grid, {"resolution", "origin", "width", "height"},
+                "world grid")
+    return _build(slam.World, {f"grid_{key}": value
+                               for key, value in grid.items()},
+                  "world", landmarks=landmarks, obstacles=tuple(obstacles))
+
+
+def cmd_slam(config, out, seed, tag):
     _check_keys(config, {"world", "script", "sensor", "odometry_noise",
                          "process_noise", "start_pose", "plan"}, "slam config")
-    tag = _config_hash(config, seed)
-    world_block = config.get("world")
-    # WorldFormatError is a ValueError, as is open's error for a NUL byte
-    try:
-        if world_block is None:
-            world = slam.desk_world()
-        elif isinstance(world_block, str):
-            world = slam.load_world(world_block)
-        else:
-            world = slam.world_from_dict(world_block)
-    except (OSError, ValueError) as err:
-        raise ConfigError(f"bad world: {err}") from None
+    world = _world(config.get("world"))
     if world.grid_width * world.grid_height > MAX_GRID_CELLS:
         raise ConfigError(f"a world grid has at most {MAX_GRID_CELLS} cells")
     if len(world.landmarks) > MAX_LANDMARKS:
@@ -555,8 +585,8 @@ def cmd_slam(config, out, seed):
         log = slam.simulate(world, script, sensor, odometry=odometry,
                             process=process, seed=seed, start_pose=start)
     except slam.FilterDivergedError as err:
-        raise InfeasibleError(str(err), diagnostics={
-            "config_hash": tag, "error": str(err), "step": err.step})
+        raise InfeasibleError(str(err), diagnostics={"error": str(err),
+                                                     "step": err.step})
 
     slam.write_run_log(log, out / "run_log.csv",
                        header_comment=f"config {tag}")
@@ -579,9 +609,7 @@ def cmd_slam(config, out, seed):
         try:
             cells = slam.plan_path(grid, **plan)
         except (ValueError, slam.NoPathError) as err:
-            raise InfeasibleError(str(err),
-                                  diagnostics={"config_hash": tag,
-                                               "error": str(err)})
+            raise InfeasibleError(str(err), diagnostics={"error": str(err)})
         slam.write_path_csv(cells, out / "path.csv",
                             header_comment=f"config {tag}")
         occupied = np.argwhere(grid.probabilities() > 0.5)
@@ -636,19 +664,20 @@ def main(argv=None):
         if args.seed < 0:
             raise ConfigError("--seed must be a non-negative integer")
         config = _load_config(args.config)
+        tag = _config_hash(config, args.seed)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out, args.seed)
+        return _COMMANDS[args.command](config, out, args.seed, tag)
     except ConfigError as err:
         print(f"legsynth: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleError as err:
         print(f"legsynth: infeasible: {err}", file=sys.stderr)
-        diag_path = out / "diagnostics.json"
+        diagnostics = dict(err.diagnostics, config_hash=tag)
         try:
-            _write_json(diag_path, err.diagnostics)
+            _write_json(out / "diagnostics.json", diagnostics)
         except OSError:
             pass
-        print(json.dumps(err.diagnostics, sort_keys=True), file=sys.stderr)
+        print(json.dumps(diagnostics, sort_keys=True), file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

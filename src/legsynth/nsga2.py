@@ -1,19 +1,19 @@
 """Elitist multi-objective genetic engine (NSGA-II) and the leg instance.
 
-The engine is generic over real-coded problems with m >= 2 objectives,
-box bounds, and a total constraint violation handled by
+The engine is bi-objective: it takes real-coded problems with two
+objectives, box bounds, and a total constraint violation handled by
 constraint-domination: a feasible individual beats any infeasible one,
 and among infeasible individuals the smaller total violation wins.
 Breeding uses binary tournament on (rank, crowding distance), simulated
 binary crossover, and polynomial mutation; survival is (mu + lambda)
 truncation by nondomination rank with crowding-distance tie-breaking.
 
-Convergence is tracked for two-objective problems by the exact
-hypervolume of the running nondominated archive (every feasible point
-ever evaluated, reduced to its nondominated subset) against a reference
-point frozen from the initial population.  The archive reading makes the
-trace monotone by construction, which the population-only front does not
-guarantee under crowding truncation.
+Convergence is tracked by the exact hypervolume of the running
+nondominated archive (every feasible point ever evaluated, reduced to
+its nondominated subset) against a reference point frozen from the
+first feasible points.  The archive reading makes the trace monotone by
+construction, which the population-only front does not guarantee under
+crowding truncation.
 """
 
 from dataclasses import dataclass
@@ -32,14 +32,13 @@ class Problem:
     """Real-coded minimization problem for the engine.
 
     evaluate maps an (n, dimension) array of genomes to (F, violation):
-    the (n, n_objectives) objective matrix and the n total constraint
-    violations, 0 for a feasible genome and positive otherwise.  Each row
-    must be a pure function of its genome.
+    the (n, 2) objective matrix and the n total constraint violations, 0
+    for a feasible genome and positive otherwise.  Each row must be a pure
+    function of its genome.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    n_objectives: int
     evaluate: object
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class Problem:
             raise ValueError("bounds must be 1-D arrays of equal length")
         if not np.all(lo < hi):
             raise ValueError("lower bounds must be strictly below upper bounds")
-        if self.n_objectives < 2:
-            raise ValueError("the engine handles m >= 2 objectives")
 
     @property
     def dimension(self):
@@ -122,9 +119,9 @@ def _evaluate(problem, genomes):
     F = np.array(F, dtype=float)
     violation = np.array(violation, dtype=float)
     n = len(genomes)
-    if F.shape != (n, problem.n_objectives) or violation.shape != (n,):
-        raise ValueError("evaluate must return (n, n_objectives) objectives "
-                         "and n violations")
+    if F.shape != (n, 2) or violation.shape != (n,):
+        raise ValueError("evaluate must return (n, 2) objectives and n "
+                         "violations")
     bad = ~(np.all(np.isfinite(F), axis=1) & np.isfinite(violation))
     F[bad] = OBJECTIVE_SENTINEL
     violation[bad] = np.inf
@@ -282,18 +279,18 @@ def _breed(genomes, rank, crowding, problem, config, rng):
 def evolve(problem, config):
     """Run the NSGA-II loop; deterministic for a fixed config seed.
 
-    Returns the final population as arrays with its fronts and, for
-    two-objective problems, the per-generation hypervolume trace of the
-    nondominated archive (normalized to the initial population's
-    ideal/nadir box).
+    Returns the final population as arrays with its fronts and the
+    per-generation hypervolume trace of the nondominated archive
+    (normalized to the ideal/nadir box of the first feasible points).
+    Until a feasible point turns up, the trace reads hypervolume 0 and
+    NaN best objectives.
     """
     rng = np.random.default_rng(config.seed)
     lo, hi = problem.lower, problem.upper
     genomes = lo + rng.random((config.population, problem.dimension)) * (hi - lo)
     F, violation = _evaluate(problem, genomes)
 
-    track_hv = problem.n_objectives == 2
-    archive = np.empty((0, problem.n_objectives))
+    archive = np.empty((0, 2))
     reference = None
     ideal = None
     trace = []
@@ -302,17 +299,14 @@ def evolve(problem, config):
         nonlocal archive, reference, ideal
         pts = F_new[(v_new <= 0.0)
                     & np.all(np.abs(F_new) < OBJECTIVE_SENTINEL, axis=1)]
-        if track_hv:
-            if reference is None and len(pts):
+        if len(pts):
+            if reference is None:
                 reference = pts.max(axis=0)
                 ideal = pts.min(axis=0)
-            if len(pts):
-                archive = _nondominated_2d(np.vstack([archive, pts]))
-            hv = (hypervolume_2d(archive, reference, normalization=ideal)
-                  if reference is not None and len(archive) else 0.0)
-        else:
-            hv = np.nan
-        best = archive.min(axis=0) if len(archive) else np.full(problem.n_objectives, np.nan)
+            archive = _nondominated_2d(np.vstack([archive, pts]))
+        hv = (hypervolume_2d(archive, reference, normalization=ideal)
+              if len(archive) else 0.0)
+        best = archive.min(axis=0) if len(archive) else np.full(2, np.nan)
         trace.append(GenerationStats(generation=generation, hypervolume=float(hv),
                                      best_objectives=best))
 
@@ -370,4 +364,4 @@ def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1,
         F[result.arc.violation > 0] = OBJECTIVE_SENTINEL
         return F, result.arc.violation
 
-    return Problem(lower=lower, upper=upper, n_objectives=2, evaluate=evaluate)
+    return Problem(lower=lower, upper=upper, evaluate=evaluate)

@@ -15,7 +15,6 @@ Headings are always wrapped to (-pi, pi].
 """
 
 import heapq
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,10 +40,6 @@ CAST_PAIRS = 2 ** 16
 
 class NoPathError(RuntimeError):
     """The goal cell cannot be reached on the current grid."""
-
-
-class WorldFormatError(ValueError):
-    """World JSON does not match the documented schema."""
 
 
 class FilterDivergedError(ArithmeticError):
@@ -81,6 +76,8 @@ class SensorConfig:
     def __post_init__(self):
         if self.max_range <= 0 or self.n_rays < 0:
             raise ValueError("max_range must be positive, n_rays non-negative")
+        if not 0 < self.fov <= 2.0 * np.pi:
+            raise ValueError("fov must lie in (0, 2 pi]")
         if self.range_sigma < 0 or self.bearing_sigma < 0:
             raise ValueError("noise sigmas must be non-negative")
 
@@ -143,7 +140,11 @@ class OccupancyGrid:
 
 @dataclass(frozen=True)
 class World:
-    """Landmarks, obstacle polygons, and the grid frame of one scenario."""
+    """Landmarks, obstacle polygons, and the grid frame of one scenario.
+
+    The grid needs a positive resolution, a width and height of at least
+    one cell and an [x, y] origin.
+    """
 
     landmarks: dict
     obstacles: tuple
@@ -151,6 +152,13 @@ class World:
     grid_origin: np.ndarray
     grid_width: int
     grid_height: int
+
+    def __post_init__(self):
+        if not (self.grid_resolution > 0 and self.grid_width >= 1
+                and self.grid_height >= 1
+                and np.shape(self.grid_origin) == (2,)):
+            raise ValueError("the grid needs resolution > 0, width and "
+                             "height >= 1 and an [x, y] origin")
 
     def make_grid(self):
         return OccupancyGrid(resolution=self.grid_resolution,
@@ -634,71 +642,7 @@ def simulate(world, script, sensor, odometry=None, process=None, seed=0,
 
 
 # ---------------------------------------------------------------------------
-# World I/O and file outputs
-
-
-_WORLD_KEYS = {"landmarks", "obstacles", "grid"}
-_GRID_KEYS = {"resolution", "origin", "width", "height"}
-
-
-def world_from_dict(data):
-    if not isinstance(data, dict):
-        raise WorldFormatError("world document must be a JSON object")
-    unknown = set(data) - _WORLD_KEYS
-    if unknown:
-        raise WorldFormatError(f"unknown world keys: {sorted(unknown)}")
-    grid = data.get("grid")
-    if not isinstance(grid, dict):
-        raise WorldFormatError("world grid must be a JSON object")
-    unknown = set(grid) - _GRID_KEYS
-    if unknown:
-        raise WorldFormatError(f"unknown grid keys: {sorted(unknown)}")
-    try:
-        world = World(
-            landmarks={int(item["id"]): np.array([float(item["x"]),
-                                                  float(item["y"])])
-                       for item in data.get("landmarks", [])},
-            obstacles=tuple(np.asarray(poly, dtype=float)
-                            for poly in data.get("obstacles", [])),
-            grid_resolution=float(grid["resolution"]),
-            grid_origin=np.asarray(grid["origin"], dtype=float),
-            grid_width=int(grid["width"]),
-            grid_height=int(grid["height"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise WorldFormatError(f"malformed world document: {err}") from None
-    for poly in world.obstacles:
-        if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3:
-            raise WorldFormatError("obstacles must be polygons of >= 3 points")
-    if not (world.grid_resolution > 0 and world.grid_width > 0
-            and world.grid_height > 0 and world.grid_origin.shape == (2,)):
-        raise WorldFormatError("the grid needs resolution > 0, width and "
-                               "height >= 1 and an [x, y] origin")
-    numbers = [np.ravel(v) for v in (world.grid_resolution, world.grid_origin,
-                                     *world.landmarks.values(),
-                                     *world.obstacles)]
-    if not np.isfinite(np.concatenate(numbers)).all():
-        raise WorldFormatError("world coordinates must be finite")
-    return world
-
-
-def load_world(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as err:
-            raise WorldFormatError(f"world file is not JSON: {err}") from None
-    return world_from_dict(data)
-
-
-def world_to_dict(world):
-    return {
-        "landmarks": [{"id": int(lid), "x": float(p[0]), "y": float(p[1])}
-                      for lid, p in sorted(world.landmarks.items())],
-        "obstacles": [np.asarray(poly).tolist() for poly in world.obstacles],
-        "grid": {"resolution": world.grid_resolution,
-                 "origin": list(map(float, world.grid_origin)),
-                 "width": world.grid_width, "height": world.grid_height},
-    }
+# File outputs
 
 
 def write_run_log(log, path, header_comment=None):

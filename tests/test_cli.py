@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,12 +11,24 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from legsynth import cli, nsga2, search, slam
 from legsynth.cli import _overlap_report, main
-from legsynth.slam import desk_world, world_to_dict
+from legsynth.slam import desk_world
 
 TIGHT_BOX = {
     "lower": [0.45, 1.15, 1.15, 0.9599310885968813, 3.8310770045216016],
     "upper": [0.55, 1.35, 1.35, 1.3089969389957472, 3.9269908169872414],
 }
+
+
+def world_to_dict(world):
+    """The world document that `cli._world` reads back as `world`."""
+    return {
+        "landmarks": [{"id": int(lid), "x": float(p[0]), "y": float(p[1])}
+                      for lid, p in sorted(world.landmarks.items())],
+        "obstacles": [np.asarray(poly).tolist() for poly in world.obstacles],
+        "grid": {"resolution": world.grid_resolution,
+                 "origin": list(map(float, world.grid_origin)),
+                 "width": world.grid_width, "height": world.grid_height},
+    }
 
 
 def run(tmp_path, command, config, seed=0, extra=()):
@@ -295,18 +308,24 @@ class TestSlam:
         assert code == 2
 
     def test_world_file_round_trip(self, tmp_path):
-        from legsynth.slam import desk_world, world_to_dict
+        # the desk world read back from a file runs as the default world:
+        # every output is the same but for the config hash
         world_path = tmp_path / "world.json"
         world_path.write_text(json.dumps(world_to_dict(desk_world())))
-        config = {"world": str(world_path),
-                  "script": {"type": "constant", "steps": 20},
-                  "sensor": {"max_range": 5.0, "n_rays": 8}}
-        code, out = run(tmp_path, "slam", config)
-        assert code == 0
-        assert (out / "summary.json").exists()
+        config = {"script": {"type": "constant", "steps": 20},
+                  "sensor": {"max_range": 5.0, "n_rays": 8},
+                  "plan": {"start": [5, 5], "goal": [50, 50]}}
+        texts = []
+        for name, world in (("default", {}), ("file", {"world": str(world_path)})):
+            code, out = run(tmp_path / name, "slam", dict(config, **world))
+            assert code == 0
+            tag = json.loads((out / "summary.json").read_text())["config_hash"]
+            texts.append({p.name: p.read_text().replace(tag, "")
+                          for p in out.iterdir()})
+        assert len(texts[0]) == 5
+        assert texts[0] == texts[1]
 
     def test_unknown_world_key_exit_1(self, tmp_path):
-        from legsynth.slam import desk_world, world_to_dict
         data = world_to_dict(desk_world())
         data["weather"] = "sunny"
         config = {"world": data, "script": {"type": "constant", "steps": 5}}
@@ -353,6 +372,7 @@ def _desk_world(**grid):
     return data
 
 
+ONE_STEP = {"type": "constant", "steps": 1}
 LEG = {"mount_radius": 1.0, "mount_angle": 0.0, "leg_angle": 0.4,
        "foot_offset": 0.2, "extension": 1.0}
 NAN = float("nan")
@@ -372,6 +392,10 @@ BAD_CONFIGS = [
         "sampling_table": _table(tmp, "index,feasible,min_transmission_deg\n"
                                       "0,1,30\n")},
         id="table-without-delta0"),
+    pytest.param("pareto", lambda tmp: {
+        "sampling_table": _table(tmp, "feasible,delta0,min_transmission_deg\n"
+                                      "1,nan,30\n")},
+        id="table-with-nan-delta0"),
     pytest.param("synth", lambda tmp: {"budget": 2 ** 32}, id="budget-2^32"),
     pytest.param("synth", lambda tmp: {"budget": 2 ** 40}, id="budget-2^40"),
     pytest.param("synth", lambda tmp: {"sweep_samples": 1},
@@ -414,6 +438,39 @@ BAD_CONFIGS = [
             {"id": i, "x": 1000.0 + i, "y": 1000.0} for i in range(2049)]),
         "script": {"type": "constant", "steps": 1}},
         id="world-2049-landmarks"),
+    pytest.param("slam", lambda tmp: {"world": _desk_world(width=60.5),
+                                      "script": ONE_STEP},
+                 id="world-grid-fractional-width"),
+    pytest.param("slam", lambda tmp: {"world": _desk_world(height=True),
+                                      "script": ONE_STEP},
+                 id="world-grid-height-true"),
+    pytest.param("slam", lambda tmp: {"world": _desk_world(resolution="0.1"),
+                                      "script": ONE_STEP},
+                 id="world-grid-resolution-as-string"),
+    pytest.param("slam", lambda tmp: {"world": dict(_desk_world(), landmarks=[
+        {"id": 1.7, "x": 0.5, "y": 0.5}]), "script": ONE_STEP},
+        id="world-fractional-landmark-id"),
+    pytest.param("slam", lambda tmp: {"world": dict(_desk_world(), landmarks=[
+        {"id": 2 ** 70, "x": 0.5, "y": 0.5}]), "script": ONE_STEP},
+        id="world-landmark-id-2^70"),
+    pytest.param("slam", lambda tmp: {"world": dict(_desk_world(), landmarks=[
+        {"id": 1, "x": "0.5", "y": 0.5}]), "script": ONE_STEP},
+        id="world-landmark-number-as-string"),
+    pytest.param("slam", lambda tmp: {"world": dict(_desk_world(), landmarks=[
+        {"id": 1, "x": 0.5, "y": 0.5}, {"id": 1, "x": 1.5, "y": 0.5}]),
+        "script": ONE_STEP}, id="world-repeated-landmark-id"),
+    pytest.param("slam", lambda tmp: {"world": dict(_desk_world(), landmarks=[
+        {"id": 1, "x": 0.5, "y": 0.5, "z": 0.0}]), "script": ONE_STEP},
+        id="world-landmark-unknown-key"),
+    pytest.param("slam", lambda tmp: {"world": dict(_desk_world(), obstacles=[
+        [[0.0, 0.0], [1, "0"], [1.0, 1.0]]]), "script": ONE_STEP},
+        id="world-obstacle-point-as-string"),
+    pytest.param("slam", lambda tmp: {"sensor": {"fov": -1.0},
+                                      "script": ONE_STEP},
+                 id="sensor-negative-fov"),
+    pytest.param("slam", lambda tmp: {"sensor": {"fov": 7.0},
+                                      "script": ONE_STEP},
+                 id="sensor-fov-above-2pi"),
     pytest.param("slam", lambda tmp: {"sensor": {"n_rays": 10 ** 9}},
                  id="n-rays-10^9"),
     pytest.param("slam", lambda tmp: {
@@ -494,6 +551,19 @@ class TestParserBehavior:
         code = main(["synth", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_config_too_deep_to_hash_exit_1(self, tmp_path, capsys):
+        # json.load reads a few levels deeper than json.dumps writes; every
+        # depth up to the recursion limit exits 1 before any command runs
+        config = tmp_path / "config.json"
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 400, limit + 10):
+            config.write_text('{"family": ' + "[" * depth + "]" * depth + "}")
+            code = main(["isotropy", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert "config error" in err and "Traceback" not in err
 
 
 class _Reached(Exception):

@@ -86,8 +86,7 @@ def zdt1_problem(dim=10):
         F = np.column_stack([f1, g * (1.0 - np.sqrt(f1 / g))])
         return F, np.zeros(len(X))
 
-    return Problem(lower=np.zeros(dim), upper=np.ones(dim), n_objectives=2,
-                   evaluate=evaluate)
+    return Problem(lower=np.zeros(dim), upper=np.ones(dim), evaluate=evaluate)
 
 
 def leg_objectives(genome, **kwargs):
@@ -291,7 +290,7 @@ class TestEvolve:
             return F, np.zeros(len(X))
 
         problem = Problem(lower=np.zeros(2), upper=np.ones(2),
-                          n_objectives=2, evaluate=evaluate)
+                          evaluate=evaluate)
         result = evolve(problem, GAConfig(population=16, generations=10,
                                           seed=5))
         assert result.genomes.shape == (16, 2)
@@ -306,7 +305,7 @@ class TestEvolve:
             calls.append(X.shape)
             return base.evaluate(X)
 
-        problem = Problem(lower=base.lower, upper=base.upper, n_objectives=2,
+        problem = Problem(lower=base.lower, upper=base.upper,
                           evaluate=evaluate)
         evolve(problem, GAConfig(population=12, generations=5, seed=4))
         assert calls == [(12, 3)] * 6
@@ -324,6 +323,13 @@ class TestConfigValidation:
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
             GAConfig(crossover_prob=1.5)
+
+    def test_three_objectives_rejected(self):
+        problem = Problem(lower=np.zeros(2), upper=np.ones(2),
+                          evaluate=lambda X: (np.zeros((len(X), 3)),
+                                              np.zeros(len(X))))
+        with pytest.raises(ValueError):
+            evolve(problem, GAConfig(population=4, generations=0))
 
 
 class TestLegProblem:

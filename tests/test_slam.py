@@ -2,20 +2,20 @@ import copy
 import heapq
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from legsynth import slam
+from legsynth import cli, slam
 from legsynth.geometry import wrap_pi
 from legsynth.slam import (LOG_ODDS_FREE, LOG_ODDS_LIMIT, LOG_ODDS_OCCUPIED,
                            FilterDivergedError, MotionInput, NoPathError,
                            Observation, OccupancyGrid, OdometryNoise,
                            ProcessNoise, SensorConfig, SlamState, World,
-                           WorldFormatError, _walk, correct, desk_world,
-                           initial_state, load_world, loop_script, observe,
-                           path_cost, plan_path, predict, simulate, unicycle,
-                           update_map, world_from_dict, world_to_dict,
+                           _walk, correct, desk_world, initial_state,
+                           loop_script, observe, path_cost, plan_path,
+                           predict, simulate, unicycle, update_map,
                            write_grid_pgm, write_run_log)
 
 SENSOR_EXACT = SensorConfig(max_range=10.0, n_rays=0)
@@ -914,26 +914,35 @@ class TestSimulate:
         assert (probs < 0.4).sum() > 100
 
 
+WORLD_DOC = {"landmarks": [{"id": 3, "x": 1.0, "y": 2.0},
+                           {"id": 1, "x": -1, "y": 0.5}],
+             "obstacles": [[[0.8, 0.8], [1.6, 0.8], [1.6, 1.6], [0.8, 1.6]]],
+             "grid": {"resolution": 0.1, "origin": [-2.0, -2.0], "width": 60,
+                      "height": 60}}
+
+
 class TestWorldIO:
+    """World documents, read by the config reader `cli._world`."""
+
     def test_round_trip(self, tmp_path):
-        world = desk_world()
         path = tmp_path / "world.json"
-        path.write_text(json.dumps(world_to_dict(world)))
-        loaded = load_world(path)
-        assert loaded.landmarks.keys() == world.landmarks.keys()
-        assert loaded.grid_width == world.grid_width
+        path.write_text(json.dumps(WORLD_DOC))
+        loaded = cli._world(str(path))
+        assert list(loaded.landmarks) == [3, 1]
+        assert loaded.landmarks[1].tolist() == [-1.0, 0.5]
+        assert [poly.tolist() for poly in loaded.obstacles] \
+            == WORLD_DOC["obstacles"]
+        assert (loaded.grid_resolution, loaded.grid_origin.tolist(),
+                loaded.grid_width, loaded.grid_height) \
+            == (0.1, [-2.0, -2.0], 60, 60)
 
     def test_unknown_keys_rejected(self):
-        data = world_to_dict(desk_world())
-        data["lidar_model"] = "fancy"
-        with pytest.raises(WorldFormatError):
-            world_from_dict(data)
+        with pytest.raises(cli.ConfigError):
+            cli._world(dict(WORLD_DOC, lidar_model="fancy"))
 
     def test_bad_polygon_rejected(self):
-        data = world_to_dict(desk_world())
-        data["obstacles"] = [[[0.0, 0.0], [1.0, 1.0]]]
-        with pytest.raises(WorldFormatError):
-            world_from_dict(data)
+        with pytest.raises(cli.ConfigError):
+            cli._world(dict(WORLD_DOC, obstacles=[[[0.0, 0.0], [1.0, 1.0]]]))
 
     @pytest.mark.parametrize("grid", [
         5,
@@ -946,22 +955,27 @@ class TestWorldIO:
     ], ids=["a-number", "no-width", "zero-resolution", "zero-width",
             "1-d-origin", "infinite-width"])
     def test_bad_grid_rejected(self, grid):
-        data = world_to_dict(desk_world())
-        data["grid"] = grid
-        with pytest.raises(WorldFormatError):
-            world_from_dict(data)
+        with pytest.raises(cli.ConfigError):
+            cli._world(dict(WORLD_DOC, grid=grid))
 
     def test_nan_landmark_rejected(self):
-        data = world_to_dict(desk_world())
-        data["landmarks"][0]["x"] = float("nan")
-        with pytest.raises(WorldFormatError):
-            world_from_dict(data)
+        with pytest.raises(cli.ConfigError):
+            cli._world(dict(WORLD_DOC, landmarks=[
+                {"id": 1, "x": float("nan"), "y": 0.0}]))
 
     def test_bad_json_file_rejected(self, tmp_path):
         path = tmp_path / "world.json"
         path.write_text('{"grid": ')
-        with pytest.raises(WorldFormatError):
-            load_world(path)
+        with pytest.raises(cli.ConfigError):
+            cli._world(str(path))
+
+    @pytest.mark.parametrize("grid", [
+        {"grid_resolution": 0.0}, {"grid_width": 0}, {"grid_height": 0},
+        {"grid_origin": np.zeros(3)}], ids=["resolution", "width", "height",
+                                            "origin"])
+    def test_world_checks_its_grid(self, grid):
+        with pytest.raises(ValueError):
+            replace(desk_world(), **grid)
 
     def test_writers_produce_files(self, tmp_path):
         log = simulate(desk_world(), loop_script()[:40],
