@@ -20,15 +20,15 @@ problem = leg_problem()
 config = GAConfig(population=100, generations=300, seed=0)
 result = evolve(problem, config)
 
-hv = np.array([row.hypervolume for row in result.trace])
+hv = result.hypervolume
 crossing = int(np.argmax(hv >= 0.99 * hv[-1]))
 print(f"final hypervolume {hv[-1]:.3f}, 99% reached at generation "
       f"{crossing}")
 
-front = [i for i in result.fronts[0] if result.violation[i] <= 0.0]
+front = (result.rank == 0) & (result.violation <= 0.0)
 errors = result.F[front, 0]
 angles = np.degrees(-result.F[front, 1])
-print(f"front size {len(front)}: error {errors.min():.2e}..{errors.max():.2e}, "
+print(f"front size {len(errors)}: error {errors.min():.2e}..{errors.max():.2e}, "
       f"transmission {angles.min():.1f}..{angles.max():.1f} deg")
 
 curve = SvgPlot(title="hypervolume convergence")

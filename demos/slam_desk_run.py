@@ -42,14 +42,12 @@ print(f"noisy run      : slam error {slam_err:.3f}, "
 write_run_log(noisy, OUT / "run_log.csv")
 write_grid_pgm(noisy.final_state.grid, OUT / "grid.pgm")
 
-truth = np.array([s.truth[:2] for s in noisy.steps])
-dr = np.array([s.dead_reckoning[:2] for s in noisy.steps])
-est = np.array([s.slam[:2] for s in noisy.steps])
 tracks = SvgPlot(title="trajectories: truth vs estimates",
                  equal_aspect=True)
-tracks.add_line(truth[:, 0], truth[:, 1], label="ground truth")
-tracks.add_line(dr[:, 0], dr[:, 1], label="dead reckoning")
-tracks.add_line(est[:, 0], est[:, 1], label="slam estimate")
+tracks.add_line(noisy.truth[:, 0], noisy.truth[:, 1], label="ground truth")
+tracks.add_line(noisy.dead_reckoning[:, 0], noisy.dead_reckoning[:, 1],
+                label="dead reckoning")
+tracks.add_line(noisy.slam[:, 0], noisy.slam[:, 1], label="slam estimate")
 tracks.write(OUT / "tracks.svg")
 
 grid = clean.final_state.grid

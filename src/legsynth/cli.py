@@ -327,17 +327,17 @@ def cmd_pareto(config, out, seed, tag):
     with open(out / "hypervolume.csv", "w") as fh:
         fh.write(f"# config {tag}\n")
         fh.write("generation,hypervolume,best_error,best_transmission_rad\n")
-        for row in result.trace:
-            best_mu = -row.best_objectives[1]
-            fh.write(f"{row.generation},{row.hypervolume:.12g},"
-                     f"{row.best_objectives[0]:.12g},{best_mu:.12g}\n")
+        for generation, area in enumerate(result.hypervolume):
+            error, transmission = result.best_objectives[generation]
+            fh.write(f"{generation},{area:.12g},{error:.12g},"
+                     f"{-transmission:.12g}\n")
 
-    hv = [row.hypervolume for row in result.trace]
+    hv = result.hypervolume
     plot = SvgPlot(title="hypervolume convergence")
-    plot.add_line(np.arange(len(hv)), np.array(hv), label="hypervolume")
+    plot.add_line(np.arange(len(hv)), hv, label="hypervolume")
     plot.write(out / "hypervolume.svg", comment=f"config {tag}")
 
-    front = [i for i in result.fronts[0] if result.violation[i] <= 0.0]
+    front = (result.rank == 0) & (result.violation <= 0.0)
     F = result.F[front]
     with open(out / "front.csv", "w") as fh:
         fh.write(f"# config {tag}\n")
@@ -359,9 +359,7 @@ def cmd_pareto(config, out, seed, tag):
         report["config_hash"] = tag
         _write_json(out / "overlap.json", report)
 
-    final_hv = hv[-1] if hv else 0.0
-    print(f"pareto: front size {len(F)}, final hypervolume "
-          f"{final_hv:.4f}")
+    print(f"pareto: front size {len(F)}, final hypervolume {hv[-1]:.4f}")
     return EXIT_OK
 
 
@@ -465,7 +463,7 @@ def cmd_mobility(config, out, seed, tag):
     results = rationality_report(graphs)
     with open(out / "mobility.csv", "w", newline="") as fh:
         fh.write(f"# config {tag}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["label", "dof", "actuated_inputs", "rational",
                          "diagnosis"])
         for r in results:
@@ -580,6 +578,13 @@ def cmd_slam(config, out, seed, tag):
                 "goal": _vector(plan, "goal", int, 2, "plan "),
                 "occupied_threshold": _get(plan, "occupied_threshold",
                                            float, 0.5, "plan ")}
+        for key in ("start", "goal"):
+            row, col = plan[key]
+            if not (0 <= row < world.grid_height
+                    and 0 <= col < world.grid_width):
+                raise ConfigError(f"plan {key} must be a cell of the "
+                                  f"{world.grid_height} x {world.grid_width} "
+                                  "world grid")
 
     try:
         log = slam.simulate(world, script, sensor, odometry=odometry,
@@ -596,7 +601,7 @@ def cmd_slam(config, out, seed, tag):
     slam_err, dr_err = log.final_errors()
     summary = {
         "config_hash": tag,
-        "steps": len(log.steps),
+        "steps": len(script),
         "final_slam_error": slam_err,
         "final_dead_reckoning_error": dr_err,
         "min_cov_eigenvalue": float(
@@ -608,7 +613,7 @@ def cmd_slam(config, out, seed, tag):
         grid = log.final_state.grid
         try:
             cells = slam.plan_path(grid, **plan)
-        except (ValueError, slam.NoPathError) as err:
+        except slam.NoPathError as err:
             raise InfeasibleError(str(err), diagnostics={"error": str(err)})
         slam.write_path_csv(cells, out / "path.csv",
                             header_comment=f"config {tag}")
@@ -624,7 +629,7 @@ def cmd_slam(config, out, seed, tag):
         summary["path_cost"] = slam.path_cost(cells)
 
     _write_json(out / "summary.json", summary)
-    print(f"slam: {len(log.steps)} steps, final error slam {slam_err:.3g} "
+    print(f"slam: {len(script)} steps, final error slam {slam_err:.3g} "
           f"vs dead reckoning {dr_err:.3g}")
     return EXIT_OK
 

@@ -85,28 +85,19 @@ class GAConfig:
 
 
 @dataclass
-class GenerationStats:
-    generation: int
-    hypervolume: float
-    best_objectives: np.ndarray
-
-
-@dataclass
 class EvolveResult:
     """The final population as arrays, one row per individual: `genomes`,
-    objectives `F` and total constraint `violation`; its nondomination
-    `fronts` (ascending index lists, rank order); the hypervolume `trace`;
-    and the nondominated `archive` of every feasible point evaluated, with
-    the frozen reference and ideal points of its normalization."""
+    objectives `F`, total constraint `violation` and nondomination `rank`;
+    one row per generation from 0: the `hypervolume` and `best_objectives`
+    of the nondominated `archive` of every feasible point evaluated."""
 
     genomes: np.ndarray
     F: np.ndarray
     violation: np.ndarray
-    fronts: list
-    trace: list
+    rank: np.ndarray
+    hypervolume: np.ndarray
+    best_objectives: np.ndarray
     archive: np.ndarray
-    reference_point: np.ndarray
-    ideal_point: np.ndarray
 
 
 def _evaluate(problem, genomes):
@@ -129,51 +120,53 @@ def _evaluate(problem, genomes):
 
 
 def fast_nondominated_sort(F, violation):
-    """Partition rows into nondomination fronts (ascending index lists).
+    """The nondomination rank of every row (Deb et al., IEEE TEC 2002).
 
-    Front 0 is the nondominated set; each later front is nondominated
-    once all earlier fronts are removed, under constraint-domination:
-    feasible rows (violation <= 0) are peeled by objective dominance, and
-    every other row follows, one front per distinct violation in
-    increasing order (NaN last).
+    Rank 0 is the nondominated set; each later rank is nondominated once
+    all lower ranks are removed, under constraint-domination: feasible
+    rows (violation <= 0) are peeled by objective dominance, and every
+    other row follows, one rank per distinct violation in increasing
+    order (NaN last).
     """
     F = np.asarray(F, dtype=float)
     violation = np.asarray(violation, dtype=float)
     feasible = np.flatnonzero(violation <= 0.0)
     D = dominates(F[feasible], F[feasible])
     dominators = D.sum(axis=0)
-    fronts = []
-    assigned = np.zeros(len(feasible), dtype=bool)
-    while not assigned.all():
-        current = np.flatnonzero(~assigned & (dominators == 0))
-        fronts.append(feasible[current].tolist())
-        assigned[current] = True
+    rank = np.empty(len(F), dtype=int)
+    fronts = 0
+    # ranked rows stay at -1: no row of a later front dominates them
+    while (dominators >= 0).any():
+        current = np.flatnonzero(dominators == 0)
+        rank[feasible[current]] = fronts
+        fronts += 1
         dominators = dominators - D[current].sum(axis=0)
-        dominators[assigned] = -1
+        dominators[current] = -1
     infeasible = np.flatnonzero(~(violation <= 0.0))
     _, level = np.unique(violation[infeasible], return_inverse=True)
-    fronts.extend(infeasible[level == k].tolist()
-                  for k in range(level.max(initial=-1) + 1))
-    return fronts
+    rank[infeasible] = fronts + level
+    return rank
 
 
-def crowding_distance(front_objectives):
-    """Crowding distances for one front's objective matrix (n, m).
+def crowding_distance(F, rank):
+    """Crowding distance of each row of F (n, m) within its `rank` front.
 
     Boundary members of every objective get infinity; interior members
-    accumulate range-normalized neighbor gaps per objective.
+    accumulate range-normalized neighbor gaps per objective, ties in index
+    order.  Ranks are non-negative.
     """
-    F = np.asarray(front_objectives, dtype=float)
-    n = len(F)
-    if n <= 2:
-        return np.full(n, np.inf)
-    d = np.zeros(n)
+    F = np.asarray(F, dtype=float)
+    rank = np.asarray(rank)
+    d = np.zeros(len(F))
     for j in range(F.shape[1]):
-        order = np.argsort(F[:, j], kind="stable")
-        span = F[order[-1], j] - F[order[0], j]
-        d[order[0]] = d[order[-1]] = np.inf
-        if span > 0:
-            d[order[1:-1]] += (F[order[2:], j] - F[order[:-2], j]) / span
+        order = np.lexsort((F[:, j], rank))
+        r, f = rank[order], F[order, j]
+        first = np.diff(r, prepend=-1) != 0
+        last = np.diff(r, append=-1) != 0
+        span = (f[last] - f[first])[np.cumsum(first) - 1]
+        inner = np.flatnonzero(~(first | last) & (span > 0))
+        d[order[inner]] += (f[inner + 1] - f[inner - 1]) / span[inner]
+        d[order[first | last]] = np.inf
     return d
 
 
@@ -214,25 +207,18 @@ def _nondominated_2d(points):
 
 def _survivors(F, violation, size):
     """The `size` rows that survive truncation, in survival order, and
-    the rank and crowding distance of every row in the fronts read.
+    the rank and crowding distance of every row.
 
     Whole fronts enter in rank order, each in index order; of the front
     that does not fit, the members of largest crowding distance enter.
-    Rows of fronts not read keep rank -1 and crowding 0.
     """
-    rank = np.full(len(F), -1)
-    crowding = np.zeros(len(F))
-    rows = []
-    for r, front in enumerate(fast_nondominated_sort(F, violation)):
-        if len(rows) == size:
-            break
-        d = crowding_distance(F[front])
-        rank[front], crowding[front] = r, d
-        room = size - len(rows)
-        if len(front) > room:
-            front = np.asarray(front)[np.argsort(-d, kind="stable")[:room]]
-        rows.extend(front)
-    return np.array(rows), rank, crowding
+    rank = fast_nondominated_sort(F, violation)
+    crowding = crowding_distance(F, rank)
+    filled = np.cumsum(np.bincount(rank))
+    cut = np.searchsorted(filled, size)
+    # a front that fits exactly keeps its index order
+    key = np.where((rank == cut) & (filled[cut] > size), -crowding, 0.0)
+    return np.lexsort((key, rank))[:size], rank, crowding
 
 
 def _breed(genomes, rank, crowding, problem, config, rng):
@@ -279,11 +265,11 @@ def _breed(genomes, rank, crowding, problem, config, rng):
 def evolve(problem, config):
     """Run the NSGA-II loop; deterministic for a fixed config seed.
 
-    Returns the final population as arrays with its fronts and the
-    per-generation hypervolume trace of the nondominated archive
-    (normalized to the ideal/nadir box of the first feasible points).
-    Until a feasible point turns up, the trace reads hypervolume 0 and
-    NaN best objectives.
+    Returns the final population as arrays with its ranks, and per
+    generation the hypervolume of the nondominated archive (normalized to
+    the ideal/nadir box of the first feasible points) and its best
+    objectives.  Until a feasible point turns up, a generation reads
+    hypervolume 0 and NaN best objectives.
     """
     rng = np.random.default_rng(config.seed)
     lo, hi = problem.lower, problem.upper
@@ -293,7 +279,8 @@ def evolve(problem, config):
     archive = np.empty((0, 2))
     reference = None
     ideal = None
-    trace = []
+    hypervolume = np.zeros(config.generations + 1)
+    best = np.full((config.generations + 1, 2), np.nan)
 
     def record(generation, F_new, v_new):
         nonlocal archive, reference, ideal
@@ -304,11 +291,10 @@ def evolve(problem, config):
                 reference = pts.max(axis=0)
                 ideal = pts.min(axis=0)
             archive = _nondominated_2d(np.vstack([archive, pts]))
-        hv = (hypervolume_2d(archive, reference, normalization=ideal)
-              if len(archive) else 0.0)
-        best = archive.min(axis=0) if len(archive) else np.full(2, np.nan)
-        trace.append(GenerationStats(generation=generation, hypervolume=float(hv),
-                                     best_objectives=best))
+        if len(archive):
+            hypervolume[generation] = hypervolume_2d(archive, reference,
+                                                     normalization=ideal)
+            best[generation] = archive.min(axis=0)
 
     _, rank, crowding = _survivors(F, violation, len(F))
     record(0, F, violation)
@@ -325,9 +311,8 @@ def evolve(problem, config):
         rank, crowding = rank[rows], crowding[rows]
 
     return EvolveResult(genomes=genomes, F=F, violation=violation,
-                        fronts=fast_nondominated_sort(F, violation),
-                        trace=trace, archive=archive,
-                        reference_point=reference, ideal_point=ideal)
+                        rank=rank, hypervolume=hypervolume,
+                        best_objectives=best, archive=archive)
 
 
 _COUPLER_BOUND = 3.0  # |x_E| and |y_E| bound of the explicit coupler genes

@@ -182,7 +182,7 @@ def write_sampling_table(table, path, header_comment=None):
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
         metrics = (table.min_transmission_deg, table.cycle_ratio,
                    table.support_deg)

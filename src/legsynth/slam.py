@@ -203,10 +203,6 @@ class SlamState:
     grid: OccupancyGrid
 
     @property
-    def pose(self):
-        return self.mean[:3].copy()
-
-    @property
     def landmarks(self):
         return {lid: self.mean[3 + 2 * i:5 + 2 * i].copy()
                 for i, lid in enumerate(self.landmark_ids)}
@@ -227,19 +223,10 @@ def initial_state(pose, world):
 
 @dataclass(frozen=True)
 class CorrectionResult:
-    """Outcome of one Kalman correction."""
+    """Outcome of one Kalman correction; `skipped` if S was singular."""
 
     state: SlamState
-    innovation: np.ndarray
-    moved_ids: tuple
     skipped: bool = False
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class MapUpdateResult:
-    state: SlamState
-    added_ids: tuple
 
 
 def unicycle(pose, u):
@@ -372,13 +359,12 @@ def correct(state, z):
     C = K S / 2 - P H^T.  An innovation covariance that is not finite, has
     a 2-norm condition number above 1e12 or is not positive definite (no
     Cholesky factor; a positive semi-definite P never gives one) skips the
-    whole measurement batch and returns the state unchanged.
+    whole measurement batch: the state comes back unchanged, `skipped` set.
     """
     match = z.ids[:, None] == np.asarray(state.landmark_ids, dtype=int)
     known = match.any(axis=1)
     if not known.any():
-        return CorrectionResult(state=state.copy(), innovation=np.zeros(0),
-                                moved_ids=())
+        return CorrectionResult(state=state.copy())
     slots = match.argmax(axis=1)[known]
     J, columns, predicted = _measurement_jacobian(state.mean, slots)
     observed = np.stack([z.ranges[known], z.bearings[known]], axis=1).ravel()
@@ -394,9 +380,7 @@ def correct(state, z):
     # cond2 of the symmetric S is the ratio of its extreme eigenvalues
     eigenvalues = np.linalg.eigvalsh(S) if np.isfinite(S).all() else [np.nan]
     if not (eigenvalues[0] > 0 and eigenvalues[-1] <= 1e12 * eigenvalues[0]):
-        return CorrectionResult(state=state.copy(), innovation=innovation,
-                                moved_ids=(), skipped=True,
-                                reason="innovation covariance singular")
+        return CorrectionResult(state=state.copy(), skipped=True)
     # L^-1 by one solve against the identity: 2k right-hand sides, fewer
     # than the n columns of P H^T that two solves for K would take
     L_inv = np.linalg.solve(np.linalg.cholesky(S), np.eye(len(S)))
@@ -406,9 +390,7 @@ def correct(state, z):
     # with 2C = K S - 2 P H^T, P + K C^T + C K^T is the symmetric part of
     # P + K (2C)^T
     P = P + K @ (K @ S - 2.0 * PHt).T
-    return CorrectionResult(state=replace(state, mean=mean, cov=0.5 * (P + P.T)),
-                            innovation=innovation,
-                            moved_ids=tuple(z.ids[known].tolist()))
+    return CorrectionResult(state=replace(state, mean=mean, cov=0.5 * (P + P.T)))
 
 
 def _walk(start, ends):
@@ -432,7 +414,7 @@ def _walk(start, ends):
 
 
 def update_map(state, z):
-    """Initialize unknown landmarks and stamp the grid along each ray.
+    """The state after initializing unknown landmarks and stamping the rays.
 
     New landmarks enter the state by inverse observation from the current
     pose estimate, with a covariance block propagated from the pose
@@ -473,8 +455,7 @@ def update_map(state, z):
                          + G_meas @ np.diag([r_var, b_var]) @ G_meas.T)
         new.mean = np.concatenate([new.mean, position])
         new.cov = 0.5 * (grown + grown.T)
-    added = tuple(z.ids[fresh].tolist())
-    new.landmark_ids = tuple(state.landmark_ids) + added
+    new.landmark_ids = tuple(state.landmark_ids) + tuple(z.ids[fresh].tolist())
 
     grid = new.grid
     # push the hit a quarter cell along the ray so surfaces lying
@@ -512,7 +493,7 @@ def update_map(state, z):
         increment = np.where(occupied, LOG_ODDS_OCCUPIED, LOG_ODDS_FREE)[ended]
         for c, inc in zip(cell[ended].tolist(), increment.tolist()):
             flat[c] = min(max(flat[c] + inc, -LOG_ODDS_LIMIT), LOG_ODDS_LIMIT)
-    return MapUpdateResult(state=new, added_ids=added)
+    return new
 
 
 _DIAG = np.sqrt(2.0)
@@ -576,26 +557,23 @@ def path_cost(path):
 
 
 @dataclass
-class StepLog:
-    step: int
+class RunLog:
+    """One row per step: the (steps, 3) `truth`, `dead_reckoning` and `slam`
+    poses; the (steps,) `cov_trace`, `n_measurements` and `skipped`
+    correction flags; and the state the run ends in."""
+
     truth: np.ndarray
     dead_reckoning: np.ndarray
     slam: np.ndarray
-    cov_trace: float
-    n_measurements: int
-    events: tuple = ()
-
-
-@dataclass
-class RunLog:
-    steps: list
+    cov_trace: np.ndarray
+    n_measurements: np.ndarray
+    skipped: np.ndarray
     final_state: SlamState
-    seed: int
 
     def final_errors(self):
-        last = self.steps[-1]
-        slam_err = float(np.hypot(*(last.slam[:2] - last.truth[:2])))
-        dr_err = float(np.hypot(*(last.dead_reckoning[:2] - last.truth[:2])))
+        slam_err = float(np.hypot(*(self.slam[-1, :2] - self.truth[-1, :2])))
+        dr_err = float(np.hypot(*(self.dead_reckoning[-1, :2]
+                                  - self.truth[-1, :2])))
         return slam_err, dr_err
 
 
@@ -605,17 +583,21 @@ def simulate(world, script, sensor, odometry=None, process=None, seed=0,
 
     Ground truth integrates the commanded motion exactly; odometry (and
     hence dead reckoning and the filter prediction) sees the commands
-    corrupted by the odometry noise.  Component failures (skipped
-    corrections) are logged as events, never raised; a state that stops
-    being finite raises FilterDivergedError.  Deterministic for a given
-    seed.
+    corrupted by the odometry noise.  Returns a RunLog with one row per
+    step of the script.  A skipped correction is logged in its row, never
+    raised; a state that stops being finite raises FilterDivergedError.
+    Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
     odometry = odometry or OdometryNoise()
     truth = np.asarray(start_pose, dtype=float).copy()
     dead_reckoning = truth.copy()
     state = initial_state(truth, world)
-    steps = []
+    n = len(script)
+    log = RunLog(truth=np.empty((n, 3)), dead_reckoning=np.empty((n, 3)),
+                 slam=np.empty((n, 3)), cov_trace=np.empty(n),
+                 n_measurements=np.empty(n, dtype=int),
+                 skipped=np.empty(n, dtype=bool), final_state=state)
     for i, u in enumerate(script):
         truth = unicycle(truth, u)
         u_measured = MotionInput(
@@ -627,18 +609,17 @@ def simulate(world, script, sensor, odometry=None, process=None, seed=0,
         state = predict(state, u_measured, process)
         z = observe(truth, world, sensor, rng)
         result = correct(state, z)
-        events = ("correction-skipped: " + result.reason,) if result.skipped else ()
-        state = update_map(result.state, z).state
+        state = update_map(result.state, z)
         if not all(np.isfinite(a).all()
                    for a in (state.mean, state.cov, dead_reckoning)):
             raise FilterDivergedError(i)
-        steps.append(StepLog(step=i, truth=truth.copy(),
-                             dead_reckoning=dead_reckoning.copy(),
-                             slam=state.pose,
-                             cov_trace=float(np.trace(state.cov)),
-                             n_measurements=len(z.ids),
-                             events=events))
-    return RunLog(steps=steps, final_state=state, seed=seed)
+        log.truth[i], log.dead_reckoning[i], log.slam[i] = (
+            truth, dead_reckoning, state.mean[:3])
+        log.cov_trace[i] = np.trace(state.cov)
+        log.n_measurements[i] = len(z.ids)
+        log.skipped[i] = result.skipped
+    log.final_state = state
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -646,21 +627,22 @@ def simulate(world, script, sensor, odometry=None, process=None, seed=0,
 
 
 def write_run_log(log, path, header_comment=None):
-    """CSV: step, truth pose, dead-reckoning pose, SLAM pose, trace(cov)."""
+    """CSV: step, truth pose, dead-reckoning pose, SLAM pose, trace(cov),
+    landmarks measured and the step's events."""
+    figures = np.column_stack([log.truth, log.dead_reckoning, log.slam,
+                               log.cov_trace])
+    events = np.where(log.skipped,
+                      "correction-skipped: innovation covariance singular", "")
     with open(path, "w") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write("step,truth_x,truth_y,truth_heading,"
                  "dr_x,dr_y,dr_heading,slam_x,slam_y,slam_heading,"
                  "cov_trace,n_measurements,events\n")
-        for s in log.steps:
-            row = [s.step,
-                   *(f"{v:.9g}" for v in s.truth),
-                   *(f"{v:.9g}" for v in s.dead_reckoning),
-                   *(f"{v:.9g}" for v in s.slam),
-                   f"{s.cov_trace:.9g}", s.n_measurements,
-                   ";".join(s.events)]
-            fh.write(",".join(str(v) for v in row) + "\n")
+        for step, row in enumerate(figures.tolist()):
+            cells = [str(step), *(f"{v:.9g}" for v in row),
+                     str(log.n_measurements[step]), events[step]]
+            fh.write(",".join(cells) + "\n")
 
 
 def write_grid_pgm(grid, path, comment=None):

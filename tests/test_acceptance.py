@@ -107,7 +107,7 @@ def test_criterion_3_nsga2_convergence():
     problem = leg_problem()
     result = evolve(problem, GAConfig(population=100, generations=2000,
                                       seed=0))
-    hv = np.array([row.hypervolume for row in result.trace])
+    hv = result.hypervolume
     monotone = bool(np.all(np.diff(hv) >= -1e-12))
     final = hv[-1]
     crossing = int(np.argmax(hv >= 0.99 * final))
@@ -308,16 +308,17 @@ def test_criterion_8_oracle_equivalences():
         n = int(rng.integers(1, 201))
         m = int(rng.integers(2, 4))
         F = rng.integers(0, 8, size=(n, m)).astype(float)
-        fronts = fast_nondominated_sort(F, np.zeros(n))
+        rank = fast_nondominated_sort(F, np.zeros(n))
         # beats[j, i]: row j is no worse than row i in every objective
         # and better in one
         beats = ((F[:, None, :] <= F[None, :, :]).all(axis=2)
                  & (F[:, None, :] < F[None, :, :]).any(axis=2))
         remaining = np.ones(n, dtype=bool)
-        for front in fronts:
+        for r in range(rank.max() + 1):
+            front = np.flatnonzero(rank == r)
             expected = np.flatnonzero(remaining
                                       & ~beats[remaining].any(axis=0))
-            if front != expected.tolist():
+            if not np.array_equal(front, expected):
                 sort_ok = False
                 break
             remaining[front] = False
@@ -401,9 +402,9 @@ def test_criterion_9_slam_behavior(monkeypatch):
     minima = []
 
     def spy(state, z):
-        result = update_map(state, z)
-        minima.append(np.linalg.eigvalsh(result.state.cov).min())
-        return result
+        state = update_map(state, z)
+        minima.append(np.linalg.eigvalsh(state.cov).min())
+        return state
 
     world = desk_world()
     noise_free = simulate(world, loop_script(),

@@ -307,6 +307,15 @@ class TestSlam:
         code, _ = run(tmp_path, "slam", config)
         assert code == 2
 
+    def test_plan_outside_the_grid_refused_before_the_run(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(slam, "simulate", _reached)
+        config = {"sensor": {"n_rays": 360},
+                  "plan": {"start": [5, 5], "goal": [500, 50]}}
+        code, out = run(tmp_path, "slam", config)
+        assert code == 1
+        assert not (out / "run_log.csv").exists()
+
     def test_world_file_round_trip(self, tmp_path):
         # the desk world read back from a file runs as the default world:
         # every output is the same but for the config hash
@@ -490,6 +499,12 @@ BAD_CONFIGS = [
     pytest.param("slam", lambda tmp: {"plan": {"start": [1.5, 2],
                                                "goal": [50, 50]}},
                  id="plan-fractional-cell"),
+    pytest.param("slam", lambda tmp: {"plan": {"start": [5, 5],
+                                               "goal": [50, 500]}},
+                 id="plan-goal-column-500"),
+    pytest.param("slam", lambda tmp: {"plan": {"start": [-1, 5],
+                                               "goal": [50, 50]}},
+                 id="plan-start-row-minus-1"),
     pytest.param("slam", lambda tmp: {"start_pose": [NAN, 0, 0]},
                  id="start-pose-nan"),
     pytest.param("mobility", lambda tmp: {"graphs": [
@@ -564,6 +579,32 @@ class TestParserBehavior:
             err = capsys.readouterr().err
             assert code == 1
             assert "config error" in err and "Traceback" not in err
+
+
+def test_text_outputs_end_lines_with_newline_only(tmp_path):
+    # every file each command writes, the pareto overlap report included
+    code, synth_out = run(tmp_path / "synth", "synth",
+                          {"box": TIGHT_BOX, "budget": 64})
+    assert code == 0
+    table = str(synth_out / "sampling_table.csv")
+    outputs = [synth_out]
+    for command, config in [
+            ("pareto", {"box": TIGHT_BOX, "sampling_table": table,
+                        "ga": {"population": 8, "generations": 2}}),
+            ("isotropy", {}),
+            ("mobility", {}),
+            ("slam", {"script": {"type": "constant", "steps": 5},
+                      "sensor": {"n_rays": 8},
+                      "plan": {"start": [5, 5], "goal": [50, 50]}})]:
+        code, out = run(tmp_path / command, command, config)
+        assert code == 0
+        outputs.append(out)
+    files = [p for out in outputs for p in out.iterdir()]
+    assert {p.name for p in files} >= {
+        "sampling_table.csv", "pareto.csv", "overlap.json", "front.csv",
+        "hypervolume.csv", "isotropy.json", "mobility.csv", "run_log.csv",
+        "grid.pgm", "path.csv"}
+    assert [p.name for p in files if b"\r" in p.read_bytes()] == []
 
 
 class _Reached(Exception):

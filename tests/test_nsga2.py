@@ -4,8 +4,8 @@ import pytest
 from legsynth.fourbar import (FourBarParams, LinkageError, arc_check,
                               coupler_path, sweep)
 from legsynth.nsga2 import (GAConfig, OBJECTIVE_SENTINEL, Problem,
-                            _nondominated_2d, crowding_distance, evolve,
-                            fast_nondominated_sort, hypervolume_2d,
+                            _nondominated_2d, _survivors, crowding_distance,
+                            evolve, fast_nondominated_sort, hypervolume_2d,
                             leg_problem)
 from legsynth.search import ParamBox
 from legsynth.synthesis import LineTarget, solve
@@ -45,6 +45,50 @@ def brute_force_fronts(F, V):
         fronts.append(sorted(front))
         remaining -= set(front)
     return fronts
+
+
+def fronts_of(rank):
+    """The rows of each rank as ascending index lists, in rank order."""
+    return [np.flatnonzero(rank == r).tolist()
+            for r in range(rank.max(initial=-1) + 1)]
+
+
+def front_crowding(front_objectives):
+    """Crowding distances of one front's objective matrix (n, m), one
+    argsort per objective."""
+    F = np.asarray(front_objectives, dtype=float)
+    n = len(F)
+    if n <= 2:
+        return np.full(n, np.inf)
+    d = np.zeros(n)
+    for j in range(F.shape[1]):
+        order = np.argsort(F[:, j], kind="stable")
+        span = F[order[-1], j] - F[order[0], j]
+        d[order[0]] = d[order[-1]] = np.inf
+        if span > 0:
+            d[order[1:-1]] += (F[order[2:], j] - F[order[:-2], j]) / span
+    return d
+
+
+def survivors_oracle(F, fronts, size):
+    """Truncation front by front over the given fronts: the `size`
+    surviving rows in survival order, and the rank and crowding distance
+    of every row in the fronts read (-1 and 0 elsewhere).  Whole fronts
+    enter in index order; of the front that does not fit, the members of
+    largest crowding distance enter."""
+    rank = np.full(len(F), -1)
+    crowding = np.zeros(len(F))
+    rows = []
+    for r, front in enumerate(fronts):
+        if len(rows) == size:
+            break
+        d = front_crowding(F[front])
+        rank[front], crowding[front] = r, d
+        room = size - len(rows)
+        if len(front) > room:
+            front = np.asarray(front)[np.argsort(-d, kind="stable")[:room]]
+        rows.extend(front)
+    return np.array(rows), rank, crowding
 
 
 def staircase_oracle(points):
@@ -98,23 +142,23 @@ def leg_objectives(genome, **kwargs):
 class TestNondominatedSort:
     def test_two_front_example(self):
         pop = individuals([(1, 2), (2, 1), (3, 3)])
-        assert fast_nondominated_sort(*pop) == [[0, 1], [2]]
+        assert fronts_of(fast_nondominated_sort(*pop)) == [[0, 1], [2]]
 
     def test_identical_objectives_single_front(self):
         pop = individuals([(1, 1)] * 5)
-        assert fast_nondominated_sort(*pop) == [[0, 1, 2, 3, 4]]
+        assert fronts_of(fast_nondominated_sort(*pop)) == [[0, 1, 2, 3, 4]]
 
     def test_chain_gives_singletons(self):
         pop = individuals([(1, 1), (2, 2), (3, 3)])
-        assert fast_nondominated_sort(*pop) == [[0], [1], [2]]
+        assert fronts_of(fast_nondominated_sort(*pop)) == [[0], [1], [2]]
 
     def test_feasible_dominates_infeasible(self):
         pop = individuals([(5, 5), (0, 0)], violations=[0.0, 1.0])
-        assert fast_nondominated_sort(*pop) == [[0], [1]]
+        assert fronts_of(fast_nondominated_sort(*pop)) == [[0], [1]]
 
     def test_lower_violation_dominates(self):
         pop = individuals([(0, 0), (0, 0)], violations=[2.0, 1.0])
-        assert fast_nondominated_sort(*pop) == [[1], [0]]
+        assert fronts_of(fast_nondominated_sort(*pop)) == [[1], [0]]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(4)
@@ -123,7 +167,8 @@ class TestNondominatedSort:
             m = int(rng.integers(2, 4))
             F = rng.integers(0, 6, size=(n, m)).astype(float)
             V = np.where(rng.random(n) < 0.3, rng.uniform(0, 2, n), 0.0)
-            assert fast_nondominated_sort(F, V) == brute_force_fronts(F, V)
+            assert (fronts_of(fast_nondominated_sort(F, V))
+                    == brute_force_fronts(F, V))
         # rows that are not feasible: none feasible, all at one violation,
         # NaN among them, inf beside negative violations.  Every row lands
         # in exactly one front: a violation that is not <= 0 counts as
@@ -140,7 +185,7 @@ class TestNondominatedSort:
                 n = int(rng.integers(1, 40))
                 F = rng.integers(0, 4, size=(n, 2)).astype(float)
                 V = violations(n)
-                fronts = fast_nondominated_sort(F, V)
+                fronts = fronts_of(fast_nondominated_sort(F, V))
                 flat = sorted(i for front in fronts for i in front)
                 assert flat == list(range(n))
                 assert fronts == brute_force_fronts(F, V)
@@ -148,7 +193,7 @@ class TestNondominatedSort:
     def test_fronts_partition_population(self):
         rng = np.random.default_rng(5)
         F = rng.random((40, 2))
-        fronts = fast_nondominated_sort(*individuals(F))
+        fronts = fronts_of(fast_nondominated_sort(*individuals(F)))
         flat = sorted(i for front in fronts for i in front)
         assert flat == list(range(40))
         for k in range(len(fronts) - 1):
@@ -159,18 +204,18 @@ class TestNondominatedSort:
 
 class TestCrowdingDistance:
     def test_pair_is_boundary(self):
-        d = crowding_distance([(0, 1), (1, 0)])
+        d = crowding_distance([(0, 1), (1, 0)], [0, 0])
         assert np.all(np.isinf(d))
 
     def test_evenly_spaced_middle(self):
-        d = crowding_distance([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)])
+        d = crowding_distance([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)], [0, 0, 0])
         assert d[1] == 2.0
         assert np.isinf(d[0]) and np.isinf(d[2])
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(6)
         F = rng.random((20, 3))
-        d = crowding_distance(F)
+        d = crowding_distance(F, np.zeros(20, dtype=int))
         expected = np.zeros(20)
         for j in range(3):
             order = np.argsort(F[:, j], kind="stable")
@@ -190,12 +235,60 @@ class TestCrowdingDistance:
         F = rng.random((15, 2))
         scaled = F * np.array([7.3, 1.0])
         pop_a, pop_b = individuals(F), individuals(scaled)
-        assert fast_nondominated_sort(*pop_a) == fast_nondominated_sort(*pop_b)
-        front = fast_nondominated_sort(*pop_a)[0]
-        da = crowding_distance(F[front])
-        db = crowding_distance(scaled[front])
+        rank = fast_nondominated_sort(*pop_a)
+        assert np.array_equal(rank, fast_nondominated_sort(*pop_b))
+        da = crowding_distance(F, rank)
+        db = crowding_distance(scaled, rank)
         finite = np.isfinite(da)
         assert np.allclose(da[finite], db[finite], atol=1e-12)
+
+    def test_fronts_in_one_pass_match_per_front(self):
+        # many fronts in one rank vector, ties in every objective, fronts
+        # of one and two rows, in shuffled row order
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            F = rng.integers(0, 5, size=(n, int(rng.integers(2, 4))))
+            F = F + rng.choice([0.0, 0.5, 1e-9], size=F.shape)
+            rank = rng.integers(0, int(rng.integers(1, 12)), size=n)
+            d = crowding_distance(F, rank)
+            expected = np.zeros(n)
+            for front in fronts_of(rank):
+                expected[front] = front_crowding(F[front])
+            assert np.array_equal(d, expected)
+
+
+class TestSurvivors:
+    @pytest.mark.parametrize("violations", [
+        lambda rng, n: np.zeros(n),
+        lambda rng, n: np.where(rng.random(n) < 0.3,
+                                rng.integers(1, 4, n).astype(float), 0.0),
+        lambda rng, n: rng.integers(1, 5, n).astype(float),
+        lambda rng, n: np.where(rng.random(n) < 0.3, np.nan,
+                                np.where(rng.random(n) < 0.3,
+                                         rng.integers(1, 3, n), 0.0)),
+        lambda rng, n: np.where(rng.random(n) < 0.4, np.inf, 0.0),
+    ], ids=["feasible", "mixed", "all-infeasible", "nan", "inf"])
+    def test_survival_order_matches_per_front_oracle(self, violations):
+        # every size from 1 to n: fronts that fit exactly, and cut fronts
+        rng = np.random.default_rng(9)
+        exact_fits = cuts = 0
+        for _ in range(40):
+            n = int(rng.integers(4, 41))
+            F = rng.integers(0, 6, size=(n, 2)) + rng.choice(
+                [0.0, 0.25], size=(n, 2))
+            V = violations(rng, n)
+            fronts = brute_force_fronts(F, V)
+            filled = np.cumsum([len(front) for front in fronts])
+            for size in range(1, n + 1):
+                rows, rank, crowding = _survivors(F, V, size)
+                expected = survivors_oracle(F, fronts, size)
+                assert rows.tolist() == expected[0].tolist()
+                assert np.array_equal(rank[rows], expected[1][rows])
+                assert np.array_equal(crowding[rows], expected[2][rows])
+                exact_fits += size in filled and len(fronts) > 1
+                cuts += size not in filled
+        assert exact_fits > 0 and cuts > 0
 
 
 class TestHypervolume:
@@ -248,7 +341,7 @@ class TestEvolve:
     def test_zdt1_reaches_analytic_front(self):
         result = evolve(zdt1_problem(), GAConfig(population=100,
                                                  generations=250, seed=1))
-        F = result.F[result.fronts[0]]
+        F = result.F[result.rank == 0]
         ts = np.linspace(0.0, 1.0, 2001)
         curve = np.stack([ts, 1.0 - np.sqrt(ts)], axis=1)
         dists = np.sqrt(((F[:, None, :] - curve[None, :, :]) ** 2)
@@ -259,9 +352,11 @@ class TestEvolve:
         config = GAConfig(population=24, generations=30, seed=9)
         a = evolve(zdt1_problem(dim=5), config)
         b = evolve(zdt1_problem(dim=5), config)
-        assert [s.hypervolume for s in a.trace] == [s.hypervolume
-                                                    for s in b.trace]
+        assert np.array_equal(a.hypervolume, b.hypervolume)
+        assert np.array_equal(a.best_objectives, b.best_objectives)
         assert np.array_equal(a.genomes, b.genomes)
+        assert a.hypervolume.shape == (31,)
+        assert a.best_objectives.shape == (31, 2)
 
     def test_genomes_stay_in_bounds(self):
         problem = zdt1_problem(dim=4)
@@ -273,7 +368,7 @@ class TestEvolve:
     def test_archive_hypervolume_monotone(self):
         result = evolve(zdt1_problem(dim=6), GAConfig(population=30,
                                                       generations=60, seed=2))
-        hv = [s.hypervolume for s in result.trace]
+        hv = result.hypervolume
         assert all(b >= a - 1e-12 for a, b in zip(hv, hv[1:]))
 
     def test_zero_generations_front_is_initial_rank0(self):
@@ -281,7 +376,7 @@ class TestEvolve:
         result = evolve(problem, GAConfig(population=16, generations=0,
                                           seed=11))
         oracle = brute_force_fronts(result.F, result.violation)
-        assert result.fronts == oracle
+        assert fronts_of(result.rank) == oracle
 
     def test_non_finite_objectives_survive_as_infeasible(self):
         def evaluate(X):
@@ -295,7 +390,7 @@ class TestEvolve:
                                           seed=5))
         assert result.genomes.shape == (16, 2)
         assert len(result.F) == len(result.violation) == 16
-        assert np.all(result.violation[result.fronts[0]] == 0.0)
+        assert np.all(result.violation[result.rank == 0] == 0.0)
 
     def test_one_evaluate_call_per_generation(self):
         calls = []
@@ -404,6 +499,22 @@ class TestLegProblem:
         problem = leg_problem(box=box, count=12)
         result = evolve(problem, GAConfig(population=20, generations=25,
                                           seed=0))
-        hv = [s.hypervolume for s in result.trace]
+        hv = result.hypervolume
         assert hv[-1] >= hv[0]
         assert len(result.archive) >= 1
+        # the ranks kept through truncation are those of the final population
+        assert np.array_equal(result.rank, fast_nondominated_sort(
+            result.F, result.violation))
+
+    def test_all_infeasible_run_ranks_by_violation(self):
+        box = ParamBox(lower=np.array([0.55, 0.4, 0.4, 0.0, 3.2]),
+                       upper=np.array([0.6, 0.45, 0.45, 0.1, 3.3]))
+        result = evolve(leg_problem(box=box),
+                        GAConfig(population=8, generations=3, seed=3))
+        assert np.all(result.violation > 0.0)
+        assert np.array_equal(result.rank, fast_nondominated_sort(
+            result.F, result.violation))
+        assert np.array_equal(np.argsort(result.violation, kind="stable"),
+                              np.argsort(result.rank, kind="stable"))
+        assert np.all(result.hypervolume == 0.0)
+        assert np.isnan(result.best_objectives).all()

@@ -1,4 +1,5 @@
 import copy
+import csv
 import heapq
 import json
 import tracemalloc
@@ -137,7 +138,7 @@ def stamped_as_oracle(state, frame):
     stamp_oracle from the same state."""
     expected = copy.deepcopy(state.grid)
     stamp_oracle(expected, state.mean[:2], frame)
-    result = update_map(state, frame).state.grid.log_odds
+    result = update_map(state, frame).grid.log_odds
     assert np.array_equal(result, expected.log_odds)
     return result
 
@@ -460,8 +461,9 @@ class TestCorrect:
         z = observe(np.array([0.0, 0.0, 0.0]), single_landmark_world(),
                     SENSOR_EXACT, np.random.default_rng(0))
         result = correct(state, z)
-        assert result.moved_ids == ()
+        assert not result.skipped
         assert np.array_equal(result.state.mean, state.mean)
+        assert np.array_equal(result.state.cov, state.cov)
 
     def test_same_inputs_same_outputs(self):
         # one Kalman implementation serves both the correction and the
@@ -527,7 +529,7 @@ class TestCorrect:
                 assert np.array_equal(dense, H)
                 assert np.array_equal(predicted, oracle_predicted)
 
-    def test_singular_innovation_skips_and_is_logged(self):
+    def test_singular_innovation_skips_and_is_logged(self, tmp_path):
         # only the pose's x is uncertain and the landmark lies dead ahead,
         # so S = diag(10 + 1e-12, 1e-12) at the variance floor: cond > 1e12
         state = seeded_state_with_landmark([0.0, 0.0, 0.0], [2.0, 0.0],
@@ -539,8 +541,6 @@ class TestCorrect:
                     np.random.default_rng(0))
         result = correct(state, z)
         assert result.skipped
-        assert result.reason == "innovation covariance singular"
-        assert result.moved_ids == ()
         assert np.array_equal(result.state.mean, state.mean)
         assert np.array_equal(result.state.cov, state.cov)
         # in a run: the landmark enters at step 0 carrying the pose's x
@@ -548,17 +548,22 @@ class TestCorrect:
         # and the bearing only the floor
         log = simulate(world, [MotionInput(0.0, 0.0, 1.0)] * 2, SENSOR_EXACT,
                        process=ProcessNoise(x=10.0), seed=0)
-        assert [s.events for s in log.steps] == [
-            (), ("correction-skipped: innovation covariance singular",)]
+        assert log.skipped.tolist() == [False, True]
+        path = tmp_path / "run.csv"
+        write_run_log(log, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["events"] for row in rows] == [
+            "", "correction-skipped: innovation covariance singular"]
 
 
 class TestUpdateMap:
     def test_empty_observation_is_noop(self):
         state = initial_state([0.0, 0.0, 0.0], desk_world())
         result = update_map(state, ray_frame())
-        assert result.added_ids == ()
-        assert np.array_equal(result.state.grid.log_odds,
-                              state.grid.log_odds)
+        assert result.landmark_ids == ()
+        assert np.array_equal(result.mean, state.mean)
+        assert np.array_equal(result.grid.log_odds, state.grid.log_odds)
 
     def test_inverse_observation_initialization(self):
         state = initial_state([0.0, 0.0, 0.0], single_landmark_world())
@@ -569,8 +574,8 @@ class TestUpdateMap:
                           grid_width=10, grid_height=10),
                     SENSOR_EXACT, np.random.default_rng(0))
         result = update_map(state, z)
-        assert result.added_ids == (5,)
-        assert np.allclose(result.state.landmarks[5], [2.0, 0.0], atol=1e-12)
+        assert result.landmark_ids == (5,)
+        assert np.allclose(result.landmarks[5], [2.0, 0.0], atol=1e-12)
 
     def test_log_odds_stay_bounded(self):
         world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
@@ -579,7 +584,7 @@ class TestUpdateMap:
         # from cell (1, 0): a hit in cell (1, 1), then a ray through it
         frame = ray_frame([0.0, 0.0], [1.0, 2.0], [True, False])
         for _ in range(1000):
-            state = update_map(state, frame).state
+            state = update_map(state, frame)
         assert np.abs(state.grid.log_odds).max() <= LOG_ODDS_LIMIT
         assert state.grid.log_odds[1, 1] == LOG_ODDS_LIMIT + LOG_ODDS_FREE
         p = state.grid.probabilities()[1, 1]
@@ -621,7 +626,7 @@ class TestUpdateMap:
             state.mean[:3] = truth + offset
             z = observe(truth, world, sensor, rng)
             stamp_oracle(expected, state.mean[:2], z)
-            state = update_map(state, z).state
+            state = update_map(state, z)
             assert np.array_equal(state.grid.log_odds, expected.log_odds)
         assert (np.abs(expected.log_odds) == LOG_ODDS_LIMIT).any()
 
@@ -636,7 +641,7 @@ class TestUpdateMap:
         frame = ray_frame([0.0, 0.0, 0.0], [3.0, 5.0, 1.0], [True, False, True])
         expected = copy.deepcopy(state.grid)
         stamp_oracle(expected, state.mean[:2], frame)
-        result = update_map(state, frame).state.grid.log_odds
+        result = update_map(state, frame).grid.log_odds
         assert np.array_equal(result, expected.log_odds)
         assert result[0, 3] == LOG_ODDS_LIMIT + LOG_ODDS_FREE
         assert result[0, 1] == -LOG_ODDS_LIMIT + LOG_ODDS_OCCUPIED
@@ -663,7 +668,7 @@ class TestUpdateMap:
             state.mean[:3] = truth + rng.normal(0.0, 0.05, 3)
             z = observe(truth, world, sensor, rng)
             stamp_oracle(expected, state.mean[:2], z)
-            state = update_map(state, z).state
+            state = update_map(state, z)
             assert np.array_equal(state.grid.log_odds, expected.log_odds)
         assert len(walked) > 10 * len(frames)
         assert (expected.log_odds == -LOG_ODDS_LIMIT).any()
@@ -737,7 +742,7 @@ class TestUpdateMap:
                           np.full(16, 5.0), np.arange(16) % 2 == 0)
         for x in (1e20, -1e150, 1e300, np.inf, np.nan):
             state.mean[0] = x
-            result = update_map(state, frame).state
+            result = update_map(state, frame)
             assert not result.grid.log_odds.any()
 
     def test_frame_at_the_caps_walks_in_bounded_memory(self):
@@ -752,7 +757,7 @@ class TestUpdateMap:
                           np.zeros(10_000, dtype=bool))
         tracemalloc.start()
         try:
-            result = update_map(state, frame).state
+            result = update_map(state, frame)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -768,13 +773,13 @@ class TestStateUntouched:
         sensor = SensorConfig(max_range=5.0, n_rays=36, range_sigma=0.05,
                               bearing_sigma=0.01)
         rng = np.random.default_rng(4)
-        state = update_map(state, observe(np.zeros(3), world, sensor, rng)).state
+        state = update_map(state, observe(np.zeros(3), world, sensor, rng))
         z = observe(np.array([0.05, 0.0, 0.0]), world, sensor, rng)
         before = (state.mean.copy(), state.cov.copy(), state.landmark_ids,
                   state.grid.log_odds.copy())
         outputs = [predict(state, MotionInput(0.2, 0.1, 0.5),
                            ProcessNoise(0.01, 0.01, 0.01)),
-                   correct(state, z).state, update_map(state, z).state]
+                   correct(state, z).state, update_map(state, z)]
         assert np.array_equal(state.mean, before[0])
         assert np.array_equal(state.cov, before[1])
         assert state.landmark_ids == before[2]
@@ -867,9 +872,9 @@ class TestSimulate:
         minima = []
 
         def spy(state, z):
-            result = update_map(state, z)
-            minima.append(np.linalg.eigvalsh(result.state.cov).min())
-            return result
+            state = update_map(state, z)
+            minima.append(np.linalg.eigvalsh(state.cov).min())
+            return state
 
         monkeypatch.setattr(slam, "update_map", spy)
         sensor = SensorConfig(max_range=5.0, range_sigma=0.05,
@@ -877,15 +882,14 @@ class TestSimulate:
         log = simulate(desk_world(), loop_script(), sensor,
                        odometry=OdometryNoise(0.05, 0.03),
                        process=ProcessNoise(0.001, 0.001, 0.0005), seed=5)
-        assert len(minima) == len(log.steps)
+        assert len(minima) == len(log.cov_trace)
         assert min(minima) >= -1e-12
 
     def test_heading_always_wrapped(self):
         log = simulate(desk_world(), loop_script(),
                        SensorConfig(max_range=5.0, n_rays=8), seed=2)
-        for s in log.steps:
-            for pose in (s.truth, s.dead_reckoning, s.slam):
-                assert -np.pi < pose[2] <= np.pi
+        for poses in (log.truth, log.dead_reckoning, log.slam):
+            assert np.all((-np.pi < poses[:, 2]) & (poses[:, 2] <= np.pi))
 
     def test_same_seed_identical_logs(self):
         sensor = SensorConfig(max_range=5.0, range_sigma=0.05,
@@ -894,10 +898,9 @@ class TestSimulate:
                     process=ProcessNoise(0.001, 0.001, 0.0005), seed=7)
         a = simulate(desk_world(), loop_script(), sensor, **args)
         b = simulate(desk_world(), loop_script(), sensor, **args)
-        for sa, sb in zip(a.steps, b.steps):
-            assert np.array_equal(sa.slam, sb.slam)
-            assert np.array_equal(sa.dead_reckoning, sb.dead_reckoning)
-            assert sa.cov_trace == sb.cov_trace
+        assert np.array_equal(a.slam, b.slam)
+        assert np.array_equal(a.dead_reckoning, b.dead_reckoning)
+        assert np.array_equal(a.cov_trace, b.cov_trace)
 
     def test_state_not_finite_raises(self):
         script = [MotionInput(0.2, 0.0, 0.1)] * 3
@@ -985,8 +988,30 @@ class TestWorldIO:
         text = (tmp_path / "run.csv").read_text().splitlines()
         assert text[0] == "# config abc"
         assert len(text) == 2 + 40
+        assert log.truth.shape == log.slam.shape == (40, 3)
         pgm = (tmp_path / "grid.pgm").read_text().splitlines()
         assert pgm[0] == "P2"
+
+    def test_run_log_rows_read_back_to_the_log(self, tmp_path):
+        log = simulate(desk_world(), loop_script()[:30],
+                       SensorConfig(max_range=5.0, n_rays=12, range_sigma=0.05,
+                                    bearing_sigma=0.01),
+                       odometry=OdometryNoise(0.05, 0.03),
+                       process=ProcessNoise(0.001, 0.001, 0.0005), seed=3)
+        write_run_log(log, tmp_path / "run.csv")
+        with open(tmp_path / "run.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 30
+        expected = np.column_stack([log.truth, log.dead_reckoning, log.slam,
+                                    log.cov_trace])
+        for step, row in enumerate(rows[1:]):
+            assert row[0] == str(step)
+            # 9 significant digits: a relative error of at most 5e-9
+            assert np.allclose(np.array(row[1:11], dtype=float),
+                               expected[step], rtol=5e-9, atol=0.0)
+            assert int(row[11]) == log.n_measurements[step]
+            assert row[12] == ("correction-skipped: innovation covariance "
+                               "singular" if log.skipped[step] else "")
 
 
 class TestWrap:
