@@ -7,7 +7,6 @@ with reasons) as a sampling table of per-sample arrays, then reduce it by
 feasibility limits and Pareto dominance.
 """
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -178,20 +177,22 @@ TABLE_COLUMNS = ("index", "crank", "coupler", "rocker", "start_angle",
 
 
 def write_sampling_table(table, path, header_comment=None):
-    """Emit the sampling table as CSV (one line per row)."""
+    """Emit the sampling table as CSV, one formatted line per row: index
+    %d, five parameters %.12g, then delta0 %.12g and min_transmission_deg,
+    cycle_ratio, support_deg %.9g (empty on an infeasible row), feasible
+    1 or 0, reason.  No cell is quoted: a reason is empty or a fourbar
+    LinkageError message, which holds no comma, quote or line break."""
+    feasible_row = "%d" + ",%.12g" * 6 + ",%.9g" * 3 + ",1,%s\n"
+    infeasible_row = "%d" + ",%.12g" * 5 + ",,,,,0,%s\n"
+    cells = np.column_stack([table.params, table.delta0,
+                             table.min_transmission_deg, table.cycle_ratio,
+                             table.support_deg]).tolist()
+    rows = zip(table.index.tolist(), cells, table.feasible.tolist(),
+               table.reason.tolist())
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        metrics = (table.min_transmission_deg, table.cycle_ratio,
-                   table.support_deg)
-        for i in range(len(table)):
-            figures = [""] * 4
-            if table.feasible[i]:
-                figures = [f"{table.delta0[i]:.12g}",
-                           *(f"{m[i]:.9g}" for m in metrics)]
-            writer.writerow([table.index[i],
-                             *(f"{p:.12g}" for p in table.params[i]),
-                             *figures, int(table.feasible[i]),
-                             table.reason[i]])
+        fh.write(",".join(TABLE_COLUMNS) + "\n")
+        fh.writelines(feasible_row % (i, *c, reason) if ok
+                      else infeasible_row % (i, *c[:5], reason)
+                      for i, c, ok, reason in rows)

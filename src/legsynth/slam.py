@@ -434,16 +434,12 @@ def update_map(state, z):
     fresh = ~np.isin(z.ids, state.landmark_ids)
     for dist, bearing in zip(z.ranges[fresh], z.bearings[fresh]):
         direction = heading + bearing
-        position = np.array([x + dist * np.cos(direction),
-                             y + dist * np.sin(direction)])
-        G_pose = np.array([
-            [1.0, 0.0, -dist * np.sin(direction)],
-            [0.0, 1.0, dist * np.cos(direction)],
-        ])
-        G_meas = np.array([
-            [np.cos(direction), -dist * np.sin(direction)],
-            [np.sin(direction), dist * np.cos(direction)],
-        ])
+        cos, sin = np.cos(direction), np.sin(direction)
+        position = np.array([x + dist * cos, y + dist * sin])
+        G_pose = np.array([[1.0, 0.0, -dist * sin],
+                           [0.0, 1.0, dist * cos]])
+        G_meas = np.array([[cos, -dist * sin],
+                           [sin, dist * cos]])
         n = len(new.mean)
         P = new.cov
         grown = np.zeros((n + 2, n + 2))
@@ -646,16 +642,20 @@ def write_run_log(log, path, header_comment=None):
 
 
 def write_grid_pgm(grid, path, comment=None):
-    """Plain-text PGM snapshot: white free, black occupied, top row first."""
-    probs = grid.probabilities()
-    values = np.round((1.0 - probs) * 255.0).astype(int)
+    """Plain-text PGM, one formatted line per row, top row first, of
+    values 0-255 (white free, black occupied).  A grid with a NaN log-odds
+    has no such value: it raises ValueError before the file is opened."""
+    if np.isnan(grid.log_odds).any():
+        raise ValueError("grid log-odds must not be NaN")
+    values = np.round((1.0 - grid.probabilities()) * 255.0).astype(int)
+    labels = [str(v) for v in range(256)]
     with open(path, "w") as fh:
         fh.write("P2\n")
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(f"{grid.width} {grid.height}\n255\n")
-        for row in values[::-1]:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+        fh.writelines(" ".join([labels[v] for v in row]) + "\n"
+                      for row in values[::-1].tolist())
 
 
 def write_path_csv(path_cells, path, header_comment=None):
@@ -663,8 +663,7 @@ def write_path_csv(path_cells, path, header_comment=None):
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write("row,col\n")
-        for r, c in path_cells:
-            fh.write(f"{r},{c}\n")
+        fh.writelines(f"{r},{c}\n" for r, c in path_cells)
 
 
 _TURN_RATE = np.pi / 4.0  # rad/s

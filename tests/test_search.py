@@ -1,9 +1,11 @@
+import csv
 import itertools
 
 import numpy as np
 import pytest
 
-from legsynth.fourbar import FourBarParams
+from legsynth.fourbar import (DegenerateConfigurationError, FourBarParams,
+                              NotAssemblableError)
 from legsynth.search import (DEFAULT_BOX, FeasibilityLimits, ParamBox,
                              SamplingTable, filter_feasible, pareto_filter,
                              scan, write_sampling_table)
@@ -32,6 +34,48 @@ def fake_table(objectives):
         feasible=np.ones(n, dtype=bool), reason=np.full(n, "", dtype=object),
         delta0=F[:, 0], x=np.zeros((n, 6)), min_transmission_deg=-F[:, 1],
         cycle_ratio=nu, support_deg=360.0 * nu / (1.0 + nu))
+
+
+def csv_writer_table(table, path, header_comment=None):
+    """The csv.writer loop that wrote the sampling table one cell at a
+    time, kept as a byte oracle for write_sampling_table."""
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("index", "crank", "coupler", "rocker", "start_angle",
+                         "support_arc", "delta0", "min_transmission_deg",
+                         "cycle_ratio", "support_deg", "feasible", "reason"))
+        metrics = (table.min_transmission_deg, table.cycle_ratio,
+                   table.support_deg)
+        for i in range(len(table)):
+            figures = [""] * 4
+            if table.feasible[i]:
+                figures = [f"{table.delta0[i]:.12g}",
+                           *(f"{m[i]:.9g}" for m in metrics)]
+            writer.writerow([table.index[i],
+                             *(f"{p:.12g}" for p in table.params[i]),
+                             *figures, int(table.feasible[i]),
+                             table.reason[i]])
+
+
+@pytest.fixture(scope="module")
+def default_scan():
+    return scan(DEFAULT_BOX, 4096)
+
+
+def edge_case_table(table):
+    """Rows of a scan edited to the values a writer can trip on."""
+    rows = np.concatenate([np.flatnonzero(table.feasible)[:4],
+                           np.flatnonzero(~table.feasible)[:2]])
+    edited = table.take(rows)
+    edited.reason[4] = str(DegenerateConfigurationError(4.25, -3.5e-10))
+    edited.min_transmission_deg[0] = np.nan
+    edited.delta0[1] = 5e-324
+    edited.delta0[2] = 1e308
+    edited.params[3, 3] = -0.0
+    edited.params[5, 0] = -0.0
+    return edited
 
 
 def brute_force_pareto(table):
@@ -199,3 +243,45 @@ class TestBoxAndTable:
         assert lines[0] == "# config deadbeef"
         assert lines[1].startswith("index,crank")
         assert len(lines) == 2 + 16
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("comment", [None, "config deadbeef"])
+    @pytest.mark.parametrize("case", ["default-scan", "no-row-passes",
+                                      "edge-values"])
+    def test_bytes_match_csv_writer(self, tmp_path, default_scan, case,
+                                    comment):
+        table = {"default-scan": default_scan,
+                 "no-row-passes": pareto_filter(filter_feasible(
+                     default_scan, FeasibilityLimits(max_delta=-1.0))),
+                 "edge-values": edge_case_table(default_scan)}[case]
+        write_sampling_table(table, tmp_path / "new.csv", comment)
+        csv_writer_table(table, tmp_path / "old.csv", comment)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
+    def test_cases_cover_both_row_kinds(self, default_scan):
+        assert default_scan.feasible.any() and not default_scan.feasible.all()
+        edited = edge_case_table(default_scan)
+        assert list(edited.feasible) == [True] * 4 + [False] * 2
+        assert edited.reason[4].startswith("near-tangent configuration")
+
+    @pytest.mark.parametrize("error", [NotAssemblableError,
+                                       DegenerateConfigurationError])
+    def test_linkage_messages_need_no_quoting(self, error):
+        values = [np.nan, np.inf, -np.inf, -0.0, 1e308, 0.5]
+        for phi, figure in itertools.product(values, repeat=2):
+            message = str(error(phi, figure))
+            assert not set(message) & set(',"\r\n'), message
+
+    def test_reasons_read_back_unchanged(self, tmp_path, default_scan):
+        for n, table in enumerate([default_scan,
+                                   edge_case_table(default_scan)]):
+            path = tmp_path / f"table{n}.csv"
+            write_sampling_table(table, path, header_comment="config abc")
+            with open(path, newline="") as fh:
+                assert fh.readline() == "# config abc\n"
+                rows = list(csv.DictReader(fh))
+            assert [row["reason"] for row in rows] == list(table.reason)
+            assert [row["feasible"] for row in rows] == \
+                ["1" if ok else "0" for ok in table.feasible]

@@ -1014,6 +1014,64 @@ class TestWorldIO:
                                "singular" if log.skipped[step] else "")
 
 
+def str_loop_pgm(grid, path, comment=None):
+    """The per-cell str loop that wrote the PGM, kept as a byte oracle for
+    write_grid_pgm."""
+    values = np.round((1.0 - grid.probabilities()) * 255.0).astype(int)
+    with open(path, "w") as fh:
+        fh.write("P2\n")
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(f"{grid.width} {grid.height}\n255\n")
+        for row in values[::-1]:
+            fh.write(" ".join(str(v) for v in row) + "\n")
+
+
+def extreme_grid():
+    """A 3 x 5 grid whose log-odds include the clip limits, 0 and both
+    infinities, with no row equal to its mirror image."""
+    log_odds = np.array([
+        [LOG_ODDS_LIMIT, -LOG_ODDS_LIMIT, 0.0, np.inf, -np.inf],
+        [LOG_ODDS_OCCUPIED, LOG_ODDS_FREE, 1e-3, -7.5, 0.0],
+        [-np.inf, np.inf, 2.0 * LOG_ODDS_FREE, 3.25, -LOG_ODDS_LIMIT],
+    ])
+    return OccupancyGrid(resolution=0.1, origin=np.zeros(2), width=5,
+                         height=3, log_odds=log_odds)
+
+
+class TestGridPgm:
+    @pytest.mark.parametrize("comment", [None, "config abc"])
+    @pytest.mark.parametrize("case", ["desk-run", "extreme-values"])
+    def test_bytes_match_str_loop(self, tmp_path, case, comment):
+        if case == "desk-run":
+            grid = simulate(desk_world(), loop_script()[:12],
+                            SensorConfig(max_range=5.0, n_rays=90),
+                            seed=2).final_state.grid
+            assert len(np.unique(grid.log_odds)) > 3
+        else:
+            grid = extreme_grid()
+        write_grid_pgm(grid, tmp_path / "new.pgm", comment=comment)
+        str_loop_pgm(grid, tmp_path / "old.pgm", comment=comment)
+        assert (tmp_path / "new.pgm").read_bytes() == \
+            (tmp_path / "old.pgm").read_bytes()
+
+    def test_extreme_values_span_the_range(self, tmp_path):
+        write_grid_pgm(extreme_grid(), tmp_path / "grid.pgm")
+        lines = (tmp_path / "grid.pgm").read_text().splitlines()
+        assert lines[:3] == ["P2", "5 3", "255"]
+        values = [[int(v) for v in line.split()] for line in lines[3:]]
+        assert values[0] == [255, 0, 176, 10, 255]   # the grid's last row
+        assert values[2] == [0, 255, 128, 0, 255]
+
+    def test_nan_log_odds_refused(self, tmp_path):
+        grid = OccupancyGrid(resolution=0.1, origin=np.zeros(2), width=3,
+                             height=2)
+        grid.log_odds[1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            write_grid_pgm(grid, tmp_path / "grid.pgm")
+        assert not (tmp_path / "grid.pgm").exists()
+
+
 class TestWrap:
     def test_wrap_pi_range(self):
         values = np.array([-np.pi, np.pi, 0.0, 3 * np.pi, -3 * np.pi, 6.0])
