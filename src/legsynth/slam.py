@@ -124,6 +124,8 @@ class OccupancyGrid:
         self.origin = np.asarray(self.origin, dtype=float)
         if self.log_odds is None:
             self.log_odds = np.zeros((self.height, self.width))
+        if np.shape(self.log_odds) != (self.height, self.width):
+            raise ValueError("log_odds must have shape (height, width)")
 
     def probabilities(self):
         return 1.0 - 1.0 / (1.0 + np.exp(self.log_odds))
@@ -194,7 +196,9 @@ class SlamState:
     """Joint Gaussian over robot pose and landmark positions plus the grid.
 
     mean = [x, y, heading, l1x, l1y, ...]; landmark_ids gives the block
-    order; cov is the full joint covariance.
+    order; cov is the full joint covariance.  No step function writes to
+    the arrays or the grid of the state it is given, so the state it
+    returns may share them with its input.
     """
 
     mean: np.ndarray
@@ -206,12 +210,6 @@ class SlamState:
     def landmarks(self):
         return {lid: self.mean[3 + 2 * i:5 + 2 * i].copy()
                 for i, lid in enumerate(self.landmark_ids)}
-
-    def copy(self):
-        """Copies mean and covariance; shares the grid, which update_map copies."""
-        return SlamState(mean=self.mean.copy(), cov=self.cov.copy(),
-                         landmark_ids=tuple(self.landmark_ids),
-                         grid=self.grid)
 
 
 def initial_state(pose, world):
@@ -245,15 +243,15 @@ def predict(state, u, noise=None):
     process noise; landmark blocks are untouched except through their
     cross-covariance with the pose.
     """
-    new = state.copy()
     heading = state.mean[2]
-    new.mean[:3] = unicycle(state.mean[:3], u)
+    mean = state.mean.copy()
+    mean[:3] = unicycle(state.mean[:3], u)
     F = np.array([
         [1.0, 0.0, -u.velocity * np.sin(heading) * u.dt],
         [0.0, 1.0, u.velocity * np.cos(heading) * u.dt],
         [0.0, 0.0, 1.0],
     ])
-    P = new.cov
+    P = state.cov.copy()
     P[:3, :3] = F @ P[:3, :3] @ F.T
     P[:3, 3:] = F @ P[:3, 3:]
     P[3:, :3] = P[:3, 3:].T
@@ -261,7 +259,7 @@ def predict(state, u, noise=None):
         P[:3, :3] += noise.matrix(u.dt)
     # the rest of P is exactly symmetric on entry and stays so
     P[:3, :3] = 0.5 * (P[:3, :3] + P[:3, :3].T)
-    return new
+    return replace(state, mean=mean, cov=P)
 
 
 def observe(pose, world, sensor, rng):
@@ -344,6 +342,26 @@ def _measurement_jacobian(mean, slots):
     return J.reshape(2 * m, -1), columns, predicted
 
 
+def _inverse_factor(S):
+    """L^-1 for the Cholesky factor L of S, or None when S is not finite,
+    not positive definite or has cond2(S) above 1e12.  As cond2(S) <=
+    ||L||_F^2 ||L^-1||_F^2 = trace(S) ||L^-1||_F^2, eigenvalues decide only
+    when that bound is above 1e11, a factor 10 for the rounding of eigvalsh."""
+    if not np.isfinite(S).all():
+        return None
+    try:
+        # L^-1 by one solve against the identity: 2k right-hand sides,
+        # fewer than the n columns of P H^T that two solves for K would take
+        L_inv = np.linalg.solve(np.linalg.cholesky(S), np.eye(len(S)))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.trace(S) * np.square(L_inv).sum() <= 1e11:
+        eigenvalues = np.linalg.eigvalsh(S)
+        if not (eigenvalues[0] > 0 and eigenvalues[-1] <= 1e12 * eigenvalues[0]):
+            return None
+    return L_inv
+
+
 def correct(state, z):
     """Extended Kalman correction with known data association.
 
@@ -356,15 +374,17 @@ def correct(state, z):
     (P H^T L^-T) L^-1.  The covariance update is the Joseph form
     (I - KH) P (I - KH)^T + K R K^T, which keeps P symmetric and positive
     semi-definite for any gain, written as P + K C^T + C K^T with
-    C = K S / 2 - P H^T.  An innovation covariance that is not finite, has
-    a 2-norm condition number above 1e12 or is not positive definite (no
-    Cholesky factor; a positive semi-definite P never gives one) skips the
-    whole measurement batch: the state comes back unchanged, `skipped` set.
+    C = K S / 2 - P H^T.  An innovation covariance that is not finite, is
+    not positive definite (no Cholesky factor) or has a 2-norm condition
+    number above 1e12 skips the whole measurement batch: the state comes
+    back unchanged, `skipped` set.  The skip rule reads the factor: its
+    bound trace(S) ||L^-1||_F^2 on the condition number accepts S up to
+    1e11, and only above that do the eigenvalues of S decide.
     """
     match = z.ids[:, None] == np.asarray(state.landmark_ids, dtype=int)
     known = match.any(axis=1)
     if not known.any():
-        return CorrectionResult(state=state.copy())
+        return CorrectionResult(state=state)
     slots = match.argmax(axis=1)[known]
     J, columns, predicted = _measurement_jacobian(state.mean, slots)
     observed = np.stack([z.ranges[known], z.bearings[known]], axis=1).ravel()
@@ -377,20 +397,19 @@ def correct(state, z):
     P = state.cov
     PHt = P[:, columns] @ J.T
     S = J @ PHt[columns] + R
-    # cond2 of the symmetric S is the ratio of its extreme eigenvalues
-    eigenvalues = np.linalg.eigvalsh(S) if np.isfinite(S).all() else [np.nan]
-    if not (eigenvalues[0] > 0 and eigenvalues[-1] <= 1e12 * eigenvalues[0]):
-        return CorrectionResult(state=state.copy(), skipped=True)
-    # L^-1 by one solve against the identity: 2k right-hand sides, fewer
-    # than the n columns of P H^T that two solves for K would take
-    L_inv = np.linalg.solve(np.linalg.cholesky(S), np.eye(len(S)))
+    L_inv = _inverse_factor(S)
+    if L_inv is None:
+        return CorrectionResult(state=state, skipped=True)
     K = (PHt @ L_inv.T) @ L_inv
     mean = state.mean + K @ innovation
     mean[2] = wrap_pi(mean[2])
     # with 2C = K S - 2 P H^T, P + K C^T + C K^T is the symmetric part of
-    # P + K (2C)^T
-    P = P + K @ (K @ S - 2.0 * PHt).T
-    return CorrectionResult(state=replace(state, mean=mean, cov=0.5 * (P + P.T)))
+    # P + K (2C)^T, formed with two n x n temporaries
+    T = K @ (K @ S - 2.0 * PHt).T
+    T += P
+    T = T + T.T
+    T *= 0.5
+    return CorrectionResult(state=replace(state, mean=mean, cov=T))
 
 
 def _walk(start, ends):
@@ -423,10 +442,11 @@ def update_map(state, z):
     increment.  Each stamp clips to +-LOG_ODDS_LIMIT, in ray order: in a
     chunk of rays, a cell no ray ends in only falls, so an ordered
     np.add.at and one clip at -LOG_ODDS_LIMIT give the same bits, and a
-    cell a ray ends in has its stamps replayed one at a time.
+    cell a ray ends in has its stamps replayed one at a time.  The output
+    shares what it does not change with the input: the mean and covariance
+    when no landmark joins, the grid when no ray comes near it.
     """
-    new = state.copy()
-    new.grid = replace(state.grid, log_odds=state.grid.log_odds.copy())
+    mean, P = state.mean, state.cov
     r_var = max(z.range_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
     b_var = max(z.bearing_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
     x, y, heading = state.mean[:3]
@@ -440,8 +460,7 @@ def update_map(state, z):
                            [0.0, 1.0, dist * cos]])
         G_meas = np.array([[cos, -dist * sin],
                            [sin, dist * cos]])
-        n = len(new.mean)
-        P = new.cov
+        n = len(mean)
         grown = np.zeros((n + 2, n + 2))
         grown[:n, :n] = P
         cross = G_pose @ P[:3, :]
@@ -449,11 +468,14 @@ def update_map(state, z):
         grown[:n, n:] = cross.T
         grown[n:, n:] = (G_pose @ P[:3, :3] @ G_pose.T
                          + G_meas @ np.diag([r_var, b_var]) @ G_meas.T)
-        new.mean = np.concatenate([new.mean, position])
-        new.cov = 0.5 * (grown + grown.T)
-    new.landmark_ids = tuple(state.landmark_ids) + tuple(z.ids[fresh].tolist())
+        mean = np.concatenate([mean, position])
+        P = 0.5 * (grown + grown.T)
+    new = replace(state, mean=mean, cov=P, landmark_ids=tuple(
+        state.landmark_ids) + tuple(z.ids[fresh].tolist()))
+    if not len(z.ray_angles):
+        return new
 
-    grid = new.grid
+    grid = state.grid
     # push the hit a quarter cell along the ray so surfaces lying
     # exactly on cell boundaries register on their own side of the
     # boundary instead of in the free cell in front of them
@@ -466,6 +488,9 @@ def update_map(state, z):
     # grid, as every ray does from a pose far off it or not finite, is dropped
     near = ((np.maximum(origin, ends) >= 0)
             & (np.minimum(origin, ends) < (grid.height, grid.width))).all(axis=1)
+    if not near.any():
+        return new
+    grid = new.grid = replace(grid, log_odds=grid.log_odds.copy())
     stops = ends[near].astype(int)
     hits = z.ray_hits[near]
     longest = np.abs(stops - origin).max(initial=0) + 1

@@ -190,6 +190,32 @@ def correct_oracle(state, z):
     return (mean, 0.5 * (P + P.T)), condition
 
 
+def eigenvalue_rule(S):
+    """The skip rule by the extreme eigenvalues: S is accepted when it is
+    finite, lambda_min > 0 and lambda_max <= 1e12 lambda_min."""
+    if not np.isfinite(S).all():
+        return False
+    eigenvalues = np.linalg.eigvalsh(S)
+    return eigenvalues[0] > 0 and eigenvalues[-1] <= 1e12 * eigenvalues[0]
+
+
+def spd_with_condition(rng, m, condition, spread, rotated):
+    """An m x m symmetric positive definite matrix with eigenvalues from 1
+    to `condition`: half at each end ("split") or log-spaced ("log").  Not
+    rotated, it is diagonal in a shuffled order and its condition number
+    is exact; rotated, rounding moves it by up to about m eps condition."""
+    if spread == "split":
+        eigenvalues = np.where(np.arange(m) < m // 2, 1.0, condition)
+    else:
+        eigenvalues = np.logspace(0.0, np.log10(condition), m)
+        eigenvalues[-1] = condition
+    if not rotated:
+        return np.diag(rng.permutation(eigenvalues))
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    S = (Q * eigenvalues) @ Q.T
+    return 0.5 * (S + S.T)
+
+
 def seeded_filter_case(rng, n_landmarks, every, sigmas, rank=None):
     """A state of n_landmarks landmarks in shuffled id order, 1 to 4 m from
     the pose, and one frame of landmark id 0 (unknown) plus one or every
@@ -556,6 +582,52 @@ class TestCorrect:
         assert [row["events"] for row in rows] == [
             "", "correction-skipped: innovation covariance singular"]
 
+    def test_failed_factorization_skips(self, monkeypatch):
+        state = seeded_state_with_landmark([0.1, 0.0, 0.0], [2.0, 1.0],
+                                           np.diag([0.2, 0.2, 0.01]))
+        z = observe(np.array([0.0, 0.0, 0.0]), single_landmark_world(),
+                    SENSOR_EXACT, np.random.default_rng(0))
+        assert not correct(state, z).skipped
+
+        def cholesky(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        before = (state.mean.copy(), state.cov.copy())
+        result = correct(state, z)
+        assert result.skipped
+        assert np.array_equal(result.state.mean, before[0])
+        assert np.array_equal(result.state.cov, before[1])
+
+    # the factor's bound accepts only below 1e11; between it and the rule's
+    # 1e12, and beyond, the eigenvalues decide
+    def test_skip_rule_matches_eigenvalue_rule_at_its_boundary(self):
+        rng = np.random.default_rng(15)
+        by_bound = by_eigenvalues = skipped = 0
+        for m in (2, 3, 8, 30, 90, 120):
+            for condition in (1e10, 0.99e12, 1.01e12, 1e14):
+                for spread in ("split", "log"):
+                    for rotated in (False, True):
+                        S = spd_with_condition(rng, m, condition, spread,
+                                               rotated)
+                        L_inv = slam._inverse_factor(S)
+                        accepted = eigenvalue_rule(S)
+                        assert (L_inv is not None) == accepted, (
+                            m, condition, spread, rotated)
+                        if not accepted:
+                            skipped += 1
+                            continue
+                        assert np.array_equal(L_inv, np.linalg.solve(
+                            np.linalg.cholesky(S), np.eye(m)))
+                        bound = np.trace(S) * np.square(L_inv).sum()
+                        by_bound += bound <= 1e11
+                        by_eigenvalues += bound > 1e11
+        # both ways of accepting and the skip are all exercised
+        assert min(by_bound, by_eigenvalues, skipped) >= 10
+        for S in (np.diag([1.0, -1.0]), np.diag([1.0, np.nan]),
+                  np.diag([1.0, 0.0])):
+            assert slam._inverse_factor(S) is None
+
 
 class TestUpdateMap:
     def test_empty_observation_is_noop(self):
@@ -766,28 +838,88 @@ class TestUpdateMap:
 
 
 class TestStateUntouched:
-    def test_predict_correct_update_map_leave_input_unchanged(self):
+    """No step function writes to its input's arrays or grid."""
+
+    @staticmethod
+    def mapped_state(max_range, n_rays):
+        """A desk-world state mapped from one frame at the origin."""
         world = desk_world()
         state = initial_state([0.1, 0.2, 0.3], world)
         state.cov[:] = np.diag([0.1, 0.1, 0.02])
-        sensor = SensorConfig(max_range=5.0, n_rays=36, range_sigma=0.05,
-                              bearing_sigma=0.01)
+        sensor = SensorConfig(max_range=max_range, n_rays=n_rays,
+                              range_sigma=0.05, bearing_sigma=0.01)
         rng = np.random.default_rng(4)
         state = update_map(state, observe(np.zeros(3), world, sensor, rng))
-        z = observe(np.array([0.05, 0.0, 0.0]), world, sensor, rng)
-        before = (state.mean.copy(), state.cov.copy(), state.landmark_ids,
-                  state.grid.log_odds.copy())
-        outputs = [predict(state, MotionInput(0.2, 0.1, 0.5),
-                           ProcessNoise(0.01, 0.01, 0.01)),
-                   correct(state, z).state, update_map(state, z)]
+        return state, world, rng
+
+    @staticmethod
+    def snapshot(state):
+        return (state.mean.copy(), state.cov.copy(), state.landmark_ids,
+                state.grid.log_odds.copy())
+
+    @staticmethod
+    def assert_unchanged(state, before):
         assert np.array_equal(state.mean, before[0])
         assert np.array_equal(state.cov, before[1])
         assert state.landmark_ids == before[2]
         assert np.array_equal(state.grid.log_odds, before[3])
+
+    def test_predict_correct_update_map_leave_input_unchanged(self):
+        state, world, rng = self.mapped_state(5.0, 36)
+        sensor = SensorConfig(max_range=5.0, n_rays=36, range_sigma=0.05,
+                              bearing_sigma=0.01)
+        z = observe(np.array([0.05, 0.0, 0.0]), world, sensor, rng)
+        before = self.snapshot(state)
+        outputs = [predict(state, MotionInput(0.2, 0.1, 0.5),
+                           ProcessNoise(0.01, 0.01, 0.01)),
+                   correct(state, z).state, update_map(state, z)]
+        self.assert_unchanged(state, before)
         # only update_map writes to the grid; the other two share it
         assert outputs[0].grid is state.grid and outputs[1].grid is state.grid
         assert outputs[2].grid is not state.grid
         assert not np.array_equal(outputs[2].grid.log_odds, before[3])
+
+    def test_rayless_frame_of_known_landmarks_shares_the_state(self):
+        state, world, rng = self.mapped_state(5.0, 0)
+        z = observe(np.array([0.05, 0.0, 0.0]), world,
+                    SensorConfig(max_range=5.0, n_rays=0), rng)
+        assert len(z.ids) and np.isin(z.ids, state.landmark_ids).all()
+        before = self.snapshot(state)
+        result = update_map(state, z)
+        self.assert_unchanged(state, before)
+        assert result.landmark_ids == state.landmark_ids
+        assert result.mean is state.mean and result.cov is state.cov
+        assert result.grid is state.grid
+
+    def test_frame_adding_a_landmark_leaves_input_unchanged(self):
+        state, world, rng = self.mapped_state(2.0, 0)
+        z = observe(np.array([0.05, 0.0, 0.0]), world,
+                    SensorConfig(max_range=5.0, n_rays=0), rng)
+        fresh = ~np.isin(z.ids, state.landmark_ids)
+        assert fresh.any() and not fresh.all()
+        before = self.snapshot(state)
+        result = update_map(state, z)
+        self.assert_unchanged(state, before)
+        n = len(state.mean)
+        assert len(result.mean) == n + 2 * np.count_nonzero(fresh)
+        assert np.array_equal(result.mean[:n], before[0])
+        assert np.array_equal(result.cov[:n, :n], before[1])
+        assert result.grid is state.grid
+
+    def test_skipped_correction_leaves_input_unchanged(self):
+        # the singular innovation of test_singular_innovation_skips_and_is_logged
+        state = seeded_state_with_landmark([0.0, 0.0, 0.0], [2.0, 0.0],
+                                           np.diag([10.0, 0.0, 0.0]))
+        world = World(landmarks={1: np.array([2.0, 0.0])}, obstacles=(),
+                      grid_resolution=0.5, grid_origin=np.array([-1.0, -1.0]),
+                      grid_width=10, grid_height=10)
+        z = observe(np.array([0.1, 0.0, 0.0]), world, SENSOR_EXACT,
+                    np.random.default_rng(0))
+        before = self.snapshot(state)
+        result = correct(state, z)
+        assert result.skipped
+        self.assert_unchanged(state, before)
+        self.assert_unchanged(result.state, before)
 
 
 class TestPlanner:
@@ -884,6 +1016,41 @@ class TestSimulate:
                        process=ProcessNoise(0.001, 0.001, 0.0005), seed=5)
         assert len(minima) == len(log.cov_trace)
         assert min(minima) >= -1e-12
+
+    def test_rayless_run_takes_no_eigenvalues_and_copies_no_grid(
+            self, monkeypatch):
+        # counts, not times: the skip rule reads the Cholesky factor and
+        # takes eigenvalues only when its bound is inconclusive, and a
+        # frame without rays leaves the grid to be shared
+        rng = np.random.default_rng(40)
+        world = World(landmarks={i + 1: rng.uniform(-1.5, 3.5, 2)
+                                 for i in range(40)}, obstacles=(),
+                      grid_resolution=0.1, grid_origin=np.array([-2.0, -2.0]),
+                      grid_width=60, grid_height=60)
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        shared = []
+
+        def spy(state, z):
+            result = update_map(state, z)
+            shared.append(result.grid is state.grid)
+            return result
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(slam, "update_map", spy)
+        sensor = SensorConfig(max_range=5.0, range_sigma=0.05,
+                              bearing_sigma=0.01, n_rays=0)
+        log = simulate(world, loop_script()[:30], sensor,
+                       odometry=OdometryNoise(0.05, 0.03),
+                       process=ProcessNoise(0.001, 0.001, 0.0005), seed=3)
+        assert log.n_measurements.min() >= 20 and not log.skipped.any()
+        assert len(calls) <= 2
+        assert shared == [True] * 30
 
     def test_heading_always_wrapped(self):
         log = simulate(desk_world(), loop_script(),
@@ -1062,6 +1229,17 @@ class TestGridPgm:
         values = [[int(v) for v in line.split()] for line in lines[3:]]
         assert values[0] == [255, 0, 176, 10, 255]   # the grid's last row
         assert values[2] == [0, 255, 128, 0, 255]
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 3), (15,)])
+    def test_log_odds_of_another_shape_refused(self, tmp_path, shape):
+        # the header would say 5 x 3 over rows of another shape
+        path = tmp_path / "grid.pgm"
+        with pytest.raises(ValueError, match="shape"):
+            write_grid_pgm(OccupancyGrid(0.1, np.zeros(2), 5, 3,
+                                         log_odds=np.zeros(shape)), path)
+        assert not path.exists()
+        grid = OccupancyGrid(0.1, np.zeros(2), 5, 3, log_odds=np.zeros((3, 5)))
+        assert grid.log_odds.shape == (3, 5)
 
     def test_nan_log_odds_refused(self, tmp_path):
         grid = OccupancyGrid(resolution=0.1, origin=np.zeros(2), width=3,
