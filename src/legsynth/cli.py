@@ -38,6 +38,7 @@ EXIT_INFEASIBLE = 2
 MAX_SAMPLES = 2 ** 20        # synth budget, LP-tau points
 MAX_SWEEP_SAMPLES = 4096     # crank positions per design
 MAX_POPULATION = 2000        # the domination matrix is (2 population)^2
+MAX_GENERATIONS = 32_000     # the run histories hold one row per generation
 MAX_RAYS = 10_000            # sensor rays per scan
 MAX_RAY_CELLS = 4096         # grid cells a ray walks, max_range / resolution
 MAX_STEPS = 10 ** 6          # script steps, given or derived
@@ -314,6 +315,8 @@ def cmd_pareto(config, out, seed, tag):
     ga = _build(nsga2.GAConfig, config.get("ga", {}), "ga", seed=seed)
     if ga.population > MAX_POPULATION:
         raise ConfigError(f"ga population must be at most {MAX_POPULATION}")
+    if ga.generations > MAX_GENERATIONS:
+        raise ConfigError(f"ga generations must be at most {MAX_GENERATIONS}")
     try:
         problem = nsga2.leg_problem(box=box, count=count, branch=branch,
                                     coupler=coupler)
@@ -405,7 +408,7 @@ def cmd_isotropy(config, out, seed, tag):
                 "isotropy config")
     try:
         stance = _isotropy_config(config)
-        tol = _get(config, "tol", float, 1e-8)
+        tol = _get(config, "tol", float, 1e-8, lo=0.0)
         report = iso.isotropy_report(stance, tol=tol)
         jacobian = iso.jacobian_via_AB(stance)
     except (iso.SingularLegError, iso.SingularConfigurationError,
@@ -670,7 +673,10 @@ def main(argv=None):
             raise ConfigError("--seed must be a non-negative integer")
         config = _load_config(args.config)
         tag = _config_hash(config, args.seed)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory: {err}") from None
         return _COMMANDS[args.command](config, out, args.seed, tag)
     except ConfigError as err:
         print(f"legsynth: config error: {err}", file=sys.stderr)

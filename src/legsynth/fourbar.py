@@ -46,10 +46,6 @@ class DegenerateConfigurationError(LinkageError):
                          f"(discriminant {discriminant:.3e})")
 
 
-class SingularTransmissionError(LinkageError):
-    """Force transmission undefined at a dead point (transmission angle 0)."""
-
-
 @dataclass(frozen=True)
 class FourBarParams:
     """Normalized linkage dimensions and crank schedule for the support arc.
@@ -102,7 +98,7 @@ class Sweep:
 
     phi holds the crank angles: (count,) for one design, (rows, count)
     for a batch; fractions is the position i / (count - 1) of sample i
-    along the support arc (None for the single angle of solve_position).
+    along the support arc.
     B and C are the joint positions (phi's shape plus a last axis of 2),
     beta the coupler angle of BC from the x-axis, and mu the classical
     transmission angle between coupler and rocker at C folded into
@@ -233,20 +229,6 @@ def arc_check(params):
                     trace.mu.min(axis=1))
 
 
-def solve_position(params, phi):
-    """Assemble one design at a single crank angle, as a Sweep of that one
-    angle (phi, beta and mu are numbers, B and C 2-vectors).
-
-    Raises NotAssemblableError / DegenerateConfigurationError when joint C
-    cannot be placed on the selected branch.
-    """
-    trace, gap, disc = _positions(params, float(phi))
-    if (error := _failure(float(phi), gap[0, 0], disc[0, 0])) is not None:
-        raise error
-    at = trace.row(0)
-    return Sweep(at.phi[0], None, at.B[0], at.C[0], at.beta[0], at.mu[0])
-
-
 def sweep(params, count):
     """Position analysis over the support schedule of one design, or of
     each design of a batch, on the params' assembly branch.  Raises
@@ -288,21 +270,3 @@ def gait_metrics(params, mu_min):
                        cycle_ratio=support_deg / transfer_deg,
                        min_transmission_deg=np.degrees(mu_min))
 
-
-def force_ratio_angle(pose):
-    """Foot-force direction angle arctan(|F_vertical| / |F_horizontal|) at
-    a single-angle pose from solve_position.
-
-    The coupler is modeled as a massless two-force member, so the contact
-    force is transmitted along BC; the returned angle is the inclination
-    of BC in the world frame folded into [0, pi/2].  Under this model the
-    direction does not depend on where the foot point sits on the coupler.
-
-    Raises SingularTransmissionError at a dead point (transmission angle
-    zero), where the member direction carries no force information.
-    """
-    if pose.mu < 1e-9:
-        raise SingularTransmissionError(
-            f"dead point at crank angle {pose.phi:.6f} rad")
-    bc = pose.C - pose.B
-    return float(np.arctan2(abs(bc[1]), abs(bc[0])))

@@ -87,23 +87,6 @@ def rationality_report(graphs):
     return [mobility(g) for g in graphs]
 
 
-def disjoint_union(first, second):
-    """Unlabeled union of two graphs that share no links or joints."""
-    if first.space != second.space:
-        raise ValueError("cannot union graphs living in different spaces")
-    inputs = None
-    if first.actuated_inputs is not None and second.actuated_inputs is not None:
-        inputs = first.actuated_inputs + second.actuated_inputs
-    return MechanismGraph(
-        space=first.space,
-        moving_links=first.moving_links + second.moving_links,
-        p5=first.p5 + second.p5, p4=first.p4 + second.p4,
-        p3=first.p3 + second.p3, p2=first.p2 + second.p2,
-        p1=first.p1 + second.p1,
-        actuated_inputs=inputs,
-    )
-
-
 def reference_graphs():
     """The four hexapod/octopod census fixtures used by the audit demo.
 

@@ -206,11 +206,6 @@ class SlamState:
     landmark_ids: tuple
     grid: OccupancyGrid
 
-    @property
-    def landmarks(self):
-        return {lid: self.mean[3 + 2 * i:5 + 2 * i].copy()
-                for i, lid in enumerate(self.landmark_ids)}
-
 
 def initial_state(pose, world):
     """The robot at a known pose: zero covariance, no landmarks, and the

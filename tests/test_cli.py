@@ -496,6 +496,13 @@ BAD_CONFIGS = [
                  id="sweep-samples-10^8"),
     pytest.param("pareto", lambda tmp: {"ga": {"population": 10 ** 8}},
                  id="population-10^8"),
+    pytest.param("pareto", lambda tmp: {"ga": {"population": 4,
+                                               "generations": 10 ** 12}},
+                 id="generations-10^12"),
+    pytest.param("pareto", lambda tmp: {"ga": {
+        "population": 4, "generations": cli.MAX_GENERATIONS + 1}},
+        id="generations-above-cap"),
+    pytest.param("isotropy", lambda tmp: {"tol": -1}, id="negative-tol"),
     pytest.param("slam", lambda tmp: {"plan": {"start": [1.5, 2],
                                                "goal": [50, 50]}},
                  id="plan-fractional-cell"),
@@ -561,6 +568,16 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as info:
             main(["synth", "--frobnicate"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_under_a_file_exit_1(self, tmp_path, capsys, below):
+        # --out names an existing file, or a directory inside one
+        (tmp_path / "taken").write_text("")
+        code = main(["mobility", "--out", str(tmp_path / "taken" / below)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err
+        assert "Traceback" not in err
 
     def test_unreadable_config_exit_1(self, tmp_path):
         code = main(["synth", "--config", str(tmp_path / "missing.json"),

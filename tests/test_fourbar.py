@@ -1,12 +1,13 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from legsynth.fourbar import (DEGENERACY_TOL, DegenerateConfigurationError,
                               FourBarParams, LinkageError,
-                              NotAssemblableError, SingularTransmissionError,
-                              Sweep, arc_check, coupler_path,
-                              force_ratio_angle, gait_metrics,
-                              sample_schedule, solve_position, sweep)
+                              NotAssemblableError, _failure,
+                              _positions, arc_check, coupler_path,
+                              gait_metrics, sample_schedule, sweep)
 from legsynth.geometry import wrap_pi
 
 PARALLELOGRAM = FourBarParams(crank=0.4, coupler=1.0, rocker=0.4,
@@ -15,6 +16,23 @@ PARALLELOGRAM = FourBarParams(crank=0.4, coupler=1.0, rocker=0.4,
 CHEBYSHEV = FourBarParams(crank=1.25, coupler=0.5, rocker=1.25,
                           start_angle=np.radians(40.0),
                           support_arc=np.radians(55.0))
+
+
+Pose = namedtuple("Pose", "phi B C beta mu")
+
+
+def solve_position(params, phi):
+    """Assemble one design at a single crank angle (test oracle of
+    arc_check and sweep): its Pose, with phi, beta and mu numbers and B
+    and C 2-vectors.
+
+    Raises NotAssemblableError / DegenerateConfigurationError when joint C
+    cannot be placed on the selected branch.
+    """
+    trace, gap, disc = _positions(params, float(phi))
+    if (error := _failure(float(phi), gap[0, 0], disc[0, 0])) is not None:
+        raise error
+    return Pose(*(getattr(trace, name)[0, 0] for name in Pose._fields))
 
 
 def brute_force_assemblable_angles(params, n=3600):
@@ -359,40 +377,6 @@ class TestGaitMetrics:
                                np.radians(221.0))
         m = gait_metrics(params, sweep(params, 8).mu.min())
         assert m.support_deg + m.transfer_deg == 360.0
-
-
-class TestForceRatioAngle:
-    def test_vertical_coupler(self):
-        params = FourBarParams(crank=0.5, coupler=0.25, rocker=1.25,
-                               start_angle=0.0, support_arc=np.pi)
-        pose = solve_position(params, np.pi / 2)
-        assert abs(pose.C[0] - pose.B[0]) < 1e-12  # BC vertical
-        assert abs(force_ratio_angle(pose) - np.pi / 2) < 1e-12
-
-    def test_horizontal_coupler(self):
-        pose = solve_position(PARALLELOGRAM, np.pi / 2)
-        assert abs(force_ratio_angle(pose)) < 1e-12
-
-    def test_against_equilibrium_solve(self):
-        # independent oracle: solve the two-force-member equilibrium
-        # (zero moment about B, unit tension) as a 2x2 linear system
-        phi = np.radians(70.0)
-        pose = solve_position(CHEBYSHEV, phi)
-        bc = pose.C - pose.B
-        system = np.array([[-bc[1], bc[0]],
-                           [bc[0], bc[1]]])
-        force = np.linalg.solve(system, np.array([0.0, np.hypot(*bc)]))
-        expected = np.arctan2(abs(force[1]), abs(force[0]))
-        got = force_ratio_angle(pose)
-        assert abs(got - expected) < 1e-12
-
-    def test_dead_point_rejected(self):
-        # fold the linkage so coupler and rocker align: |BD| = p2 + p3
-        # is degenerate, so use a pose built by hand
-        pose = Sweep(phi=0.0, fractions=None, B=np.array([0.1, 0.0]),
-                     C=np.array([0.6, 0.0]), beta=0.0, mu=0.0)
-        with pytest.raises(SingularTransmissionError):
-            force_ratio_angle(pose)
 
 
 class TestParamValidation:

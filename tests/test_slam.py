@@ -647,7 +647,7 @@ class TestUpdateMap:
                     SENSOR_EXACT, np.random.default_rng(0))
         result = update_map(state, z)
         assert result.landmark_ids == (5,)
-        assert np.allclose(result.landmarks[5], [2.0, 0.0], atol=1e-12)
+        assert np.allclose(result.mean[3:5], [2.0, 0.0], atol=1e-12)
 
     def test_log_odds_stay_bounded(self):
         world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
