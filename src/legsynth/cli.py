@@ -677,7 +677,10 @@ def main(argv=None):
             out.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise ConfigError(f"cannot create output directory: {err}") from None
-        return _COMMANDS[args.command](config, out, args.seed, tag)
+        try:
+            return _COMMANDS[args.command](config, out, args.seed, tag)
+        except OSError as err:
+            raise ConfigError(f"cannot write output: {err}") from None
     except ConfigError as err:
         print(f"legsynth: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,11 +3,17 @@
 The simulation loop mirrors the classic recursion: predict the pose from
 odometry through a unicycle motion model, observe range and bearing to
 visible landmarks plus a ray-cast point cloud against obstacle polygons,
-correct pose and landmark estimates with an extended Kalman update (known
-data association, Joseph-form covariance), and fold the observation into
-the map: new landmarks by inverse observation, occupancy-grid cells along
-each ray by log-odds (free along the ray, occupied at the hit).  Grid
-path planning is 8-connected A*.
+correct pose and landmark estimates with an extended Kalman update, and
+fold the observation into the map: a frame's new landmarks by inverse
+observation, in one block, and occupancy-grid cells along each ray by
+log-odds (free along the ray, occupied at the hit).  Grid path planning
+is 8-connected A*.
+
+The correction assumes known data association and updates the
+covariance in Cholesky form, P - W W^T with W = P H^T L^-T for the
+Cholesky factor L of the innovation covariance: about n^2 m + 4 n m^2
+flops for n state entries and m <= n measurement rows, and an exactly
+symmetric result.
 
 One seeded generator drives every stochastic draw of a run, so runs are
 reproducible bit-for-bit; independent seeds give independent runs.
@@ -337,6 +343,26 @@ def _measurement_jacobian(mean, slots):
     return J.reshape(2 * m, -1), columns, predicted
 
 
+def _lower_inverse(L):
+    """L^-1 for a lower-triangular L, by 2 x 2 block recursion:
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]].  Blocks of at
+    most 32 rows are inverted by LU; above that the inverse costs about
+    m^3 / 3 flops, all in matrix products.  The strict upper triangle is
+    exactly zero."""
+    m = len(L)
+    if m <= 32:
+        # the pivoted LU inverse leaves rounding above the diagonal
+        return np.tril(np.linalg.inv(L))
+    h = m // 2
+    A_inv = _lower_inverse(L[:h, :h])
+    C_inv = _lower_inverse(L[h:, h:])
+    inverse = np.zeros((m, m))
+    inverse[:h, :h] = A_inv
+    inverse[h:, h:] = C_inv
+    inverse[h:, :h] = -C_inv @ (L[h:, :h] @ A_inv)
+    return inverse
+
+
 def _inverse_factor(S):
     """L^-1 for the Cholesky factor L of S, or None when S is not finite,
     not positive definite or has cond2(S) above 1e12.  As cond2(S) <=
@@ -345,9 +371,7 @@ def _inverse_factor(S):
     if not np.isfinite(S).all():
         return None
     try:
-        # L^-1 by one solve against the identity: 2k right-hand sides,
-        # fewer than the n columns of P H^T that two solves for K would take
-        L_inv = np.linalg.solve(np.linalg.cholesky(S), np.eye(len(S)))
+        L_inv = _lower_inverse(np.linalg.cholesky(S))
     except np.linalg.LinAlgError:
         return None
     if not np.trace(S) * np.square(L_inv).sum() <= 1e11:
@@ -363,13 +387,15 @@ def correct(state, z):
     Measurements whose landmark id is not in the map are ignored here
     (update_map initializes them).  The update is batched over all known
     landmarks and touches only the columns of the covariance P that the
-    measurement Jacobian H reaches, so a step costs O(n^2 k) for n state
-    entries and k observed landmarks.  The gain K = P H^T S^-1 comes from
-    the Cholesky factor L of the innovation covariance S, as
-    (P H^T L^-T) L^-1.  The covariance update is the Joseph form
-    (I - KH) P (I - KH)^T + K R K^T, which keeps P symmetric and positive
-    semi-definite for any gain, written as P + K C^T + C K^T with
-    C = K S / 2 - P H^T.  An innovation covariance that is not finite, is
+    measurement Jacobian H reaches.  With L the Cholesky factor of the
+    innovation covariance S and W = P H^T L^-T, the gain is K = W L^-1,
+    the mean moves by W L^-1 (z - h(x)) and the covariance becomes
+    P - K S K^T = P - W W^T (the Cholesky-form update of Bailey et al.,
+    "Consistency of the EKF-SLAM algorithm", IROS 2006).  For n state
+    entries and m = 2k measurement rows a step costs about n^2 m flops
+    for W W^T, 4 n m^2 for P H^T and W, and under 3 m^3 for S, its factor
+    and L^-1.  numpy forms W W^T with one symmetric rank-k update, so the
+    covariance comes out exactly symmetric.  An innovation covariance that is not finite, is
     not positive definite (no Cholesky factor) or has a 2-norm condition
     number above 1e12 skips the whole measurement batch: the state comes
     back unchanged, `skipped` set.  The skip rule reads the factor: its
@@ -395,16 +421,12 @@ def correct(state, z):
     L_inv = _inverse_factor(S)
     if L_inv is None:
         return CorrectionResult(state=state, skipped=True)
-    K = (PHt @ L_inv.T) @ L_inv
-    mean = state.mean + K @ innovation
+    W = PHt @ L_inv.T
+    mean = state.mean + W @ (L_inv @ innovation)
     mean[2] = wrap_pi(mean[2])
-    # with 2C = K S - 2 P H^T, P + K C^T + C K^T is the symmetric part of
-    # P + K (2C)^T, formed with two n x n temporaries
-    T = K @ (K @ S - 2.0 * PHt).T
-    T += P
-    T = T + T.T
-    T *= 0.5
-    return CorrectionResult(state=replace(state, mean=mean, cov=T))
+    cov = W @ W.T
+    np.subtract(P, cov, out=cov)    # one new n x n array, not two
+    return CorrectionResult(state=replace(state, mean=mean, cov=cov))
 
 
 def _walk(start, ends):
@@ -430,9 +452,13 @@ def _walk(start, ends):
 def update_map(state, z):
     """The state after initializing unknown landmarks and stamping the rays.
 
-    New landmarks enter the state by inverse observation from the current
-    pose estimate, with a covariance block propagated from the pose
-    uncertainty and the measurement noise.  Grid cells crossed by a ray
+    A frame's new landmarks enter the state together, by inverse
+    observation from the current pose estimate: one block of cross terms
+    G_pose P[:3, :] and one new block G_pose P[:3, :3] G_pose^T plus each
+    landmark's G_meas R G_meas^T, for the stacked pose Jacobian G_pose and
+    the per-landmark measurement Jacobians G_meas.  As the pose rows of P
+    do not change while landmarks join, this is the covariance that adding
+    them one at a time would give.  Grid cells crossed by a ray
     get the free log-odds decrement; the hit cell gets the occupied
     increment.  Each stamp clips to +-LOG_ODDS_LIMIT, in ray order: in a
     chunk of rays, a cell no ray ends in only falls, so an ordered
@@ -442,29 +468,36 @@ def update_map(state, z):
     when no landmark joins, the grid when no ray comes near it.
     """
     mean, P = state.mean, state.cov
-    r_var = max(z.range_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
-    b_var = max(z.bearing_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
     x, y, heading = state.mean[:3]
-    # each new landmark grows the covariance the next one reads
     fresh = ~np.isin(z.ids, state.landmark_ids)
-    for dist, bearing in zip(z.ranges[fresh], z.bearings[fresh]):
-        direction = heading + bearing
+    if fresh.any():
+        dist = z.ranges[fresh]
+        direction = heading + z.bearings[fresh]
         cos, sin = np.cos(direction), np.sin(direction)
-        position = np.array([x + dist * cos, y + dist * sin])
-        G_pose = np.array([[1.0, 0.0, -dist * sin],
-                           [0.0, 1.0, dist * cos]])
-        G_meas = np.array([[cos, -dist * sin],
-                           [sin, dist * cos]])
-        n = len(mean)
-        grown = np.zeros((n + 2, n + 2))
-        grown[:n, :n] = P
+        k, n = len(dist), len(mean)
+        # d(landmark x, y) / d(pose), stacked (2k, 3), and
+        # d(landmark x, y) / d(range, bearing), (k, 2, 2)
+        G_pose = np.zeros((2 * k, 3))
+        G_pose[0::2, 0] = G_pose[1::2, 1] = 1.0
+        G_pose[0::2, 2] = -dist * sin
+        G_pose[1::2, 2] = dist * cos
+        G_meas = np.stack([cos, -dist * sin, sin, dist * cos],
+                          axis=1).reshape(k, 2, 2)
+        r_var = max(z.range_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
+        b_var = max(z.bearing_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
         cross = G_pose @ P[:3, :]
-        grown[n:, :n] = cross
-        grown[:n, n:] = cross.T
-        grown[n:, n:] = (G_pose @ P[:3, :3] @ G_pose.T
-                         + G_meas @ np.diag([r_var, b_var]) @ G_meas.T)
-        mean = np.concatenate([mean, position])
-        P = 0.5 * (grown + grown.T)
+        block = cross[:, :3] @ G_pose.T
+        # each landmark's own measurement noise, on the 2 x 2 diagonal blocks
+        i = np.arange(k)
+        block.reshape(k, 2, k, 2)[i, :, i, :] += (
+            (G_meas * [r_var, b_var]) @ G_meas.transpose(0, 2, 1))
+        mean = np.concatenate([mean, np.stack([x + dist * cos, y + dist * sin],
+                                              axis=1).ravel()])
+        P = np.empty((n + 2 * k, n + 2 * k))
+        P[:n, :n] = state.cov
+        P[n:, :n] = cross
+        P[:n, n:] = cross.T
+        P[n:, n:] = 0.5 * (block + block.T)
     new = replace(state, mean=mean, cov=P, landmark_ids=tuple(
         state.landmark_ids) + tuple(z.ids[fresh].tolist()))
     if not len(z.ray_angles):

@@ -579,6 +579,32 @@ class TestParserBehavior:
         assert "config error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, config, name", [
+        *(("synth", {"box": TIGHT_BOX, "budget": 64}, name)
+          for name in ("sampling_table.csv", "pareto.csv",
+                       "best_trajectory.svg", "summary.json")),
+        *(("pareto", {"box": TIGHT_BOX,
+                      "ga": {"population": 8, "generations": 2}}, name)
+          for name in ("hypervolume.csv", "hypervolume.svg", "front.csv",
+                       "front.svg")),
+        ("isotropy", {}, "isotropy.json"),
+        ("isotropy", {}, "layout.svg"),
+        ("mobility", {}, "mobility.csv"),
+        *(("slam", {"script": ONE_STEP, "sensor": {"n_rays": 8},
+                    "plan": {"start": [5, 5], "goal": [6, 8]}}, name)
+          for name in ("run_log.csv", "grid.pgm", "path.csv", "path.svg",
+                       "summary.json")),
+    ])
+    def test_output_file_that_cannot_be_opened_exit_1(self, tmp_path, capsys,
+                                                      command, config, name):
+        # a directory where the output file should go
+        (tmp_path / "out" / name).mkdir(parents=True)
+        code, _ = run(tmp_path, command, config)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "Traceback" not in err
+        assert name in err
+
     def test_unreadable_config_exit_1(self, tmp_path):
         code = main(["synth", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "out")])

@@ -248,6 +248,55 @@ def seeded_filter_case(rng, n_landmarks, every, sigmas, rank=None):
     return state, z
 
 
+def grow_oracle(state, z):
+    """Landmark initialization one landmark at a time: each new landmark
+    grows the mean and the covariance that the next one reads.  Returns
+    the mean and covariance."""
+    mean, P = state.mean, state.cov
+    r_var = max(z.range_sigma ** 2, slam.MEASUREMENT_VARIANCE_FLOOR)
+    b_var = max(z.bearing_sigma ** 2, slam.MEASUREMENT_VARIANCE_FLOOR)
+    x, y, heading = state.mean[:3]
+    fresh = ~np.isin(z.ids, state.landmark_ids)
+    for dist, bearing in zip(z.ranges[fresh], z.bearings[fresh]):
+        direction = heading + bearing
+        cos, sin = np.cos(direction), np.sin(direction)
+        position = np.array([x + dist * cos, y + dist * sin])
+        G_pose = np.array([[1.0, 0.0, -dist * sin],
+                           [0.0, 1.0, dist * cos]])
+        G_meas = np.array([[cos, -dist * sin],
+                           [sin, dist * cos]])
+        n = len(mean)
+        grown = np.zeros((n + 2, n + 2))
+        grown[:n, :n] = P
+        cross = G_pose @ P[:3, :]
+        grown[n:, :n] = cross
+        grown[:n, n:] = cross.T
+        grown[n:, n:] = (G_pose @ P[:3, :3] @ G_pose.T
+                         + G_meas @ np.diag([r_var, b_var]) @ G_meas.T)
+        mean = np.concatenate([mean, position])
+        P = 0.5 * (grown + grown.T)
+    return mean, P
+
+
+def joining_frame(rng, n_known, n_new):
+    """A state of n_known landmarks with a random full-rank covariance, and
+    a ray-less frame that sees every known landmark and n_new new ones, in
+    shuffled id order, 0.5 to 4 m away."""
+    n = 3 + 2 * n_known
+    B = rng.standard_normal((n, n)) * 0.1
+    cov = B @ B.T
+    state = SlamState(mean=rng.uniform(-2.0, 2.0, n), cov=0.5 * (cov + cov.T),
+                      landmark_ids=tuple(range(1, n_known + 1)),
+                      grid=single_landmark_world().make_grid())
+    count = n_known + n_new
+    return state, Observation(
+        ids=rng.permutation(count) + 1, ranges=rng.uniform(0.5, 4.0, count),
+        bearings=rng.uniform(-np.pi, np.pi, count),
+        ray_angles=np.zeros(0), ray_distances=np.zeros(0),
+        ray_hits=np.zeros(0, dtype=bool), range_sigma=0.05,
+        bearing_sigma=0.01)
+
+
 def single_landmark_world():
     return World(landmarks={1: np.array([2.0, 1.0])}, obstacles=(),
                  grid_resolution=0.5, grid_origin=np.array([-1.0, -1.0]),
@@ -602,6 +651,7 @@ class TestCorrect:
     # the factor's bound accepts only below 1e11; between it and the rule's
     # 1e12, and beyond, the eigenvalues decide
     def test_skip_rule_matches_eigenvalue_rule_at_its_boundary(self):
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(15)
         by_bound = by_eigenvalues = skipped = 0
         for m in (2, 3, 8, 30, 90, 120):
@@ -617,8 +667,13 @@ class TestCorrect:
                         if not accepted:
                             skipped += 1
                             continue
-                        assert np.array_equal(L_inv, np.linalg.solve(
-                            np.linalg.cholesky(S), np.eye(m)))
+                        # the LU solve as oracle, within the forward error
+                        # bound of inverting L
+                        L = np.linalg.cholesky(S)
+                        oracle = np.linalg.solve(L, np.eye(m))
+                        assert (np.abs(L_inv - oracle).max()
+                                <= 4 * m * eps * np.linalg.cond(L)
+                                * np.abs(oracle).max())
                         bound = np.trace(S) * np.square(L_inv).sum()
                         by_bound += bound <= 1e11
                         by_eigenvalues += bound > 1e11
@@ -627,6 +682,21 @@ class TestCorrect:
         for S in (np.diag([1.0, -1.0]), np.diag([1.0, np.nan]),
                   np.diag([1.0, 0.0])):
             assert slam._inverse_factor(S) is None
+
+    # sizes on both sides of the 32-row leaf limit, with no, one and two
+    # levels of block recursion
+    @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 64, 65, 120])
+    def test_lower_inverse(self, m):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng([16, m])
+        for condition in (1e2, 1e6, 1e11):
+            for rotated in (False, True):
+                S = spd_with_condition(rng, m, condition, "log", rotated)
+                L = np.linalg.cholesky(S)
+                L_inv = slam._lower_inverse(L)
+                assert not np.triu(L_inv, 1).any()
+                residual = np.abs(L_inv @ L - np.eye(m)).max()
+                assert residual <= 4 * m * eps * np.linalg.cond(L)
 
 
 class TestUpdateMap:
@@ -648,6 +718,31 @@ class TestUpdateMap:
         result = update_map(state, z)
         assert result.landmark_ids == (5,)
         assert np.allclose(result.mean[3:5], [2.0, 0.0], atol=1e-12)
+
+    # each covariance entry of a joining landmark sums at most eleven
+    # products of two Jacobian entries, each at most 1 + range, and a
+    # covariance or noise entry
+    @pytest.mark.parametrize("n_known", [0, 5, 60])
+    @pytest.mark.parametrize("n_new", [1, 3, 40])
+    def test_block_initialization_matches_one_at_a_time(self, n_known, n_new):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng([n_known, n_new])
+        state, z = joining_frame(rng, n_known, n_new)
+        result = update_map(state, z)
+        mean, cov = grow_oracle(state, z)
+        n = len(state.mean)
+        assert result.landmark_ids == state.landmark_ids + tuple(
+            z.ids[z.ids > n_known].tolist())
+        assert result.cov.shape == (n + 2 * n_new,) * 2
+        assert np.array_equal(result.mean[:n], state.mean)
+        assert np.array_equal(result.cov[:n, :n], state.cov)
+        reach = 1.0 + z.ranges.max()
+        assert (np.abs(result.mean - mean).max()
+                <= 4 * eps * reach * np.abs(state.mean).max())
+        assert (np.abs(result.cov - cov).max()
+                <= 16 * eps * reach ** 2 * max(np.abs(state.cov).max(),
+                                               0.05 ** 2))
+        assert np.array_equal(result.cov, result.cov.T)
 
     def test_log_odds_stay_bounded(self):
         world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
@@ -1258,6 +1353,23 @@ class TestWrap:
         assert np.all(wrapped <= np.pi)
         assert wrap_pi(np.pi) == np.pi
         assert wrap_pi(-np.pi) == np.pi
+
+    def test_scalar_path_matches_array_path_bit_for_bit(self):
+        rng = np.random.default_rng(18)
+        edges = [np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 1e300, -1e300,
+                 np.nan, np.inf, -np.inf, 0.0, -0.0]
+        edges += [np.nextafter(v, w) for v in (np.pi, -np.pi)
+                  for w in (-np.inf, np.inf)]
+        values = np.concatenate([rng.uniform(-10.0, 10.0, 100_000),
+                                 rng.uniform(-1e6, 1e6, 100_000),
+                                 rng.standard_normal(10_000) * 1e300, edges])
+        with np.errstate(invalid="ignore"):
+            by_array = wrap_pi(values)
+        for scalar in (values.tolist(), list(values)):
+            by_scalar = np.array([wrap_pi(v) for v in scalar])
+            assert all(type(wrap_pi(v)) is float for v in scalar[-len(edges):])
+            assert np.array_equal(by_scalar.view(np.int64),
+                                  by_array.view(np.int64))
 
     def test_unicycle_matches_manual_integration(self):
         pose = np.array([0.1, 0.2, 0.3])
