@@ -680,6 +680,10 @@ def main(argv=None):
         try:
             return _COMMANDS[args.command](config, out, args.seed, tag)
         except OSError as err:
+            # an output file that cannot be opened names itself; an error
+            # with no file, such as a closed stdout, is not a config error
+            if err.filename is None:
+                raise
             raise ConfigError(f"cannot write output: {err}") from None
     except ConfigError as err:
         print(f"legsynth: config error: {err}", file=sys.stderr)

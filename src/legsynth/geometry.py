@@ -1,7 +1,5 @@
 """Small planar-geometry helpers shared across the package."""
 
-import math
-
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -25,14 +23,7 @@ def rot2(angle):
 
 def wrap_pi(angle):
     """Wrap angle(s) into (-pi, pi]; values already in range pass through
-    bit-exact.  A float (numpy float64 included) gives a Python float by
-    float arithmetic, whose % rounds as np.mod does, so both paths give
-    the same bits."""
-    if isinstance(angle, float):
-        a = float(angle)
-        if -math.pi < a <= math.pi:
-            return a
-        return math.pi - (math.pi - a) % TWO_PI
+    bit-exact."""
     a = np.asarray(angle, dtype=float)
     wrapped = np.where((a > -np.pi) & (a <= np.pi), a,
                        np.pi - np.mod(np.pi - a, TWO_PI))

@@ -425,7 +425,8 @@ def correct(state, z):
     mean = state.mean + W @ (L_inv @ innovation)
     mean[2] = wrap_pi(mean[2])
     cov = W @ W.T
-    np.subtract(P, cov, out=cov)    # one new n x n array, not two
+    # in place, so the update allocates one n x n array, not two
+    np.subtract(P, cov, out=cov)
     return CorrectionResult(state=replace(state, mean=mean, cov=cov))
 
 

@@ -605,6 +605,18 @@ class TestParserBehavior:
         assert "config error" in err and "Traceback" not in err
         assert name in err
 
+    def test_stdout_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["mobility", "--out", str(tmp_path / "out")])
+
     def test_unreadable_config_exit_1(self, tmp_path):
         code = main(["synth", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "out")])

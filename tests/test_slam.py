@@ -1354,23 +1354,6 @@ class TestWrap:
         assert wrap_pi(np.pi) == np.pi
         assert wrap_pi(-np.pi) == np.pi
 
-    def test_scalar_path_matches_array_path_bit_for_bit(self):
-        rng = np.random.default_rng(18)
-        edges = [np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 1e300, -1e300,
-                 np.nan, np.inf, -np.inf, 0.0, -0.0]
-        edges += [np.nextafter(v, w) for v in (np.pi, -np.pi)
-                  for w in (-np.inf, np.inf)]
-        values = np.concatenate([rng.uniform(-10.0, 10.0, 100_000),
-                                 rng.uniform(-1e6, 1e6, 100_000),
-                                 rng.standard_normal(10_000) * 1e300, edges])
-        with np.errstate(invalid="ignore"):
-            by_array = wrap_pi(values)
-        for scalar in (values.tolist(), list(values)):
-            by_scalar = np.array([wrap_pi(v) for v in scalar])
-            assert all(type(wrap_pi(v)) is float for v in scalar[-len(edges):])
-            assert np.array_equal(by_scalar.view(np.int64),
-                                  by_array.view(np.int64))
-
     def test_unicycle_matches_manual_integration(self):
         pose = np.array([0.1, 0.2, 0.3])
         u = MotionInput(0.7, -0.2, 0.5)
