@@ -37,7 +37,7 @@ EXIT_INFEASIBLE = 2
 # test, demo, README sketch or benchmark config uses.
 MAX_SAMPLES = 2 ** 20        # synth budget, LP-tau points
 MAX_SWEEP_SAMPLES = 4096     # crank positions per design
-MAX_POPULATION = 2000        # the domination matrix is (2 population)^2
+MAX_POPULATION = 2000        # kernel arrays are population x sweep samples
 MAX_GENERATIONS = 32_000     # the run histories hold one row per generation
 MAX_RAYS = 10_000            # sensor rays per scan
 MAX_RAY_CELLS = 4096         # grid cells a ray walks, max_range / resolution

@@ -7,6 +7,9 @@ and among infeasible individuals the smaller total violation wins.
 Breeding uses binary tournament on (rank, crowding distance), simulated
 binary crossover, and polynomial mutation; survival is (mu + lambda)
 truncation by nondomination rank with crowding-distance tie-breaking.
+The ranks of two objectives come from one lexicographic sort and a
+binary-search sweep, O(N log N) for N rows (Jensen, IEEE TEC 7(5),
+2003), with no N x N dominance matrix.
 
 Convergence is tracked by the exact hypervolume of the running
 nondominated archive (every feasible point ever evaluated, reduced to
@@ -16,6 +19,7 @@ construction, which the population-only front does not guarantee under
 crowding truncation.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +86,10 @@ class GAConfig:
             raise ValueError("crossover_prob must lie in [0, 1]")
         if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError("mutation_prob must lie in [0, 1]")
+        for name in ("crossover_eta", "mutation_eta"):
+            # SBX and polynomial mutation raise to the power 1 / (eta + 1)
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be at least 0")
 
 
 @dataclass
@@ -124,27 +132,69 @@ def fast_nondominated_sort(F, violation):
 
     Rank 0 is the nondominated set; each later rank is nondominated once
     all lower ranks are removed, under constraint-domination: feasible
-    rows (violation <= 0) are peeled by objective dominance, and every
+    rows (violation <= 0) are ranked by objective dominance, and every
     other row follows, one rank per distinct violation in increasing
-    order (NaN last).
+    order (NaN last).  Two objectives take one lexicographic sort and a
+    binary-search sweep, O(N log N) (Jensen, IEEE TEC 7(5), 2003); more
+    objectives peel an N x N dominance matrix front by front.  A feasible
+    row with a NaN objective raises ValueError.
     """
     F = np.asarray(F, dtype=float)
     violation = np.asarray(violation, dtype=float)
     feasible = np.flatnonzero(violation <= 0.0)
-    D = dominates(F[feasible], F[feasible])
+    if np.isnan(F[feasible]).any():
+        raise ValueError("feasible rows must have no NaN objective")
+    rank = np.empty(len(F), dtype=int)
+    if F.shape[1] == 2:
+        rank[feasible] = _sweep_ranks_2d(F[feasible])
+    else:
+        rank[feasible] = _peel_ranks(F[feasible])
+    fronts = rank[feasible].max(initial=-1) + 1
+    infeasible = np.flatnonzero(~(violation <= 0.0))
+    _, level = np.unique(violation[infeasible], return_inverse=True)
+    rank[infeasible] = fronts + level
+    return rank
+
+
+def _sweep_ranks_2d(F):
+    """Nondomination ranks of two-objective rows without NaN.
+
+    In (f1, f2) order every dominator of a row comes before it, and
+    tails[r], the least f2 of the rows ranked r so far, never decreases
+    with r.  A row's rank is then the number of fronts holding a member
+    with f2 no greater than its own, bisect_right of tails.  An exact
+    repeat of the row before it has that row's dominators and so takes
+    its rank.
+    """
+    order = np.lexsort((F[:, 1], F[:, 0]))
+    tails, ranks, previous = [], [], None
+    for row in F[order].tolist():
+        if row != previous:
+            r = bisect.bisect_right(tails, row[1])
+            if r == len(tails):
+                tails.append(row[1])
+            else:
+                tails[r] = row[1]
+            previous = row
+        ranks.append(r)
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = ranks
+    return rank
+
+
+def _peel_ranks(F):
+    """Nondomination ranks by peeling the dominance matrix of F."""
+    D = dominates(F, F)
     dominators = D.sum(axis=0)
     rank = np.empty(len(F), dtype=int)
     fronts = 0
     # ranked rows stay at -1: no row of a later front dominates them
     while (dominators >= 0).any():
         current = np.flatnonzero(dominators == 0)
-        rank[feasible[current]] = fronts
+        rank[current] = fronts
         fronts += 1
         dominators = dominators - D[current].sum(axis=0)
         dominators[current] = -1
-    infeasible = np.flatnonzero(~(violation <= 0.0))
-    _, level = np.unique(violation[infeasible], return_inverse=True)
-    rank[infeasible] = fronts + level
     return rank
 
 

@@ -502,6 +502,12 @@ BAD_CONFIGS = [
     pytest.param("pareto", lambda tmp: {"ga": {
         "population": 4, "generations": cli.MAX_GENERATIONS + 1}},
         id="generations-above-cap"),
+    pytest.param("pareto", lambda tmp: {"ga": {
+        "population": 6, "generations": 2, "crossover_eta": -1}},
+        id="crossover-eta-minus-1"),
+    pytest.param("pareto", lambda tmp: {"ga": {
+        "population": 6, "generations": 2, "mutation_eta": -1}},
+        id="mutation-eta-minus-1"),
     pytest.param("isotropy", lambda tmp: {"tol": -1}, id="negative-tol"),
     pytest.param("slam", lambda tmp: {"plan": {"start": [1.5, 2],
                                                "goal": [50, 50]}},

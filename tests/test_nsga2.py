@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from legsynth.cli import MAX_POPULATION
 from legsynth.fourbar import (FourBarParams, LinkageError, arc_check,
                               coupler_path, sweep)
 from legsynth.nsga2 import (GAConfig, OBJECTIVE_SENTINEL, Problem,
@@ -44,6 +47,20 @@ def brute_force_fronts(F, V):
                             for j in remaining if j != i)]
         fronts.append(sorted(front))
         remaining -= set(front)
+    return fronts
+
+
+def matrix_fronts(F):
+    """Peeling oracle over a dense dominance matrix, for many feasible
+    rows."""
+    D = (np.all(F[:, None] <= F[None], axis=2)
+         & np.any(F[:, None] < F[None], axis=2))
+    remaining = np.ones(len(F), dtype=bool)
+    fronts = []
+    while remaining.any():
+        front = remaining & ~D[remaining].any(axis=0)
+        fronts.append(np.flatnonzero(front).tolist())
+        remaining &= ~front
     return fronts
 
 
@@ -189,6 +206,50 @@ class TestNondominatedSort:
                 flat = sorted(i for front in fronts for i in front)
                 assert flat == list(range(n))
                 assert fronts == brute_force_fronts(F, V)
+        # two-objective ties the sort-and-sweep ranking must get right
+        S = OBJECTIVE_SENTINEL
+        cases = [
+            ([(1, 2), (1, 2), (2, 1), (1, 2), (2, 1), (3, 3), (3, 3)], None),
+            ([(1, 1), (2, 0), (1, 1), (0, 2), (2, 2), (2, 2), (1, 3)], None),
+            ([(0.0, 1), (-0.0, 1), (1, 0.0), (1, -0.0), (-0.0, -0.0),
+              (0.0, 0.0), (1, 1)], None),
+            ([(S, S), (1, 1), (S, S), (0, S), (S, 0), (S, S)], None),
+            ([(S, S), (0, 0), (1, 1)], [0.0, 1.0, 0.0]),
+            ([(2, 5)] * 7, None),
+            ([(4, 4)], None),
+            ([(1, 2), (0, 0), (1, 2), (3, 1)], [0.5, 2.0, 0.5, np.nan]),
+        ]
+        for rows, violations in cases:
+            F, V = individuals(rows, violations)
+            assert (fronts_of(fast_nondominated_sort(F, V))
+                    == brute_force_fronts(F, V))
+        # 2000 rows over 625 distinct points
+        F = rng.integers(0, 25, size=(2000, 2)).astype(float)
+        assert (fronts_of(fast_nondominated_sort(*individuals(F)))
+                == matrix_fronts(F))
+
+    @pytest.mark.parametrize("objectives", [2, 3])
+    def test_nan_objective_of_feasible_row_refused(self, objectives):
+        F = np.ones((4, objectives))
+        F[2, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            fast_nondominated_sort(F, np.zeros(4))
+        # an infeasible row's objectives are never compared
+        rank = fast_nondominated_sort(F, np.array([0.0, 0.0, 1.0, 0.0]))
+        assert fronts_of(rank) == [[0, 1, 3], [2]]
+
+    def test_population_cap_memory_is_bounded(self):
+        rng = np.random.default_rng(0)
+        F, V = individuals(rng.random((2 * MAX_POPULATION, 2)))
+        tracemalloc.start()
+        try:
+            rank = fast_nondominated_sort(F, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fronts_of(rank) == matrix_fronts(F)
+        # one (rows, rows) boolean dominance matrix alone would take 16 MB
+        assert peak < 4 * 2 ** 20
 
     def test_fronts_partition_population(self):
         rng = np.random.default_rng(5)
