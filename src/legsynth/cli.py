@@ -581,6 +581,10 @@ def cmd_slam(config, out, seed, tag):
                 "goal": _vector(plan, "goal", int, 2, "plan "),
                 "occupied_threshold": _get(plan, "occupied_threshold",
                                            float, 0.5, "plan ")}
+        # log-odds are clipped, so every cell's probability lies inside
+        # (0, 1): a threshold outside it blocks every cell or none
+        if not 0.0 < plan["occupied_threshold"] < 1.0:
+            raise ConfigError("plan occupied_threshold must lie in (0, 1)")
         for key in ("start", "goal"):
             row, col = plan[key]
             if not (0 <= row < world.grid_height

@@ -229,10 +229,15 @@ def hypervolume_2d(front, reference, normalization=None):
     """
     F = np.asarray(front, dtype=float).reshape(-1, 2)
     ref = np.asarray(reference, dtype=float)
-    pts = F[np.all(F < ref, axis=1)]
+    stairs = _nondominated_2d(F[np.all(F < ref, axis=1)])
+    return _staircase_area(stairs, ref, normalization)
+
+
+def _staircase_area(stairs, ref, normalization):
+    """hypervolume_2d of a nondominated staircase: points that dominate
+    `ref`, sorted by f1, with no repeats and f2 strictly falling."""
     area = 0.0
-    if len(pts):
-        stairs = _nondominated_2d(pts)
+    if len(stairs):
         widths = np.diff(np.append(stairs[:, 0], ref[0]))
         # a running sum adds the strips left to right, as a loop would
         area = np.cumsum(widths * (ref[1] - stairs[:, 1]))[-1]
@@ -342,8 +347,10 @@ def evolve(problem, config):
                 ideal = pts.min(axis=0)
             archive = _nondominated_2d(np.vstack([archive, pts]))
         if len(archive):
-            hypervolume[generation] = hypervolume_2d(archive, reference,
-                                                     normalization=ideal)
+            # the archive is already a staircase, and so is any subset
+            hypervolume[generation] = _staircase_area(
+                archive[np.all(archive < reference, axis=1)], reference,
+                ideal)
             best[generation] = archive.min(axis=0)
 
     _, rank, crowding = _survivors(F, violation, len(F))

@@ -9,6 +9,11 @@ observation, in one block, and occupancy-grid cells along each ray by
 log-odds (free along the ray, occupied at the hit).  Grid path planning
 is 8-connected A*.
 
+A World builds what a sensor frame reads once, as read-only arrays: its
+landmark ids in increasing order with their positions, and its obstacle
+edges.  Its landmark mapping is read-only, so the arrays cannot go stale,
+and no step rebuilds them.
+
 The correction assumes known data association and updates the
 covariance in Cholesky form, P - W W^T with W = P H^T L^-T for the
 Cholesky factor L of the innovation covariance: about n^2 m + 4 n m^2
@@ -22,6 +27,7 @@ Headings are always wrapped to (-pi, pi].
 
 import heapq
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -146,12 +152,23 @@ class OccupancyGrid:
         return (0 <= row) & (row < self.height) & (0 <= col) & (col < self.width)
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class World:
     """Landmarks, obstacle polygons, and the grid frame of one scenario.
 
     The grid needs a positive resolution, a width and height of at least
-    one cell and an [x, y] origin.
+    one cell and an [x, y] origin.  A World builds the arrays a sensor
+    frame reads once, read-only: `landmark_ids`, the landmark ids in
+    increasing order, with their (k, 2) `landmark_points`, and the
+    obstacle edges as (S, 2) `edge_starts` and `edge_vectors`.  Its
+    `landmarks` is a read-only mapping over a copy of the given one, in
+    the given order, and its [x, y] points and obstacles are read-only
+    copies, so the arrays cannot go stale.
     """
 
     landmarks: dict
@@ -167,19 +184,31 @@ class World:
                 and np.shape(self.grid_origin) == (2,)):
             raise ValueError("the grid needs resolution > 0, width and "
                              "height >= 1 and an [x, y] origin")
+        ids = np.fromiter(self.landmarks, dtype=np.int64,
+                          count=len(self.landmarks))
+        points = _read_only(np.array(list(self.landmarks.values()),
+                                     dtype=float).reshape(-1, 2))
+        if len(points) != len(ids):
+            raise ValueError("each landmark is one [x, y] point")
+        polys = tuple(_read_only(np.array(poly, dtype=float))
+                      for poly in self.obstacles)
+        starts = np.concatenate([np.empty((0, 2)), *polys])
+        ends = np.concatenate([np.empty((0, 2)),
+                               *(np.roll(poly, -1, axis=0) for poly in polys)])
+        order = np.argsort(ids)
+        built = dict(
+            landmarks=MappingProxyType(dict(zip(self.landmarks, points))),
+            obstacles=polys, landmark_ids=_read_only(ids[order]),
+            landmark_points=_read_only(points[order]),
+            edge_starts=_read_only(starts),
+            edge_vectors=_read_only(ends - starts))
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
 
     def make_grid(self):
         return OccupancyGrid(resolution=self.grid_resolution,
                              origin=np.asarray(self.grid_origin, dtype=float),
                              width=self.grid_width, height=self.grid_height)
-
-    def segments(self):
-        """Obstacle edges as (S, 2) start points and (S, 2) edge vectors."""
-        polys = [np.asarray(poly, dtype=float) for poly in self.obstacles]
-        starts = np.concatenate([np.empty((0, 2)), *polys])
-        ends = np.concatenate([np.empty((0, 2)),
-                               *(np.roll(poly, -1, axis=0) for poly in polys)])
-        return starts, ends - starts
 
 
 @dataclass(frozen=True)
@@ -272,9 +301,7 @@ def observe(pose, world, sensor, rng):
     the same range noise applied to hits.
     """
     pose = np.asarray(pose, dtype=float)
-    ids = np.fromiter(world.landmarks, dtype=int, count=len(world.landmarks))
-    order = np.argsort(ids)
-    delta = np.reshape(list(world.landmarks.values()), (-1, 2))[order] - pose[:2]
+    delta = world.landmark_points - pose[:2]
     dist = np.hypot(delta[:, 0], delta[:, 1])
     bearing = wrap_pi(np.arctan2(delta[:, 1], delta[:, 0]) - pose[2])
     visible = ~((dist > sensor.max_range) | (np.abs(bearing) > sensor.fov / 2.0))
@@ -287,9 +314,9 @@ def observe(pose, world, sensor, rng):
     # start + s e; the nearest crossing with t >= 0 and s in [0, 1] is a hit
     angles = pose[2] + np.linspace(-sensor.fov / 2.0, sensor.fov / 2.0,
                                    sensor.n_rays, endpoint=False)
-    starts, edges = world.segments()
+    edges = world.edge_vectors
     directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, None, :]
-    rel = starts - pose[:2]
+    rel = world.edge_starts - pose[:2]
     hits = np.zeros(sensor.n_rays, dtype=bool)
     distances = np.full(sensor.n_rays, float(sensor.max_range))
     step = max(1, CAST_PAIRS // max(1, len(edges)))
@@ -309,7 +336,7 @@ def observe(pose, world, sensor, rng):
         noisy = distances[hits] + sensor.range_sigma * rng.standard_normal(
             np.count_nonzero(hits))
         distances[hits] = np.clip(noisy, 0.0, sensor.max_range)
-    return Observation(ids=ids[order][visible], ranges=ranges,
+    return Observation(ids=world.landmark_ids[visible], ranges=ranges,
                        bearings=bearings, ray_angles=wrap_pi(angles),
                        ray_distances=distances, ray_hits=hits,
                        range_sigma=sensor.range_sigma,
@@ -470,7 +497,8 @@ def update_map(state, z):
     """
     mean, P = state.mean, state.cov
     x, y, heading = state.mean[:3]
-    fresh = ~np.isin(z.ids, state.landmark_ids)
+    known = set(state.landmark_ids)
+    fresh = np.array([lid not in known for lid in z.ids.tolist()], dtype=bool)
     if fresh.any():
         dist = z.ranges[fresh]
         direction = heading + z.bearings[fresh]

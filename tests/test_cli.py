@@ -520,6 +520,12 @@ BAD_CONFIGS = [
                  id="plan-start-row-minus-1"),
     pytest.param("slam", lambda tmp: {"start_pose": [NAN, 0, 0]},
                  id="start-pose-nan"),
+    pytest.param("slam", lambda tmp: {"plan": {
+        "start": [5, 5], "goal": [50, 50], "occupied_threshold": 0}},
+        id="plan-threshold-0"),
+    pytest.param("slam", lambda tmp: {"plan": {
+        "start": [5, 5], "goal": [50, 50], "occupied_threshold": 1}},
+        id="plan-threshold-1"),
     pytest.param("mobility", lambda tmp: {"graphs": [
         {"space": "planar", "moving_links": 3.7, "p5": 4}]},
         id="fractional-moving-links"),

@@ -7,7 +7,8 @@ from legsynth.cli import MAX_POPULATION
 from legsynth.fourbar import (FourBarParams, LinkageError, arc_check,
                               coupler_path, sweep)
 from legsynth.nsga2 import (GAConfig, OBJECTIVE_SENTINEL, Problem,
-                            _nondominated_2d, _survivors, crowding_distance,
+                            _nondominated_2d, _staircase_area, _survivors,
+                            crowding_distance,
                             evolve, fast_nondominated_sort, hypervolume_2d,
                             leg_problem)
 from legsynth.search import ParamBox
@@ -396,6 +397,22 @@ class TestHypervolume:
             ideal = front.min(axis=0) if rng.random() < 0.5 else None
             value = hypervolume_2d(front, reference, normalization=ideal)
             assert value == hypervolume_oracle(front, reference, ideal)
+
+
+    def test_staircase_area_of_reduced_archive_bitwise(self):
+        # evolve's archive is already nondominated, so the area of its
+        # points below the reference needs no second filter
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            front = (rng.integers(0, 30, size=(n, 2))
+                     * rng.uniform(1e-3, 1e2, 2))
+            archive = _nondominated_2d(front)
+            reference = front.max(axis=0) * rng.uniform(0.3, 1.2)
+            ideal = front.min(axis=0) if rng.random() < 0.5 else None
+            kept = archive[np.all(archive < reference, axis=1)]
+            assert (_staircase_area(kept, reference, ideal)
+                    == hypervolume_2d(archive, reference, ideal))
 
 
 class TestEvolve:

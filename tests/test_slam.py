@@ -370,6 +370,67 @@ class TestPredict:
         assert -np.pi < out.mean[2] <= np.pi
 
 
+class TestWorld:
+    EXTREME_IDS = (5, -3, 2 ** 63 - 1, 0, -2 ** 63, 17)
+
+    def extreme_world(self, landmarks):
+        triangle = np.array([[0.8, 0.8], [1.6, 0.8], [1.6, 1.6]])
+        return World(landmarks=landmarks, obstacles=(triangle,),
+                     grid_resolution=0.5, grid_origin=np.zeros(2),
+                     grid_width=4, grid_height=4)
+
+    def test_landmark_table_is_the_sorted_mapping(self):
+        # ids given out of order, negative, and at the int64 extremes
+        rng = np.random.default_rng(4)
+        given = {lid: rng.uniform(-3.0, 3.0, 2) for lid in self.EXTREME_IDS}
+        world = self.extreme_world(given)
+        order = sorted(given)
+        assert world.landmark_ids.dtype == np.int64
+        assert world.landmark_ids.tolist() == order
+        assert world.landmark_points.shape == (len(order), 2)
+        assert np.array_equal(world.landmark_points,
+                              [given[lid] for lid in order])
+        assert list(world.landmarks) == list(self.EXTREME_IDS)
+        for lid in given:
+            assert np.array_equal(world.landmarks[lid], given[lid])
+        sensor = SensorConfig(n_rays=12, range_sigma=0.1, bearing_sigma=0.1)
+        rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+        z = observe(np.array([0.1, -0.2, 0.3]), world, sensor, rng)
+        expected = observe_oracle(np.array([0.1, -0.2, 0.3]), world, sensor,
+                                  oracle_rng)
+        assert z.ids.tolist() == order
+        for name in FRAME_FIELDS:
+            assert np.array_equal(getattr(z, name),
+                                  np.asarray(expected[name])), name
+
+    def test_landmarks_and_arrays_are_read_only(self):
+        given = {lid: np.array([float(i), 1.0])
+                 for i, lid in enumerate(self.EXTREME_IDS)}
+        world = self.extreme_world(given)
+        with pytest.raises(TypeError):
+            world.landmarks[9] = np.zeros(2)
+        with pytest.raises(TypeError):
+            del world.landmarks[5]
+        for array in (world.landmarks[5], world.landmark_ids,
+                      world.landmark_points, world.edge_starts,
+                      world.edge_vectors, world.obstacles[0]):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # the world holds copies: changing what it was given changes nothing
+        points = world.landmark_points.copy()
+        given[5][0] = 99.0
+        given[9] = np.zeros(2)
+        assert 9 not in world.landmarks
+        assert world.landmarks[5].tolist() == [0.0, 1.0]
+        assert np.array_equal(world.landmark_points, points)
+
+    @pytest.mark.parametrize("point", [np.zeros(3), np.zeros((2, 2)),
+                                       np.zeros(1)])
+    def test_landmark_not_a_point_rejected(self, point):
+        with pytest.raises(ValueError):
+            self.extreme_world({1: np.zeros(2), 2: point})
+
+
 class TestObserve:
     def test_exact_range_bearing(self):
         world = World(landmarks={7: np.array([1.0, 0.0])}, obstacles=(),
@@ -446,7 +507,7 @@ class TestObserve:
         # ray per chunk, and chunks of 7 rays with a ragged last one, give
         # the scalar sensor's frame and keep the noise streams aligned
         world = desk_world()
-        edges = len(world.segments()[0])
+        edges = len(world.edge_starts)
         monkeypatch.setattr(slam, "CAST_PAIRS", rays_per_chunk * edges)
         sensor = SensorConfig(max_range=4.0, n_rays=90, range_sigma=0.05,
                               bearing_sigma=0.02)
@@ -478,7 +539,7 @@ class TestObserve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(world.segments()[0]) == 2000
+        assert len(world.edge_starts) == 2000
         assert peak < 32 * 2 ** 20
         assert 0 < np.count_nonzero(z.ray_hits) < sensor.n_rays
         assert (z.ray_distances[z.ray_hits] < sensor.max_range).all()
@@ -743,6 +804,31 @@ class TestUpdateMap:
                 <= 16 * eps * reach ** 2 * max(np.abs(state.cov).max(),
                                                0.05 ** 2))
         assert np.array_equal(result.cov, result.cov.T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_new_landmarks_match_isin(self, seed):
+        # known ids are looked up in a set; np.isin on the same ids picks
+        # the same new landmarks, in frame order, extreme ids included
+        rng = np.random.default_rng(seed)
+        pool = np.unique(np.concatenate([
+            [-2 ** 63, -1, 0, 1, 2 ** 63 - 1],
+            rng.integers(-2 ** 63, 2 ** 63 - 1, 30, dtype=np.int64)]))
+        known = rng.choice(pool, int(rng.integers(0, 20)), replace=False)
+        seen = rng.choice(pool, int(rng.integers(0, 20)), replace=False)
+        n = 3 + 2 * len(known)
+        state = SlamState(mean=rng.uniform(-2.0, 2.0, n), cov=np.eye(n),
+                          landmark_ids=tuple(known.tolist()),
+                          grid=single_landmark_world().make_grid())
+        z = Observation(ids=seen, ranges=rng.uniform(0.5, 4.0, len(seen)),
+                        bearings=rng.uniform(-np.pi, np.pi, len(seen)),
+                        ray_angles=np.zeros(0), ray_distances=np.zeros(0),
+                        ray_hits=np.zeros(0, dtype=bool), range_sigma=0.05,
+                        bearing_sigma=0.01)
+        fresh = ~np.isin(z.ids, state.landmark_ids)
+        result = update_map(state, z)
+        assert result.landmark_ids == state.landmark_ids + tuple(
+            z.ids[fresh].tolist())
+        assert len(result.mean) == n + 2 * np.count_nonzero(fresh)
 
     def test_log_odds_stay_bounded(self):
         world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
