@@ -23,27 +23,32 @@ DEGENERACY_TOL = 1e-9
 
 
 class LinkageError(Exception):
-    """Base class for four-bar analysis failures."""
+    """Base class for four-bar analysis failures.  A subclass's MESSAGE
+    takes the crank angle and the figure that shows the failure."""
 
 
 class NotAssemblableError(LinkageError):
     """The coupler/rocker circles do not intersect at the given crank angle."""
 
+    MESSAGE = ("linkage not assemblable at crank angle %.6f rad "
+               "(closure gap %.3e)")
+
     def __init__(self, phi, gap):
         self.phi = float(phi)
         self.gap = float(gap)
-        super().__init__(f"linkage not assemblable at crank angle {phi:.6f} rad "
-                         f"(closure gap {gap:.3e})")
+        super().__init__(self.MESSAGE % (phi, gap))
 
 
 class DegenerateConfigurationError(LinkageError):
     """The circle intersection is within tolerance of tangency."""
 
+    MESSAGE = ("near-tangent configuration at crank angle %.6f rad "
+               "(discriminant %.3e)")
+
     def __init__(self, phi, discriminant):
         self.phi = float(phi)
         self.discriminant = float(discriminant)
-        super().__init__(f"near-tangent configuration at crank angle {phi:.6f} rad "
-                         f"(discriminant {discriminant:.3e})")
+        super().__init__(self.MESSAGE % (phi, discriminant))
 
 
 @dataclass(frozen=True)
@@ -84,13 +89,6 @@ class FourBarParams:
         if self.branch not in (+1, -1):
             raise ValueError("branch must be +1 or -1")
 
-    def take(self, rows):
-        """The designs `rows` of a batch (one design counts as one row)."""
-        fields = (self.crank, self.coupler, self.rocker, self.start_angle,
-                  self.support_arc)
-        return FourBarParams(*(np.atleast_1d(v)[rows] for v in fields),
-                             self.branch)
-
 
 @dataclass(frozen=True)
 class Sweep:
@@ -102,7 +100,9 @@ class Sweep:
     B and C are the joint positions (phi's shape plus a last axis of 2),
     beta the coupler angle of BC from the x-axis, and mu the classical
     transmission angle between coupler and rocker at C folded into
-    [0, pi/2].
+    [0, pi/2].  The public sweep fills it; the batch evaluation reads
+    only fractions, B and beta, which _sampled gives it with no
+    transmission angle and no Sweep.
     """
 
     phi: np.ndarray
@@ -123,8 +123,10 @@ class ArcCheck:
     """Closed-form whole-arc figures, one entry per design: the crank angle
     phi of the smallest circle-intersection discriminant, the closure gap
     and that discriminant there, the violation max(DEGENERACY_TOL -
-    discriminant, 0), positive exactly on the designs that do not assemble
-    over the whole arc, and the worst transmission angle mu_min (rad)."""
+    discriminant, 0), positive (NaN where links so long that their squares
+    overflow leave no discriminant) exactly on the designs that do not
+    assemble over the whole arc, and the worst transmission angle mu_min
+    (rad)."""
 
     phi: np.ndarray
     gap: np.ndarray
@@ -134,7 +136,17 @@ class ArcCheck:
 
     def error(self, i):
         """Design i's error at its worst crank angle, or None."""
-        return _failure(self.phi[i], self.gap[i], self.discriminant[i])
+        failure = _failure(self.gap[i], self.discriminant[i])
+        return None if failure is None else failure[0](self.phi[i],
+                                                       failure[1])
+
+    def messages(self, rows):
+        """str(self.error(i)) of each rejected design i of `rows`, in one
+        formatting pass."""
+        return [kind.MESSAGE % (phi, figure) for phi, (kind, figure) in zip(
+            self.phi[rows].tolist(),
+            map(_failure, self.gap[rows].tolist(),
+                self.discriminant[rows].tolist()))]
 
 
 @dataclass(frozen=True)
@@ -165,42 +177,64 @@ def sample_schedule(start_angle, support_arc, count):
     return angles, fractions
 
 
-def _positions(params, phis, fractions=None):
-    """Circle-intersection position analysis of a batch of designs, row r
-    at the crank angles phis[r]: the Sweep, and the closure gap and the
-    discriminant p2^2 - a^2 of every angle, 0 where B sits on D (|BD| <
-    1e-12, no intersection direction).  C and beta are meaningless where
-    the discriminant is below DEGENERACY_TOL."""
-    p1, p2, p3 = (np.reshape(v, (-1, 1))
-                  for v in (params.crank, params.coupler, params.rocker))
-    phis = np.reshape(phis, (len(p1), -1))
-    B = np.stack([p1 * np.cos(phis), p1 * np.sin(phis)], axis=-1)
-    BD = np.array([1.0, 0.0]) - B
-    d = np.hypot(BD[..., 0], BD[..., 1])
-    gap = np.maximum(d - (p2 + p3), abs(p2 - p3) - d)
+def _rows(params, rows=slice(None)):
+    """Crank, coupler and rocker of the designs `rows` of a batch (one
+    design counts as one row) as (n, 1) columns, and their start angles
+    and support arcs as (n,) arrays; the rows are taken as they are, with
+    no FourBarParams checks."""
+    crank, coupler, rocker, start, arc = (
+        np.atleast_1d(v)[rows] for v in (params.crank, params.coupler,
+                                         params.rocker, params.start_angle,
+                                         params.support_arc))
+    return crank[:, None], coupler[:, None], rocker[:, None], start, arc
 
+
+def _positions(crank, coupler, rocker, phis):
+    """Circle intersection of a batch of designs (_rows link columns), row
+    r at the crank angles phis[r]: joint B and the vector BD, each an
+    (x, y) pair of arrays, d = |BD|, the distance a along BD from B to the
+    chord of the coupler and rocker circles, and the discriminant
+    coupler^2 - a^2, 0 where B sits on D (d < 1e-12).  Links whose squares
+    overflow give inf or NaN, which _failure rejects, without a warning.
+    Each caller derives from these only the pieces it reads."""
+    B = crank * np.cos(phis), crank * np.sin(phis)
+    BD = 1.0 - B[0], 0.0 - B[1]
+    d = np.hypot(*BD)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = (coupler * coupler - rocker * rocker + d * d) / (2.0 * d)
+        disc = np.where(d < 1e-12, 0.0, coupler * coupler - a * a)
+    return B, BD, d, a, disc
+
+
+def _joint_c(branch, B, BD, d, a, disc):
+    """Joint C on the branch, as an (x, y) pair, and the coupler angle
+    beta of BC from the x-axis, from the pieces of _positions; both are
+    meaningless where the discriminant is below DEGENERACY_TOL."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = (p2 * p2 - p3 * p3 + d * d) / (2.0 * d)
-        disc = np.where(d < 1e-12, 0.0, p2 * p2 - a * a)
-        h = np.sqrt(disc)
-        u = BD / d[..., None]
-        perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-        C = B + a[..., None] * u + params.branch * h[..., None] * perp
-        beta = np.arctan2(C[..., 1] - B[..., 1], C[..., 0] - B[..., 0])
+        h = branch * np.sqrt(disc)
+        u = BD[0] / d, BD[1] / d
+        C = B[0] + a * u[0] - h * u[1], B[1] + a * u[1] + h * u[0]
+    return C, np.arctan2(C[1] - B[1], C[0] - B[0])
 
-    cos_mu = (p2 * p2 + p3 * p3 - d * d) / (2.0 * p2 * p3)
+
+def _transmission(coupler, rocker, d):
+    """Transmission angle between coupler and rocker at C, folded into
+    [0, pi/2], where |BD| = d; NaN where overflowing links make it so."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        cos_mu = (coupler * coupler + rocker * rocker - d * d) \
+            / (2.0 * coupler * rocker)
     mu = np.arccos(np.clip(cos_mu, -1.0, 1.0))
-    mu = np.minimum(mu, np.pi - mu)
-    return (Sweep(phi=phis, fractions=fractions, B=B, C=C, beta=beta, mu=mu),
-            gap, disc)
+    return np.minimum(mu, np.pi - mu)
 
 
-def _failure(phi, gap, discriminant):
-    """The error of one crank angle, or None where joint C can be placed."""
+def _failure(gap, discriminant):
+    """The error class of a crank angle with this closure gap and
+    discriminant, and the figure its message reports; None where joint C
+    can be placed."""
     if gap > 0.0:
-        return NotAssemblableError(phi, gap)
+        return NotAssemblableError, gap
     if not discriminant >= DEGENERACY_TOL:
-        return DegenerateConfigurationError(phi, discriminant)
+        return DegenerateConfigurationError, discriminant
     return None
 
 
@@ -213,20 +247,21 @@ def arc_check(params):
     falls as |cos mu|, linear in it, grows.  So both are worst where |BD|
     is shortest or longest: at phi = 0 and pi (modulo 2 pi) where the arc
     reaches them, else at the arc end of larger or smaller cosine
-    (Grashof; Freudenstein 1954).
+    (Grashof; Freudenstein 1954).  Joint C is not placed.
     """
-    start = np.reshape(params.start_angle, -1)
-    end = start + np.reshape(params.support_arc, -1)
+    crank, coupler, rocker, start, arc = _rows(params)
+    end = start + arc
     extreme = np.array([[0.0], [np.pi]])
     turn = extreme + TWO_PI * np.ceil((start - extreme) / TWO_PI)
     ends = np.where(np.cos(start) >= np.cos(end), [start, end], [end, start])
     phi = np.where(turn <= end, turn, ends).T
-    trace, gap, disc = _positions(params, phi)
+    _, _, d, _, disc = _positions(crank, coupler, rocker, phi)
+    gap = np.maximum(d - (coupler + rocker), abs(coupler - rocker) - d)
     rows, worst = np.arange(len(start)), np.argmin(disc, axis=1)
     least = disc[rows, worst]
     return ArcCheck(phi[rows, worst], gap[rows, worst], least,
                     np.maximum(DEGENERACY_TOL - least, 0.0),
-                    trace.mu.min(axis=1))
+                    _transmission(coupler, rocker, d).min(axis=1))
 
 
 def sweep(params, count):
@@ -237,14 +272,25 @@ def sweep(params, count):
     check = arc_check(params)
     if not np.all(check.violation <= 0.0):
         raise check.error(np.argmin(check.violation <= 0.0))
-    return _sampled(params, count)
-
-
-def _sampled(params, count):
-    """sweep without its arc_check, for designs already accepted."""
-    trace, _, _ = _positions(params, *sample_schedule(
-        params.start_angle, params.support_arc, count))
+    crank, coupler, rocker, start, arc = _rows(params)
+    phis, fractions = sample_schedule(start, arc, count)
+    B, BD, d, a, disc = _positions(crank, coupler, rocker, phis)
+    C, beta = _joint_c(params.branch, B, BD, d, a, disc)
+    trace = Sweep(phis, fractions, np.stack(B, axis=-1),
+                  np.stack(C, axis=-1), beta,
+                  _transmission(coupler, rocker, d))
     return trace if np.ndim(params.crank) else trace.row(0)
+
+
+def _sampled(params, count, rows=slice(None)):
+    """What the inner solve reads of the sweep of the designs `rows` of
+    a batch, already accepted: the schedule fractions, joint B as an (x,
+    y) pair and beta.  Joint C and mu are not kept."""
+    crank, coupler, rocker, start, arc = _rows(params, rows)
+    phis, fractions = sample_schedule(start, arc, count)
+    B, BD, d, a, disc = _positions(crank, coupler, rocker, phis)
+    _, beta = _joint_c(params.branch, B, BD, d, a, disc)
+    return fractions, B, beta
 
 
 def coupler_path(sweep, local_point):

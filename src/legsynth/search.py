@@ -4,7 +4,9 @@ Implements the parameter-space-investigation workflow: spray the search
 box with LP-tau points, evaluate the reduced objective and gait metrics of
 all points in one batch, keep everything (infeasible samples included,
 with reasons) as a sampling table of per-sample arrays, then reduce it by
-feasibility limits and Pareto dominance.
+feasibility limits and Pareto dominance: Kung's sort-based maxima filter
+(Kung, Luccio and Preparata, JACM 1975), a block at a time, each block's
+front pruning the rows after it.
 """
 
 from dataclasses import dataclass, fields
@@ -54,6 +56,13 @@ DEFAULT_BOX = ParamBox(
 )
 
 DEFAULT_SWEEP_SAMPLES = 24
+
+# pareto_filter decides the rows in lexicographic order, PARETO_BLOCK at a
+# time, and compares a block's front with the rows after it PRUNE_PAIRS
+# pairs at a time, as many as a block's check against itself: its boolean
+# temporaries stay under a megabyte.
+PARETO_BLOCK = 256
+PRUNE_PAIRS = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +124,12 @@ def scan(box, budget, count=DEFAULT_SWEEP_SAMPLES, branch=+1):
     result = reduced_objective(params, count)
     metrics = gait_metrics(params, result.mu_min)
     feasible = result.arc.violation <= 0.0
+    reason = np.full(budget, "", dtype=object)
+    rejected = np.flatnonzero(~feasible)
+    reason[rejected] = result.arc.messages(rejected)
     return SamplingTable(
         index=np.arange(budget), params=points, feasible=feasible,
-        reason=np.array(["" if ok else str(result.arc.error(i))
-                         for i, ok in enumerate(feasible)], dtype=object),
+        reason=reason,
         delta0=result.delta0, x=result.x,
         min_transmission_deg=metrics.min_transmission_deg,
         cycle_ratio=metrics.cycle_ratio, support_deg=metrics.support_deg)
@@ -152,23 +163,30 @@ def pareto_filter(table):
     Rows with identical objective vectors are all kept.  Infeasible
     rows are excluded (their objectives are not comparable).  A row's
     dominators precede it in lexicographic order, and a dominated
-    dominator is itself dominated by a front row, so after one sort each
-    block is checked only against itself and the front found before it
-    (Kung, Luccio and Preparata, JACM 1975).
+    dominator is itself dominated by a front row (Kung, Luccio and
+    Preparata, JACM 1975).  So after one sort the rows are decided
+    PARETO_BLOCK at a time: the rows of a block that no row of it
+    dominates are front rows, and they drop every later row they
+    dominate, PRUNE_PAIRS pairs at a time, so that each later block holds
+    only rows that no earlier front row dominates.
     """
-    candidates = table.take(table.feasible)
-    F = candidates.objectives()
-    order = np.lexsort(F.T[::-1])
-    front = np.empty((0, F.shape[1]))
-    dominated = np.zeros(len(F), dtype=bool)
-    block = 256  # bounds the (front, block) comparison arrays
-    for start in range(0, len(F), block):
-        rows = order[start:start + block]
-        beaten = (dominates(F[rows], F[rows]).any(axis=0)
-                  | dominates(front, F[rows]).any(axis=0))
-        dominated[rows] = beaten
-        front = np.vstack([front, F[rows[~beaten]]])
-    return candidates.take(~dominated)
+    feasible = np.flatnonzero(table.feasible)
+    F = table.objectives()[feasible]
+    front = np.zeros(len(F), dtype=bool)
+    rest = np.lexsort(F.T[::-1])
+    while len(rest):
+        rows, rest = rest[:PARETO_BLOCK], rest[PARETO_BLOCK:]
+        # the block's first row is lexicographically least, so never
+        # dominated inside it: kept is never empty
+        kept = rows[~dominates(F[rows], F[rows]).any(axis=0)]
+        front[kept] = True
+        beaten = np.zeros(len(rest), dtype=bool)
+        step = max(1, PRUNE_PAIRS // len(kept))
+        for start in range(0, len(rest), step):
+            beaten[start:start + step] = dominates(
+                F[kept], F[rest[start:start + step]]).any(axis=0)
+        rest = rest[~beaten]
+    return table.take(feasible[front])
 
 
 TABLE_COLUMNS = ("index", "crank", "coupler", "rocker", "start_angle",

@@ -167,8 +167,9 @@ class World:
     increasing order, with their (k, 2) `landmark_points`, and the
     obstacle edges as (S, 2) `edge_starts` and `edge_vectors`.  Its
     `landmarks` is a read-only mapping over a copy of the given one, in
-    the given order, and its [x, y] points and obstacles are read-only
-    copies, so the arrays cannot go stale.
+    the given order, and its [x, y] points, obstacles and `grid_origin`
+    are read-only float copies, so the arrays cannot go stale.  Each grid
+    that `make_grid` makes gets an origin of its own.
     """
 
     landmarks: dict
@@ -197,6 +198,7 @@ class World:
                                *(np.roll(poly, -1, axis=0) for poly in polys)])
         order = np.argsort(ids)
         built = dict(
+            grid_origin=_read_only(np.array(self.grid_origin, dtype=float)),
             landmarks=MappingProxyType(dict(zip(self.landmarks, points))),
             obstacles=polys, landmark_ids=_read_only(ids[order]),
             landmark_points=_read_only(points[order]),
@@ -207,7 +209,7 @@ class World:
 
     def make_grid(self):
         return OccupancyGrid(resolution=self.grid_resolution,
-                             origin=np.asarray(self.grid_origin, dtype=float),
+                             origin=self.grid_origin.copy(),
                              width=self.grid_width, height=self.grid_height)
 
 
@@ -663,8 +665,9 @@ def simulate(world, script, sensor, odometry=None, process=None, seed=0,
     hence dead reckoning and the filter prediction) sees the commands
     corrupted by the odometry noise.  Returns a RunLog with one row per
     step of the script.  A skipped correction is logged in its row, never
-    raised; a state that stops being finite raises FilterDivergedError.
-    Deterministic for a given seed.
+    raised; a state that stops being finite raises FilterDivergedError,
+    without numpy's overflow warnings on the way.  Deterministic for a
+    given seed.
     """
     rng = np.random.default_rng(seed)
     odometry = odometry or OdometryNoise()
@@ -676,26 +679,28 @@ def simulate(world, script, sensor, odometry=None, process=None, seed=0,
                  slam=np.empty((n, 3)), cov_trace=np.empty(n),
                  n_measurements=np.empty(n, dtype=int),
                  skipped=np.empty(n, dtype=bool), final_state=state)
-    for i, u in enumerate(script):
-        truth = unicycle(truth, u)
-        u_measured = MotionInput(
-            velocity=u.velocity + odometry.velocity_sigma * rng.standard_normal(),
-            angular_velocity=(u.angular_velocity
-                              + odometry.angular_sigma * rng.standard_normal()),
-            dt=u.dt)
-        dead_reckoning = unicycle(dead_reckoning, u_measured)
-        state = predict(state, u_measured, process)
-        z = observe(truth, world, sensor, rng)
-        result = correct(state, z)
-        state = update_map(result.state, z)
-        if not all(np.isfinite(a).all()
-                   for a in (state.mean, state.cov, dead_reckoning)):
-            raise FilterDivergedError(i)
-        log.truth[i], log.dead_reckoning[i], log.slam[i] = (
-            truth, dead_reckoning, state.mean[:3])
-        log.cov_trace[i] = np.trace(state.cov)
-        log.n_measurements[i] = len(z.ids)
-        log.skipped[i] = result.skipped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, u in enumerate(script):
+            truth = unicycle(truth, u)
+            u_measured = MotionInput(
+                velocity=(u.velocity
+                          + odometry.velocity_sigma * rng.standard_normal()),
+                angular_velocity=(u.angular_velocity + odometry.angular_sigma
+                                  * rng.standard_normal()),
+                dt=u.dt)
+            dead_reckoning = unicycle(dead_reckoning, u_measured)
+            state = predict(state, u_measured, process)
+            z = observe(truth, world, sensor, rng)
+            result = correct(state, z)
+            state = update_map(result.state, z)
+            if not all(np.isfinite(a).all()
+                       for a in (state.mean, state.cov, dead_reckoning)):
+                raise FilterDivergedError(i)
+            log.truth[i], log.dead_reckoning[i], log.slam[i] = (
+                truth, dead_reckoning, state.mean[:3])
+            log.cov_trace[i] = np.trace(state.cov)
+            log.n_measurements[i] = len(z.ids)
+            log.skipped[i] = result.skipped
     log.final_state = state
     return log
 

@@ -123,11 +123,19 @@ def solve(sweep, coupler=None):
     (2,), or (rows, 2) for a batch); only the line is solved, and
     condition is 1.
     """
-    B, beta, k = sweep.B, sweep.beta, sweep.fractions
-    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(beta))):
+    return _solve(sweep.fractions, (sweep.B[..., 0], sweep.B[..., 1]),
+                  sweep.beta, coupler)
+
+
+def _solve(k, B, beta, coupler):
+    """solve of the sweep with fractions k, joint B as an (x, y) pair of
+    arrays and coupler angle beta."""
+    if not (all(np.all(np.isfinite(v)) for v in B)
+            and np.all(np.isfinite(beta))):
         raise InvalidSystemError("sweep contains non-finite entries")
-    a0, a1, e_res = _line_fit(np.cos(beta) + 1j * np.sin(beta), k)
-    b0, b1, b_res = _line_fit(B[..., 0] + 1j * B[..., 1], k)
+    c, s = np.cos(beta), np.sin(beta)
+    a0, a1, e_res = _line_fit(c + 1j * s, k)
+    b0, b1, b_res = _line_fit(B[0] + 1j * B[1], k)
     if coupler is None:
         power = _abs2(e_res).mean(axis=-1)
         with np.errstate(divide="ignore"):
@@ -152,7 +160,7 @@ def solve(sweep, coupler=None):
     w0, w1 = b0 + a0 * z, b1 + a1 * z
     x = np.stack([z.real, z.imag, w0.real, w0.imag, w1.real, w1.imag],
                  axis=-1)
-    return SynthesisSolution(x=x, delta=residual_delta(sweep, x),
+    return SynthesisSolution(x=x, delta=_residual(k, B, c, s, x),
                              condition=condition[()])
 
 
@@ -164,12 +172,17 @@ def residual_delta(sweep, x):
     unknowns, independent of the projection; solve() reports it at its
     own solution.
     """
+    return _residual(sweep.fractions, (sweep.B[..., 0], sweep.B[..., 1]),
+                     np.cos(sweep.beta), np.sin(sweep.beta), x)
+
+
+def _residual(k, B, c, s, x):
+    """residual_delta of the sweep with fractions k, joint B as an (x, y)
+    pair, and c = cos beta and s = sin beta, which _solve has at hand."""
     x = np.asarray(x, dtype=float)[..., None]
-    B, k = sweep.B, sweep.fractions
-    c, s = np.cos(sweep.beta), np.sin(sweep.beta)
-    u = B[..., 0] + x[..., 0, :] * c - x[..., 1, :] * s - x[..., 2, :] \
+    u = B[0] + x[..., 0, :] * c - x[..., 1, :] * s - x[..., 2, :] \
         - x[..., 4, :] * k
-    v = B[..., 1] + x[..., 0, :] * s + x[..., 1, :] * c - x[..., 3, :] \
+    v = B[1] + x[..., 0, :] * s + x[..., 1, :] * c - x[..., 3, :] \
         - x[..., 5, :] * k
     return np.mean(u * u + v * v, axis=-1)
 
@@ -197,8 +210,9 @@ def reduced_objective(params, count, coupler=None):
     step = max(1, CHUNK_ANGLES // count)
     for start in range(0, len(feasible), step):
         part = feasible[start:start + step]
-        solution = solve(_sampled(params.take(part), count),
-                         None if coupler is None else np.asarray(coupler)[part])
+        solution = _solve(*_sampled(params, count, part),
+                          None if coupler is None
+                          else np.asarray(coupler)[part])
         delta0[part] = solution.delta
         x[part] = solution.x
         condition[part] = solution.condition

@@ -5,10 +5,10 @@ import pytest
 
 from legsynth.fourbar import (DEGENERACY_TOL, DegenerateConfigurationError,
                               FourBarParams, LinkageError,
-                              NotAssemblableError, _failure,
-                              _positions, arc_check, coupler_path,
-                              gait_metrics, sample_schedule, sweep)
-from legsynth.geometry import wrap_pi
+                              NotAssemblableError, Sweep, _failure,
+                              arc_check, coupler_path, gait_metrics,
+                              sample_schedule, sweep)
+from legsynth.geometry import TWO_PI, wrap_pi
 
 PARALLELOGRAM = FourBarParams(crank=0.4, coupler=1.0, rocker=0.4,
                               start_angle=0.2, support_arc=1.5)
@@ -21,6 +21,50 @@ CHEBYSHEV = FourBarParams(crank=1.25, coupler=0.5, rocker=1.25,
 Pose = namedtuple("Pose", "phi B C beta mu")
 
 
+def positions_oracle(params, phis, fractions=None):
+    """Every piece of the circle intersection of a batch of designs, row r
+    at the crank angles phis[r], in one pass over (..., 2) arrays (test
+    oracle of the split kernel): the Sweep, and the closure gap and the
+    discriminant of every angle, 0 where B sits on D."""
+    p1, p2, p3 = (np.reshape(v, (-1, 1))
+                  for v in (params.crank, params.coupler, params.rocker))
+    phis = np.reshape(phis, (len(p1), -1))
+    B = np.stack([p1 * np.cos(phis), p1 * np.sin(phis)], axis=-1)
+    BD = np.array([1.0, 0.0]) - B
+    d = np.hypot(BD[..., 0], BD[..., 1])
+    gap = np.maximum(d - (p2 + p3), abs(p2 - p3) - d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = (p2 * p2 - p3 * p3 + d * d) / (2.0 * d)
+        disc = np.where(d < 1e-12, 0.0, p2 * p2 - a * a)
+        h = np.sqrt(disc)
+        u = BD / d[..., None]
+        perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
+        C = B + a[..., None] * u + params.branch * h[..., None] * perp
+        beta = np.arctan2(C[..., 1] - B[..., 1], C[..., 0] - B[..., 0])
+        cos_mu = (p2 * p2 + p3 * p3 - d * d) / (2.0 * p2 * p3)
+    mu = np.arccos(np.clip(cos_mu, -1.0, 1.0))
+    mu = np.minimum(mu, np.pi - mu)
+    return (Sweep(phi=phis, fractions=fractions, B=B, C=C, beta=beta, mu=mu),
+            gap, disc)
+
+
+def arc_check_oracle(params):
+    """arc_check through positions_oracle at both candidate angles of
+    each design (test oracle): (phi, gap, discriminant, violation,
+    mu_min) per design."""
+    start = np.reshape(params.start_angle, -1)
+    end = start + np.reshape(params.support_arc, -1)
+    extreme = np.array([[0.0], [np.pi]])
+    turn = extreme + TWO_PI * np.ceil((start - extreme) / TWO_PI)
+    ends = np.where(np.cos(start) >= np.cos(end), [start, end], [end, start])
+    phi = np.where(turn <= end, turn, ends).T
+    trace, gap, disc = positions_oracle(params, phi)
+    rows, worst = np.arange(len(start)), np.argmin(disc, axis=1)
+    least = disc[rows, worst]
+    return (phi[rows, worst], gap[rows, worst], least,
+            np.maximum(DEGENERACY_TOL - least, 0.0), trace.mu.min(axis=1))
+
+
 def solve_position(params, phi):
     """Assemble one design at a single crank angle (test oracle of
     arc_check and sweep): its Pose, with phi, beta and mu numbers and B
@@ -29,9 +73,9 @@ def solve_position(params, phi):
     Raises NotAssemblableError / DegenerateConfigurationError when joint C
     cannot be placed on the selected branch.
     """
-    trace, gap, disc = _positions(params, float(phi))
-    if (error := _failure(float(phi), gap[0, 0], disc[0, 0])) is not None:
-        raise error
+    trace, gap, disc = positions_oracle(params, float(phi))
+    if (failure := _failure(gap[0, 0], disc[0, 0])) is not None:
+        raise failure[0](float(phi), failure[1])
     return Pose(*(getattr(trace, name)[0, 0] for name in Pose._fields))
 
 
@@ -231,6 +275,26 @@ class TestSweep:
                 np.testing.assert_array_equal(getattr(rows.row(r), name),
                                               getattr(alone, name))
 
+    def test_matches_solve_position_oracle(self):
+        # every sample of the public sweep, bit for bit, on both branches
+        rng = np.random.default_rng(13)
+        designs = [CHEBYSHEV, PARALLELOGRAM,
+                   FourBarParams(0.5, 1.25, 1.25, 1.1, 3.9),
+                   FourBarParams(2.0, 2.5, 2.2, 0.0, 1.9 * np.pi, branch=-1)]
+        while len(designs) < 24:
+            design = FourBarParams(*rng.uniform([0.1, 0.4, 0.4, 0.0, 0.5],
+                                                [1.5, 2.5, 2.5, 6.3, 5.9]),
+                                   branch=rng.choice([-1, 1]))
+            if arc_check(design).violation[0] <= 0.0:
+                designs.append(design)
+        for design in designs:
+            trace = sweep(design, 9)
+            for i, phi in enumerate(trace.phi):
+                pose = solve_position(design, phi)
+                for name in ("B", "C", "beta", "mu"):
+                    np.testing.assert_array_equal(getattr(trace, name)[i],
+                                                  getattr(pose, name))
+
     def test_coarse_sweep_on_one_branch_is_accepted(self):
         # five samples of this design step the coupler angle by more than
         # 1 rad, which a sampled continuity bound would take for a branch
@@ -348,6 +412,21 @@ class TestArcCheck:
                 assert abs(check.mu_min[i] - min(exact)) <= 1e-12
                 assert check.mu_min[i] <= sampled_mu + 1e-12
         assert accepted >= 600 and rejected >= 600 and tangent >= 300
+
+    def test_matches_one_pass_oracle(self):
+        # the split kernel against the one-pass circle intersection, bit
+        # for bit, on designs within 1e-6 of tangency and on links whose
+        # squares overflow
+        rng = np.random.default_rng(2026)
+        designs = np.concatenate([oracle_designs(rng, 800),
+                                  [[1e200, 1.5e200, 2e200, 0.0, 3.2],
+                                   [1.0, 0.7, 0.7, 0.0, 1.5]]])
+        for branch in (+1, -1):
+            params = FourBarParams(*designs.T, branch=branch)
+            check = arc_check(params)
+            fields = ("phi", "gap", "discriminant", "violation", "mu_min")
+            for name, expected in zip(fields, arc_check_oracle(params)):
+                np.testing.assert_array_equal(getattr(check, name), expected)
 
 
 class TestGaitMetrics:

@@ -1,11 +1,13 @@
 import csv
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from legsynth import search
 from legsynth.fourbar import (DegenerateConfigurationError, FourBarParams,
-                              NotAssemblableError)
+                              NotAssemblableError, arc_check)
 from legsynth.search import (DEFAULT_BOX, FeasibilityLimits, ParamBox,
                              SamplingTable, filter_feasible, pareto_filter,
                              scan, write_sampling_table)
@@ -91,6 +93,30 @@ def brute_force_pareto(table):
     return keep
 
 
+def brute_force_front(F):
+    """Row-at-a-time dominance oracle over an (n, 3) objective array:
+    the nondominated rows, for tables too large for brute_force_pareto."""
+    return [i for i, f in enumerate(F)
+            if not (np.all(F <= f, axis=1) & np.any(F < f, axis=1)).any()]
+
+
+def layered(rng, n_front, n_rest):
+    """n_front mutually nondominated rows with the least first
+    objectives, and n_rest rows that each of them dominates, shuffled."""
+    t = np.arange(n_front) / (4.0 * n_front)
+    F = np.concatenate([np.column_stack([t, 1.0 - t, np.zeros(n_front)]),
+                        1.0 + rng.random((n_rest, 3))])
+    return F[rng.permutation(len(F))]
+
+
+def anticorrelated(rng, n, behind):
+    """n rows near the plane a + b + c = 1, a share `behind` of them
+    moved off it: a front of about (1 - behind) n rows."""
+    a, b = rng.random((2, n))
+    F = np.column_stack([a, (1.0 - a) * b, (1.0 - a) * (1.0 - b)])
+    return F + (rng.random((n, 1)) < behind) * rng.uniform(0.0, 0.1, (n, 1))
+
+
 class TestScan:
     def test_collapsed_box_yields_identical_records(self):
         box = ParamBox(lower=GOOD_POINT, upper=GOOD_POINT)
@@ -136,6 +162,36 @@ class TestScan:
     def test_rejects_empty_budget(self):
         with pytest.raises(ValueError):
             scan(TIGHT_BOX, 0)
+
+    def test_reasons_match_errors_on_every_branch(self):
+        # a table that reaches every branch of a rejection: the default
+        # box (not assemblable, gap > 0), designs tangent at pi (gap 0,
+        # discriminant 0), crank 1 at phi = 0 (B on D) and links whose
+        # squares overflow (NaN discriminant); the reason column must be
+        # the message of each rejected row's error, and empty elsewhere
+        boxes = [DEFAULT_BOX,
+                 ParamBox(lower=[0.5, 0.75, 0.75, 0.0, np.pi],
+                          upper=[0.5, 0.75, 0.75, 0.5, 1.2 * np.pi]),
+                 ParamBox(lower=[1.0, 1.5, 1.5, 0.0, np.pi],
+                          upper=[1.0, 1.5, 1.5, 0.0, np.pi]),
+                 ParamBox(lower=[1e200, 1e200, 1e200, 0.0, 3.2],
+                          upper=[2e200, 2e200, 2e200, 6.0, 5.0])]
+        tables = [scan(box, 64) for box in boxes]
+        params = FourBarParams(*np.concatenate([t.params for t in tables]).T)
+        check = arc_check(params)
+        reasons = np.concatenate([t.reason for t in tables])
+        for i, reason in enumerate(reasons):
+            error = check.error(i)
+            assert reason == ("" if error is None else str(error)), i
+        rejected = ~(check.violation <= 0.0)  # a NaN violation rejects
+        gap, disc = check.gap, check.discriminant
+        assert (~rejected).any()
+        assert (rejected & (gap > 0.0)).any()
+        assert (rejected & (gap <= 0.0) & (disc == 0.0)
+                & (params.crank != 1.0)).any()
+        assert (rejected & (gap <= 0.0) & (params.crank == 1.0)
+                & (check.phi == 0.0)).any()
+        assert np.isnan(disc).any() and rejected[np.isnan(disc)].all()
 
 
 class TestFilterFeasible:
@@ -205,6 +261,56 @@ class TestParetoFilter:
                 F[rng.integers(0, n, n // 3)] = F[rng.integers(0, n, n // 3)]
                 table = fake_table(F)
                 assert list(pareto_filter(table).index) == brute_force_pareto(table)
+
+    def test_front_spanning_blocks_matches_oracle(self):
+        # front rows in three or more of the blocks the filter decides
+        F = anticorrelated(np.random.default_rng(80), 1200, 0.4)
+        front = brute_force_front(F)
+        assert len(front) > 2 * search.PARETO_BLOCK
+        assert list(pareto_filter(fake_table(F)).index) == front
+
+    def test_first_block_front_prunes_every_later_row(self, monkeypatch):
+        F = layered(np.random.default_rng(81), 100, 1900)
+        calls = []
+
+        def counted(A, B):
+            calls.append((len(A), len(B)))
+            return dominates(A, B)
+
+        dominates = search.dominates
+        monkeypatch.setattr(search, "dominates", counted)
+        front = pareto_filter(fake_table(F))
+        assert list(front.index) == brute_force_front(F)
+        assert len(front) == 100
+        # one block check, then the front against the 1900 later rows
+        assert calls[0] == (search.PARETO_BLOCK,) * 2
+        assert all(a == 100 for a, _ in calls[1:])
+        assert sum(b for _, b in calls[1:]) == 2000 - search.PARETO_BLOCK
+
+    def test_large_anticorrelated_front_matches_oracle(self):
+        F = anticorrelated(np.random.default_rng(82), 1500, 0.1)
+        front = brute_force_front(F)
+        assert len(front) > 1000
+        assert list(pareto_filter(fake_table(F)).index) == front
+
+    def test_memory_bounded_on_wide_first_front(self):
+        # 2^16 rows whose first block is all front and dominates all the
+        # rest.  One unchunked front x rest comparison would allocate
+        # about 80 MiB; the filter that copied the feasible rows first and
+        # checked every block in full peaked at 11.6 MiB on this table,
+        # which bounds this one (about 3.6 MiB)
+        F = layered(np.random.default_rng(83), search.PARETO_BLOCK,
+                    2 ** 16 - search.PARETO_BLOCK)
+        table = fake_table(F)
+        tracemalloc.start()
+        try:
+            front = pareto_filter(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(front) == search.PARETO_BLOCK
+        assert np.all(front.delta0 < 1.0)
+        assert peak <= 11.5 * 2 ** 20
 
     def test_no_output_member_dominated(self):
         rng = np.random.default_rng(78)

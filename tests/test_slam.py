@@ -424,6 +424,25 @@ class TestWorld:
         assert world.landmarks[5].tolist() == [0.0, 1.0]
         assert np.array_equal(world.landmark_points, points)
 
+    def test_grids_own_their_origin(self):
+        given = np.array([-2, -2])
+        world = World(landmarks={}, obstacles=(), grid_resolution=0.5,
+                      grid_origin=given, grid_width=4, grid_height=3)
+        assert world.grid_origin.dtype == float
+        with pytest.raises(ValueError):
+            world.grid_origin[0] = 5.0
+        given[0] = 7
+        assert world.grid_origin.tolist() == [-2.0, -2.0]
+        grid, other = world.make_grid(), world.make_grid()
+        assert grid.origin is not world.grid_origin
+        grid.origin[0] = 5.0
+        assert world.grid_origin.tolist() == [-2.0, -2.0]
+        assert other.origin.tolist() == [-2.0, -2.0]
+        assert world.make_grid().origin.tolist() == [-2.0, -2.0]
+        for name in ("origin", "log_odds"):
+            assert not np.shares_memory(getattr(grid, name),
+                                        getattr(other, name))
+
     @pytest.mark.parametrize("point", [np.zeros(3), np.zeros((2, 2)),
                                        np.zeros(1)])
     def test_landmark_not_a_point_rejected(self, point):

@@ -6,11 +6,12 @@ import pytest
 
 from legsynth import search, synthesis
 from legsynth.fourbar import (DegenerateConfigurationError, FourBarParams,
-                              NotAssemblableError, _sampled, arc_check,
-                              coupler_path, sweep)
+                              NotAssemblableError, arc_check,
+                              coupler_path, sample_schedule, sweep)
 from legsynth.lptau import lp_tau
 from legsynth.synthesis import (RANK_DEFICIENCY_COND, InvalidSystemError,
                                 reduced_objective, residual_delta, solve)
+from test_fourbar import arc_check_oracle, positions_oracle
 
 EPS = np.finfo(float).eps
 
@@ -21,6 +22,14 @@ HOEKEN = FourBarParams(crank=0.5, coupler=1.25, rocker=1.25,
 
 PARALLELOGRAM = FourBarParams(crank=0.4, coupler=1.0, rocker=0.4,
                               start_angle=0.2, support_arc=1.5)
+
+
+def take(params, rows):
+    """The designs `rows` of a batch (one design counts as one row)."""
+    fields = (params.crank, params.coupler, params.rocker,
+              params.start_angle, params.support_arc)
+    return FourBarParams(*(np.atleast_1d(v)[rows] for v in fields),
+                         params.branch)
 
 
 def hoeken_sweep(count=32):
@@ -216,7 +225,7 @@ class TestSolve:
 
     def test_coupler_shape_and_values_checked(self):
         trace = hoeken_sweep(16)
-        batch = _sampled(HOEKEN.take(np.zeros(3, dtype=int)), 16)
+        batch = sweep(take(HOEKEN, np.zeros(3, dtype=int)), 16)
         for coupler in [(1.0, 2.0, 3.0), np.ones((1, 2))]:
             with pytest.raises(ValueError, match="coupler has shape"):
                 solve(trace, coupler=coupler)
@@ -291,7 +300,7 @@ def oracle_designs(rng, rows, branch):
         [[PARALLELOGRAM.crank, PARALLELOGRAM.coupler, PARALLELOGRAM.rocker,
           PARALLELOGRAM.start_angle, PARALLELOGRAM.support_arc]]])
     params = FourBarParams(*designs.T, branch=branch)
-    return params.take(np.flatnonzero(arc_check(params).violation <= 0.0))
+    return take(params, np.flatnonzero(arc_check(params).violation <= 0.0))
 
 
 class TestOracle:
@@ -314,7 +323,7 @@ class TestOracle:
     @pytest.mark.parametrize("branch", [+1, -1])
     def test_matches_normal_equations(self, count, branch):
         rng = np.random.default_rng(count + (branch > 0) * 1000)
-        trace = _sampled(oracle_designs(rng, 120, branch), count)
+        trace = sweep(oracle_designs(rng, 120, branch), count)
         system = assemble(trace)
         new = solve(trace)
         x, delta, cond = solve_oracle(system)
@@ -374,7 +383,7 @@ class TestDeltaIsResidual:
         for params in batches:
             result = reduced_objective(params, count)
             rows = np.flatnonzero(result.arc.violation <= 0.0)
-            trace = _sampled(params.take(rows), count)
+            trace = sweep(take(params, rows), count)
             for j, i in enumerate(rows):
                 direct = residual_delta(trace.row(j), result.x[i])
                 assert abs(result.delta0[i] - direct) \
@@ -382,10 +391,56 @@ class TestDeltaIsResidual:
             if params is scan:
                 # the best design through the public one-design sweep
                 best = np.argmin(result.delta0)
-                direct = residual_delta(sweep(scan.take(best), count),
+                direct = residual_delta(sweep(take(scan, best), count),
                                         result.x[best])
                 assert abs(result.delta0[best] - direct) \
                     <= 4 * np.spacing(result.delta0[best])
+
+
+def reduced_objective_oracle(params, count):
+    """reduced_objective through the one-pass positions_oracle, then
+    solve and residual_delta on whole Sweeps (test oracle): the arc
+    figures of arc_check_oracle, and delta0, x, condition and mu_min."""
+    arc = arc_check_oracle(params)
+    ok = arc[3] <= 0.0
+    delta0 = np.full(len(ok), np.inf)
+    x = np.full((len(ok), 6), np.nan)
+    condition = np.full(len(ok), np.nan)
+    accepted = take(params, np.flatnonzero(ok))
+    trace, _, _ = positions_oracle(accepted, *sample_schedule(
+        accepted.start_angle, accepted.support_arc, count))
+    solution = solve(trace)
+    delta0[ok] = residual_delta(trace, solution.x)
+    x[ok] = solution.x
+    condition[ok] = solution.condition
+    return arc, delta0, x, condition, np.where(ok, arc[4], np.nan)
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("count", [5, 24])
+    @pytest.mark.parametrize("branch", [+1, -1])
+    def test_lp_tau_batch_matches_one_pass_chain(self, count, branch):
+        # 1024 LP-tau points of the default box, about half of them
+        # rejected, with PARALLELOGRAM (rank-deficient on branch +1) in
+        # row 7; every figure equal bit for bit
+        points = search.DEFAULT_BOX.map_unit(lp_tau(5, 1024))
+        points[7] = [PARALLELOGRAM.crank, PARALLELOGRAM.coupler,
+                     PARALLELOGRAM.rocker, PARALLELOGRAM.start_angle,
+                     PARALLELOGRAM.support_arc]
+        params = FourBarParams(*points.T, branch=branch)
+        result = reduced_objective(params, count)
+        arc, delta0, x, condition, mu_min = reduced_objective_oracle(
+            params, count)
+        rejected = (result.arc.violation > 0.0).sum()
+        assert 200 <= rejected <= 824
+        assert (result.condition[7] > RANK_DEFICIENCY_COND) == (branch > 0)
+        for name, expected in zip(("delta0", "x", "condition", "mu_min"),
+                                  (delta0, x, condition, mu_min)):
+            np.testing.assert_array_equal(getattr(result, name), expected)
+        for name, expected in zip(("phi", "gap", "discriminant",
+                                   "violation", "mu_min"), arc):
+            np.testing.assert_array_equal(getattr(result.arc, name),
+                                          expected)
 
 
 class TestReducedObjective:
@@ -498,7 +553,7 @@ class TestBatchKernel:
         assert (batch.condition[6] > RANK_DEFICIENCY_COND) != explicit
         assert kinds[7:].count(None) >= 3
         for i in range(rows):
-            design = params.take(i)
+            design = take(params, i)
             alone = reduced_objective(
                 design, KERNEL_COUNT,
                 coupler=None if given is None else given[i:i + 1])
