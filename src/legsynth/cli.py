@@ -614,6 +614,7 @@ def cmd_slam(config, out, seed, tag):
         "min_cov_eigenvalue": float(
             np.linalg.eigvalsh(log.final_state.cov).min()),
         "landmarks_mapped": len(log.final_state.landmark_ids),
+        "corrections_skipped": int(np.count_nonzero(log.skipped)),
     }
 
     if plan is not None:
@@ -624,7 +625,7 @@ def cmd_slam(config, out, seed, tag):
             raise InfeasibleError(str(err), diagnostics={"error": str(err)})
         slam.write_path_csv(cells, out / "path.csv",
                             header_comment=f"config {tag}")
-        occupied = np.argwhere(grid.probabilities() > 0.5)
+        occupied = np.argwhere(grid.blocked(plan["occupied_threshold"]))
         plot = SvgPlot(title="planned path", equal_aspect=True)
         if len(occupied):
             plot.add_scatter(occupied[:, 1], occupied[:, 0],

@@ -6,8 +6,9 @@ visible landmarks plus a ray-cast point cloud against obstacle polygons,
 correct pose and landmark estimates with an extended Kalman update, and
 fold the observation into the map: a frame's new landmarks by inverse
 observation, in one block, and occupancy-grid cells along each ray by
-log-odds (free along the ray, occupied at the hit).  Grid path planning
-is 8-connected A*.
+log-odds (free along the ray, occupied at the hit), walked as Bresenham
+lines in 32-bit cells whenever a frame fits them.  Grid path planning is
+8-connected A* over a padded table of open cells.
 
 A World builds what a sensor frame reads once, as read-only arrays: its
 landmark ids in increasing order with their positions, and its obstacle
@@ -26,6 +27,7 @@ Headings are always wrapped to (-pi, pi].
 """
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
@@ -150,6 +152,10 @@ class OccupancyGrid:
     def contains(self, cell):
         row, col = cell
         return (0 <= row) & (row < self.height) & (0 <= col) & (col < self.width)
+
+    def blocked(self, threshold):
+        """The cells a planner at this occupancy threshold may not enter."""
+        return self.probabilities() > threshold
 
 
 def _read_only(array):
@@ -465,15 +471,17 @@ def _walk(start, ends):
     length, beyond which its entries are not part of it.  At step i the
     major axis has moved i cells and the minor axis
     ceil(i * minor / major - 1/2), the cells the error term of the classic
-    integer walk picks."""
+    integer walk picks.  The arithmetic runs in the integer type of start
+    and ends; it is exact while 2 (L - 1)^2 and each |start| + L fit in it.
+    """
     delta = ends - start
     span = np.abs(delta)
-    major = span.max(axis=1, keepdims=True)
-    minor = span.min(axis=1, keepdims=True)
-    i = np.arange(major.max(initial=0) + 1)
+    major = np.maximum(span[:, :1], span[:, 1:])
+    minor = np.minimum(span[:, :1], span[:, 1:])
+    i = np.arange(major.max(initial=0) + 1, dtype=delta.dtype)
     across = -((major - 2 * i * minor) // np.maximum(2 * major, 1))
     rows_major = span[:, :1] > span[:, 1:]
-    sign = np.where(delta >= 0, 1, -1)
+    sign = np.where(delta >= 0, 1, -1).astype(delta.dtype)
     rows = start[0] + sign[:, :1] * np.where(rows_major, i, across)
     cols = start[1] + sign[:, 1:] * np.where(rows_major, across, i)
     return rows, cols, major[:, 0] + 1
@@ -493,9 +501,15 @@ def update_map(state, z):
     increment.  Each stamp clips to +-LOG_ODDS_LIMIT, in ray order: in a
     chunk of rays, a cell no ray ends in only falls, so an ordered
     np.add.at and one clip at -LOG_ODDS_LIMIT give the same bits, and a
-    cell a ray ends in has its stamps replayed one at a time.  The output
-    shares what it does not change with the input: the mean and covariance
-    when no landmark joins, the grid when no ray comes near it.
+    cell a ray ends in has its stamps replayed one at a time.  A boolean
+    mark over the flat grid, made once per call and set and cleared per
+    chunk, finds the stamps on those cells.  The walk runs in int32 cells
+    while 2 L^2 and |origin| + L stay below 2^31 for the longest line L,
+    as they always do within the CLI caps, and in int64 otherwise; a cell
+    is inside the grid when its row and col, read unsigned, are below the
+    height and width.  The output shares what it does not change with the
+    input: the mean and covariance when no landmark joins, the grid when
+    no ray comes near it.
     """
     mean, P = state.mean, state.cov
     x, y, heading = state.mean[:3]
@@ -550,20 +564,35 @@ def update_map(state, z):
     if not near.any():
         return new
     grid = new.grid = replace(grid, log_odds=grid.log_odds.copy())
-    stops = ends[near].astype(int)
+    height, width = grid.height, grid.width
+    stops = ends[near]
+    longest = int(np.abs(stops - origin).max(initial=0)) + 1
+    # the walk's cells lie within longest of the origin: 32 bits hold them
+    # and _walk's 2 (longest - 1)^2 unless the frame is huge
+    bound = max(2 * longest ** 2, int(np.abs(origin).max()) + longest)
+    cell_type, unsigned = ((np.int32, np.uint32) if bound < 2 ** 31
+                           else (np.int64, np.uint64))
+    start, stops = origin.astype(cell_type), stops.astype(cell_type)
     hits = z.ray_hits[near]
-    longest = np.abs(stops - origin).max(initial=0) + 1
-    step = max(1, WALK_CELLS // int(longest))
+    step = max(1, WALK_CELLS // longest)
     flat = grid.log_odds.reshape(-1)    # a view of update_map's own copy
+    # the cells some ray of a chunk ends in; set and cleared per chunk
+    ended_mark = np.zeros(height * width, dtype=bool)
     for first in range(0, len(hits), step):
         part = slice(first, first + step)
-        rows, cols, length = _walk(origin.astype(int), stops[part])
-        i = np.arange(rows.shape[1])
-        inside = (i < length[:, None]) & grid.contains((rows, cols))
+        rows, cols, length = _walk(start, stops[part])
+        i = np.arange(rows.shape[1], dtype=cell_type)
+        # a negative row or col wraps to a huge unsigned one
+        inside = ((rows.view(unsigned) < height)
+                  & (cols.view(unsigned) < width) & (i < length[:, None]))
         occupied = (hits[part, None] & (i == length[:, None] - 1))[inside]
-        # the flat cell of every stamp, in ray order
-        cell = (rows * grid.width + cols)[inside]
-        ended = np.isin(cell, cell[occupied])
+        # the flat cell of every stamp, in ray order, in numpy's index type:
+        # fancy indexing converts int32 indices on every call
+        cell = rows[inside].astype(np.intp) * width + cols[inside]
+        hit = cell[occupied]
+        ended_mark[hit] = True
+        ended = ended_mark[cell]
+        ended_mark[hit] = False
         # np.add.at adds one stamp at a time, in ray order; once the sum
         # passes -LIMIT every later stamp would clip it back to -LIMIT
         free = cell[~ended]
@@ -576,7 +605,7 @@ def update_map(state, z):
     return new
 
 
-_DIAG = np.sqrt(2.0)
+_DIAG = math.sqrt(2.0)
 _MOVES = ((-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0),
           (-1, -1, _DIAG), (-1, 1, _DIAG), (1, -1, _DIAG), (1, 1, _DIAG))
 
@@ -589,38 +618,52 @@ def plan_path(grid, start, goal, occupied_threshold=0.5):
     octile distance, which is admissible for those costs, so the returned
     path cost is optimal among grid paths.  Raises NoPathError when the
     goal is unreachable.
+
+    The search runs over a table of open cells built once per call: one
+    byte per cell of the grid padded by a blocked border, so a neighbour's
+    flat index is the cell's plus a fixed offset and needs no bounds test.
+    Heap entries are (f, counter, cell) with a unique counter, so ties
+    break by push order.
     """
     start, goal = tuple(start), tuple(goal)
     if not (grid.contains(start) and grid.contains(goal)):
         raise ValueError("start and goal must lie inside the grid")
-    blocked = grid.probabilities() > occupied_threshold
+    blocked = grid.blocked(occupied_threshold)
     if blocked[start] or blocked[goal]:
         raise NoPathError("start or goal cell is occupied")
+    span = grid.width + 2
+    table = np.zeros((grid.height + 2, span), dtype=bool)
+    table[1:-1, 1:-1] = ~blocked
+    is_open = table.tobytes()
+    moves = [(dr * span + dc, move_cost) for dr, dc, move_cost in _MOVES]
+    source = (start[0] + 1) * span + start[1] + 1
+    target = (goal[0] + 1) * span + goal[1] + 1
+    goal_row, goal_col = divmod(target, span)
 
     def heuristic(cell):
-        dr = abs(cell[0] - goal[0])
-        dc = abs(cell[1] - goal[1])
+        row, col = divmod(cell, span)
+        dr = abs(row - goal_row)
+        dc = abs(col - goal_col)
         return (dr + dc) + (_DIAG - 2.0) * min(dr, dc)
 
-    frontier = [(heuristic(start), 0, start)]
-    best_cost = {start: 0.0}
+    frontier = [(heuristic(source), 0, source)]
+    best_cost = {source: 0.0}
     came_from = {}
     counter = 1
     while frontier:
         _, _, cell = heapq.heappop(frontier)
-        if cell == goal:
+        if cell == target:
             path = [cell]
-            while path[-1] != start:
+            while path[-1] != source:
                 path.append(came_from[path[-1]])
-            path.reverse()
-            return path
+            return [(c // span - 1, c % span - 1) for c in reversed(path)]
         base = best_cost[cell]
-        for dr, dc, move_cost in _MOVES:
-            nxt = (cell[0] + dr, cell[1] + dc)
-            if not grid.contains(nxt) or blocked[nxt]:
+        for offset, move_cost in moves:
+            nxt = cell + offset
+            if not is_open[nxt]:
                 continue
             cost = base + move_cost
-            if cost < best_cost.get(nxt, np.inf) - 1e-12:
+            if cost < best_cost.get(nxt, math.inf) - 1e-12:
                 best_cost[nxt] = cost
                 came_from[nxt] = cell
                 heapq.heappush(frontier, (cost + heuristic(nxt), counter, nxt))

@@ -307,6 +307,56 @@ class TestSlam:
         code, _ = run(tmp_path, "slam", config)
         assert code == 2
 
+    @pytest.mark.parametrize("threshold", [0.5, 0.9])
+    def test_path_svg_draws_the_planners_blocked_cells(self, tmp_path,
+                                                       monkeypatch, threshold):
+        grids, drawn = [], []
+        plan_path, add_scatter = slam.plan_path, cli.SvgPlot.add_scatter
+
+        def planned(grid, **kw):
+            grids.append(grid)
+            return plan_path(grid, **kw)
+
+        def scattered(plot, xs, ys, **kw):
+            drawn.append(set(zip(ys, xs)))
+            return add_scatter(plot, xs, ys, **kw)
+
+        monkeypatch.setattr(slam, "plan_path", planned)
+        monkeypatch.setattr(cli.SvgPlot, "add_scatter", scattered)
+        config = {"script": {"type": "loop", "side": 2.0, "speed": 1.0,
+                             "dt": 0.5},
+                  "sensor": {"max_range": 5.0, "n_rays": 360,
+                             "range_sigma": 0.05, "bearing_sigma": 0.01},
+                  "plan": {"start": [5, 5], "goal": [50, 50],
+                           "occupied_threshold": threshold}}
+        code, out = run(tmp_path, "slam", config)
+        assert code == 0
+        probabilities = grids[0].probabilities()
+        blocked = set(map(tuple, np.argwhere(probabilities > threshold)))
+        assert drawn == [blocked]
+        # cells with 0.5 < p <= 0.9 exist, so a drawing at 0.5 would differ
+        assert (probabilities > 0.5).sum() > (probabilities > 0.9).sum() > 0
+        path = np.loadtxt(out / "path.csv", delimiter=",", skiprows=2,
+                          dtype=int)
+        assert not blocked & set(map(tuple, path.tolist()))
+
+    def test_summary_counts_skipped_corrections(self, tmp_path):
+        # the singular innovation of test_slam's
+        # test_singular_innovation_skips_and_is_logged, through the CLI
+        config = {"world": {"landmarks": [{"id": 1, "x": 2.0, "y": 0.0}],
+                            "obstacles": [],
+                            "grid": {"resolution": 0.5, "origin": [-1.0, -1.0],
+                                     "width": 10, "height": 10}},
+                  "script": [{"velocity": 0.0, "angular_velocity": 0.0,
+                              "dt": 1.0}] * 2,
+                  "sensor": {"max_range": 10.0, "n_rays": 0},
+                  "process_noise": {"x": 10.0}}
+        code, out = run(tmp_path, "slam", config)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        events = (out / "run_log.csv").read_text().count("correction-skipped")
+        assert summary["corrections_skipped"] == events == 1
+
     def test_plan_outside_the_grid_refused_before_the_run(self, tmp_path,
                                                           monkeypatch):
         monkeypatch.setattr(slam, "simulate", _reached)
@@ -345,9 +395,9 @@ class TestSlam:
     # runs to the end; these digests are the outputs of the per-cell mapping
     @pytest.mark.parametrize("sigma, digests", [
         (1e20, {"grid.pgm": "628c39663fc2a565", "run_log.csv": "05a292f3ce8758fb",
-                "summary.json": "44d0855234c3d9fc"}),
+                "summary.json": "3e9e673f25b466fa"}),
         (1e150, {"grid.pgm": "495f0d3bc496ac0f", "run_log.csv": "675e8698ef19f377",
-                 "summary.json": "d7dc4bb65c47f056"}),
+                 "summary.json": "614a63a0d834cda0"}),
     ], ids=["1e20", "1e150"])
     def test_huge_odometry_noise_runs(self, tmp_path, sigma, digests):
         config = {"script": {"type": "constant", "steps": 3},

@@ -312,6 +312,67 @@ def seeded_state_with_landmark(pose, landmark, pose_cov):
                      grid=world.make_grid())
 
 
+def plan_path_oracle(grid, start, goal, occupied_threshold=0.5):
+    """The planner as first written: A* over (row, col) tuples, each
+    neighbour tested by grid.contains and a numpy index, with the same
+    heap keys (f, counter, cell) and float cost sums as plan_path."""
+    start, goal = tuple(start), tuple(goal)
+    if not (grid.contains(start) and grid.contains(goal)):
+        raise ValueError("start and goal must lie inside the grid")
+    blocked = grid.probabilities() > occupied_threshold
+    if blocked[start] or blocked[goal]:
+        raise NoPathError("start or goal cell is occupied")
+    diag = np.sqrt(2.0)
+    moves = ((-1, 0, 1.0), (1, 0, 1.0), (0, -1, 1.0), (0, 1, 1.0),
+             (-1, -1, diag), (-1, 1, diag), (1, -1, diag), (1, 1, diag))
+
+    def heuristic(cell):
+        dr = abs(cell[0] - goal[0])
+        dc = abs(cell[1] - goal[1])
+        return (dr + dc) + (diag - 2.0) * min(dr, dc)
+
+    frontier = [(heuristic(start), 0, start)]
+    best_cost = {start: 0.0}
+    came_from = {}
+    counter = 1
+    while frontier:
+        _, _, cell = heapq.heappop(frontier)
+        if cell == goal:
+            path = [cell]
+            while path[-1] != start:
+                path.append(came_from[path[-1]])
+            path.reverse()
+            return path
+        base = best_cost[cell]
+        for dr, dc, move_cost in moves:
+            nxt = (cell[0] + dr, cell[1] + dc)
+            if not grid.contains(nxt) or blocked[nxt]:
+                continue
+            cost = base + move_cost
+            if cost < best_cost.get(nxt, np.inf) - 1e-12:
+                best_cost[nxt] = cost
+                came_from[nxt] = cell
+                heapq.heappush(frontier, (cost + heuristic(nxt), counter, nxt))
+                counter += 1
+    raise NoPathError("goal is unreachable")
+
+
+def plan_outcome(planner, grid, start, goal, threshold):
+    """The path a planner returns, or the type and text of what it raises."""
+    try:
+        return planner(grid, start, goal, occupied_threshold=threshold)
+    except (NoPathError, ValueError) as err:
+        return type(err), str(err)
+
+
+def border_cells(height, width, rng):
+    """The four corners and one random cell of each side, not a corner."""
+    r = int(rng.integers(1, height - 1))
+    c = int(rng.integers(1, width - 1))
+    return [(0, 0), (0, width - 1), (height - 1, 0), (height - 1, width - 1),
+            (0, c), (height - 1, c), (r, 0), (r, width - 1)]
+
+
 def dijkstra_cost(grid, start, goal, threshold=0.5):
     """Independent optimal-cost oracle on the same move rules."""
     blocked = grid.probabilities() > threshold
@@ -1017,6 +1078,50 @@ class TestUpdateMap:
             result = update_map(state, frame)
             assert not result.grid.log_odds.any()
 
+    @staticmethod
+    def walked_cell_types(monkeypatch):
+        """The integer type of each chunk update_map walks."""
+        types = []
+        walk = slam._walk
+        monkeypatch.setattr(slam, "_walk", lambda start, ends: types.append(
+            ends.dtype) or walk(start, ends))
+        return types
+
+    def test_frame_beyond_32_bits_walks_in_64(self, monkeypatch):
+        # a thin grid, the robot 40 000 rows below it: each near-diagonal
+        # ray crosses the grid 40 000 cells out, where its 2 i minor passes
+        # 2^31 and 32-bit cells would wrap
+        world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
+                      grid_origin=np.zeros(2), grid_width=45_000,
+                      grid_height=3)
+        state = initial_state([0.5, -39_998.5, 0.0], world)
+        types = self.walked_cell_types(monkeypatch)
+        # rays to [x, y] points in, beside and beyond the grid
+        reach = np.array([[40_000.5, 1.5], [40_003.5, 2.5], [39_998.5, 0.5],
+                          [40_012.5, 6.5]]) - state.mean[:2]
+        frame = ray_frame(np.arctan2(reach[:, 1], reach[:, 0]),
+                          np.hypot(reach[:, 0], reach[:, 1]),
+                          [False, True, True, False])
+        result = stamped_as_oracle(state, frame)
+        assert set(types) == {np.dtype(np.int64)}
+        assert (result < 0).sum() >= 6 and (result > 0).sum() == 2
+
+    def test_frame_at_the_caps_walks_in_32_bits(self, monkeypatch):
+        # the CLI's largest grid and longest rays, the robot at the far end
+        # of a two-row grid so the flat cells reach their largest
+        width = cli.MAX_GRID_CELLS // 2
+        world = World(landmarks={}, obstacles=(), grid_resolution=1.0,
+                      grid_origin=np.zeros(2), grid_width=width,
+                      grid_height=2)
+        state = initial_state([width - 0.5, 1.5, 0.0], world)
+        types = self.walked_cell_types(monkeypatch)
+        angles = np.linspace(-np.pi, np.pi, 24, endpoint=False)
+        frame = ray_frame(angles, np.full(24, cli.MAX_RAY_CELLS - 0.5),
+                          np.arange(24) % 3 == 0)
+        result = stamped_as_oracle(state, frame)
+        assert set(types) == {np.dtype(np.int32)}
+        assert (result[1] < 0).sum() >= cli.MAX_RAY_CELLS - 1
+
     def test_frame_at_the_caps_walks_in_bounded_memory(self):
         # 10 000 rays of 4096 cells: walked at once they would take
         # gigabytes; walked in chunks the peak stays under 32 MB
@@ -1160,6 +1265,59 @@ class TestPlanner:
                 assert cost is None
             else:
                 assert cost is not None and abs(cost - oracle) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(17, 23), (23, 17), (1, 9), (12, 12)])
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.9])
+    def test_same_path_as_oracle_on_random_grids(self, shape, threshold):
+        # the same cells, tie-breaks included, or the same exception, with
+        # start and goal on every corner and side of non-square grids
+        height, width = shape
+        rng = np.random.default_rng([height, width, int(threshold * 10)])
+        paths = 0
+        for density in (0.2, 0.35, 0.6):
+            for _ in range(3):
+                grid = OccupancyGrid(resolution=1.0, origin=np.zeros(2),
+                                     width=width, height=height)
+                # most cells free, the rest spread over every probability
+                grid.log_odds = np.where(rng.random(shape) < density,
+                                         rng.uniform(-3.0, 3.0, shape), -5.0)
+                ends = (border_cells(height, width, rng) if min(shape) > 2
+                        else [(0, 0), (0, width - 1), (0, width // 2)])
+                for start in ends:
+                    goal = ends[int(rng.integers(len(ends)))]
+                    expected = plan_outcome(plan_path_oracle, grid, start,
+                                            goal, threshold)
+                    assert plan_outcome(plan_path, grid, start, goal,
+                                        threshold) == expected
+                    paths += isinstance(expected, list) and len(expected) > 1
+        # any blocked cell cuts a one-row grid
+        assert paths >= (2 if height == 1 else 20)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.9])
+    def test_special_cases_match_oracle(self, threshold):
+        grid = OccupancyGrid(resolution=1.0, origin=np.zeros(2), width=23,
+                             height=17)
+        grid.log_odds[:] = -5.0
+        grid.log_odds[:, 11] = 10.0          # a full wall
+        grid.log_odds[4, 3] = 10.0           # a blocked cell
+        cases = [((2, 2), (2, 2)),           # start == goal
+                 ((16, 22), (16, 22)),
+                 ((0, 0), (16, 22)),         # behind the wall
+                 ((4, 3), (9, 5)),           # blocked start
+                 ((9, 5), (4, 3)),           # blocked goal
+                 ((0, 0), (16, 10)),
+                 ((16, 0), (0, 10)),
+                 ((0, 0), (17, 0)),          # goal outside the grid
+                 ((-1, 3), (2, 2))]          # start outside the grid
+        outcomes = [plan_outcome(plan_path, grid, start, goal, threshold)
+                    for start, goal in cases]
+        assert outcomes == [plan_outcome(plan_path_oracle, grid, start, goal,
+                                         threshold) for start, goal in cases]
+        assert outcomes[0] == [(2, 2)]
+        assert outcomes[2] == (NoPathError, "goal is unreachable")
+        assert outcomes[3] == outcomes[4] == (
+            NoPathError, "start or goal cell is occupied")
+        assert outcomes[7][0] is outcomes[8][0] is ValueError
 
     def test_path_avoids_occupied_cells(self):
         rng = np.random.default_rng(43)
