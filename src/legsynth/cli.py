@@ -308,20 +308,15 @@ def _read_table_points(path):
 
 
 def cmd_pareto(config, out, seed, tag):
-    _check_keys(config, {"box", "sweep_samples", "branch", "coupler", "ga",
+    _check_keys(config, {"box", "sweep_samples", "branch", "ga",
                          "sampling_table"}, "pareto config")
     box, count, branch = _scan_args(config)
-    coupler = _get(config, "coupler", str, "solved", "pareto ")
     ga = _build(nsga2.GAConfig, config.get("ga", {}), "ga", seed=seed)
     if ga.population > MAX_POPULATION:
         raise ConfigError(f"ga population must be at most {MAX_POPULATION}")
     if ga.generations > MAX_GENERATIONS:
         raise ConfigError(f"ga generations must be at most {MAX_GENERATIONS}")
-    try:
-        problem = nsga2.leg_problem(box=box, count=count, branch=branch,
-                                    coupler=coupler)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    problem = nsga2.leg_problem(box=box, count=count, branch=branch)
     table_path = _get(config, "sampling_table", str, None, "pareto ")
     table_points = [] if table_path is None else _read_table_points(table_path)
 
@@ -344,10 +339,8 @@ def cmd_pareto(config, out, seed, tag):
     F = result.F[front]
     with open(out / "front.csv", "w") as fh:
         fh.write(f"# config {tag}\n")
-        names = ["crank", "coupler", "rocker", "start_angle", "support_arc"]
-        if coupler == "explicit":
-            names += ["coupler_x", "coupler_y"]
-        fh.write(",".join(names) + ",error,transmission_rad\n")
+        fh.write("crank,coupler,rocker,start_angle,support_arc,error,"
+                 "transmission_rad\n")
         for genome, f in zip(result.genomes[front], F):
             genes = ",".join(f"{g:.12g}" for g in genome)
             fh.write(f"{genes},{f[0]:.12g},{-f[1]:.12g}\n")
@@ -625,11 +618,16 @@ def cmd_slam(config, out, seed, tag):
             raise InfeasibleError(str(err), diagnostics={"error": str(err)})
         slam.write_path_csv(cells, out / "path.csv",
                             header_comment=f"config {tag}")
-        occupied = np.argwhere(grid.blocked(plan["occupied_threshold"]))
+        # below 0.5 every cell never observed (p = 0.5) is blocked too;
+        # only the cells with evidence are drawn
+        threshold = plan["occupied_threshold"]
+        drawn = np.argwhere(grid.blocked(threshold)
+                            & (grid.probabilities() != 0.5))
         plot = SvgPlot(title="planned path", equal_aspect=True)
-        if len(occupied):
-            plot.add_scatter(occupied[:, 1], occupied[:, 0],
-                             label="occupied", radius=1.5)
+        if len(drawn):
+            plot.add_scatter(drawn[:, 1], drawn[:, 0], radius=1.5,
+                             label="occupied" if threshold >= 0.5
+                             else "blocked (observed)")
         arr = np.array(cells)
         plot.add_line(arr[:, 1], arr[:, 0], label="path")
         plot.write(out / "path.svg", comment=f"config {tag}")

@@ -1,9 +1,10 @@
 """Elitist multi-objective genetic engine (NSGA-II) and the leg instance.
 
 The engine is bi-objective: it takes real-coded problems with two
-objectives, box bounds, and a total constraint violation handled by
-constraint-domination: a feasible individual beats any infeasible one,
-and among infeasible individuals the smaller total violation wins.
+objectives, box bounds (equal bounds pin a gene), and a total
+constraint violation handled by constraint-domination: a feasible
+individual beats any infeasible one, and among infeasible individuals
+the smaller total violation wins.
 Breeding uses binary tournament on (rank, crowding distance), simulated
 binary crossover, and polynomial mutation; survival is (mu + lambda)
 truncation by nondomination rank with crowding-distance tie-breaking.
@@ -17,6 +18,10 @@ its nondominated subset) against a reference point frozen from the
 first feasible points.  The archive reading makes the trace monotone by
 construction, which the population-only front does not guarantee under
 crowding truncation.
+
+The leg instance's genome is the five nonlinear linkage parameters; the
+coupler point and the target line of each genome come out of the
+closed-form inner solve of synthesis.reduced_objective.
 """
 
 import bisect
@@ -52,8 +57,8 @@ class Problem:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("bounds must be 1-D arrays of equal length")
-        if not np.all(lo < hi):
-            raise ValueError("lower bounds must be strictly below upper bounds")
+        if not np.all(lo <= hi):
+            raise ValueError("lower bounds must not exceed upper bounds")
 
     @property
     def dimension(self):
@@ -372,38 +377,23 @@ def evolve(problem, config):
                         best_objectives=best, archive=archive)
 
 
-_COUPLER_BOUND = 3.0  # |x_E| and |y_E| bound of the explicit coupler genes
-
-
-def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1,
-                coupler="solved"):
+def leg_problem(box=None, count=DEFAULT_SWEEP_SAMPLES, branch=+1):
     """Leg-synthesis Problem instance over the search box.
 
     Objectives are (mean squared trajectory error, -worst support-phase
-    transmission angle in radians).  With coupler="solved" the genome is
-    the five nonlinear parameters and the coupler point comes out of the
-    inner linear solve; with coupler="explicit" the genome carries
-    (x_E, y_E) as two extra genes, each in [-3, 3], and only the target
-    line is solved.  The single constraint is assemblability over the
+    transmission angle in radians).  The genome is the five nonlinear
+    parameters; the coupler point and the target line come out of the
+    inner linear solve.  The single constraint is assemblability over the
     whole support arc, with arc_check's continuous violation as the
     constraint violation.
     """
-    if coupler not in ("solved", "explicit"):
-        raise ValueError("coupler must be 'solved' or 'explicit'")
     box = box if box is not None else DEFAULT_BOX
-    lower = np.array(box.lower)
-    upper = np.array(box.upper)
-    if coupler == "explicit":
-        lower = np.append(lower, [-_COUPLER_BOUND, -_COUPLER_BOUND])
-        upper = np.append(upper, [_COUPLER_BOUND, _COUPLER_BOUND])
 
     def evaluate(genomes):
-        params = FourBarParams(*genomes[:, :5].T, branch=branch)
-        result = reduced_objective(
-            params, count,
-            genomes[:, 5:7] if coupler == "explicit" else None)
+        result = reduced_objective(FourBarParams(*genomes.T, branch=branch),
+                                   count)
         F = np.column_stack([result.delta0, -result.mu_min])
         F[result.arc.violation > 0] = OBJECTIVE_SENTINEL
         return F, result.arc.violation
 
-    return Problem(lower=lower, upper=upper, evaluate=evaluate)
+    return Problem(lower=box.lower, upper=box.upper, evaluate=evaluate)

@@ -8,7 +8,8 @@ basis {1, k} out of the sweep leaves one complex unknown, the coupler
 point, which is a ratio of two sweep means (variable projection, Golub
 and Pereyra 1973).  The error at that optimum is the reduced objective:
 a function of the five nonlinear linkage parameters only, which the
-outer quasi-random search minimizes.
+outer searches (the quasi-random scan and NSGA-II) minimize; the coupler
+point is never a search variable.
 
 The error is the mean (not the bare sum) of squared deviations over the
 sweep samples.  Every function here also takes a batch of designs as
@@ -35,7 +36,7 @@ CHUNK_ANGLES = 512 * 24
 
 
 class InvalidSystemError(ValueError):
-    """The sweep or the given coupler point has non-finite entries."""
+    """The sweep has non-finite entries."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def solve(sweep, coupler=None):
+def solve(sweep):
     """Least-squares coupler point and target line of a sweep (or a batch
     sweep), in closed form.
 
@@ -118,16 +119,12 @@ def solve(sweep, coupler=None):
     fits equally well, and the minimum-norm solution is returned, so
     degenerate sweeps (for example constant coupler angle) stay usable
     inside an outer search.
-
-    coupler, when given, fixes the coupler point of every design (shape
-    (2,), or (rows, 2) for a batch); only the line is solved, and
-    condition is 1.
     """
     return _solve(sweep.fractions, (sweep.B[..., 0], sweep.B[..., 1]),
-                  sweep.beta, coupler)
+                  sweep.beta)
 
 
-def _solve(k, B, beta, coupler):
+def _solve(k, B, beta):
     """solve of the sweep with fractions k, joint B as an (x, y) pair of
     arrays and coupler angle beta."""
     if not (all(np.all(np.isfinite(v)) for v in B)
@@ -136,27 +133,17 @@ def _solve(k, B, beta, coupler):
     c, s = np.cos(beta), np.sin(beta)
     a0, a1, e_res = _line_fit(c + 1j * s, k)
     b0, b1, b_res = _line_fit(B[0] + 1j * B[1], k)
-    if coupler is None:
-        power = _abs2(e_res).mean(axis=-1)
-        with np.errstate(divide="ignore"):
-            condition = 1.0 / power
-        deficient = ~(condition <= RANK_DEFICIENCY_COND)
-        # e = a0 + a1 k leaves z free; the norm |z|^2 + |b0 + a0 z|^2
-        # + |b1 + a1 z|^2 of the solution is least at this z
-        least_norm = -((a0.conjugate() * b0 + a1.conjugate() * b1)
-                       / (1.0 + _abs2(a0) + _abs2(a1)))
-        z = np.where(deficient, least_norm,
-                     -(e_res.conjugate() * b_res).mean(axis=-1)
-                     / np.where(deficient, 1.0, power))
-    else:
-        coupler = np.asarray(coupler, dtype=float)
-        if coupler.shape != b0.shape + (2,):
-            raise ValueError(f"coupler has shape {coupler.shape}, "
-                             f"expected {b0.shape + (2,)}")
-        if not np.all(np.isfinite(coupler)):
-            raise InvalidSystemError("coupler point is non-finite")
-        z = coupler[..., 0] + 1j * coupler[..., 1]
-        condition = np.ones(b0.shape)
+    power = _abs2(e_res).mean(axis=-1)
+    with np.errstate(divide="ignore"):
+        condition = 1.0 / power
+    deficient = ~(condition <= RANK_DEFICIENCY_COND)
+    # e = a0 + a1 k leaves z free; the norm |z|^2 + |b0 + a0 z|^2
+    # + |b1 + a1 z|^2 of the solution is least at this z
+    least_norm = -((a0.conjugate() * b0 + a1.conjugate() * b1)
+                   / (1.0 + _abs2(a0) + _abs2(a1)))
+    z = np.where(deficient, least_norm,
+                 -(e_res.conjugate() * b_res).mean(axis=-1)
+                 / np.where(deficient, 1.0, power))
     w0, w1 = b0 + a0 * z, b1 + a1 * z
     x = np.stack([z.real, z.imag, w0.real, w0.imag, w1.real, w1.imag],
                  axis=-1)
@@ -187,20 +174,16 @@ def _residual(k, B, c, s, x):
     return np.mean(u * u + v * v, axis=-1)
 
 
-def reduced_objective(params, count, coupler=None):
+def reduced_objective(params, count):
     """Check, sweep and solve each design of a batch; the residual is the
     outer objective.
 
-    One design counts as a batch of one.  coupler, when given, is a
-    (rows, 2) array of fixed coupler points, as for solve.  Only the
-    designs that arc_check accepts are swept, in chunks of CHUNK_ANGLES
-    sample angles, and solved; outer searches take arc.violation as the
-    constraint violation.
+    One design counts as a batch of one.  Only the designs that arc_check
+    accepts are swept, in chunks of CHUNK_ANGLES sample angles, and
+    solved; outer searches take arc.violation as the constraint
+    violation.
     """
     rows = np.size(params.crank)
-    if coupler is not None and np.shape(coupler) != (rows, 2):
-        raise ValueError(f"coupler has shape {np.shape(coupler)}, "
-                         f"expected {(rows, 2)}")
     delta0 = np.full(rows, np.inf)
     x = np.full((rows, 6), np.nan)
     condition = np.full(rows, np.nan)
@@ -210,9 +193,7 @@ def reduced_objective(params, count, coupler=None):
     step = max(1, CHUNK_ANGLES // count)
     for start in range(0, len(feasible), step):
         part = feasible[start:start + step]
-        solution = _solve(*_sampled(params, count, part),
-                          None if coupler is None
-                          else np.asarray(coupler)[part])
+        solution = _solve(*_sampled(params, count, part))
         delta0[part] = solution.delta
         x[part] = solution.x
         condition[part] = solution.condition

@@ -136,6 +136,16 @@ class TestPareto:
         hv = [float(r[1]) for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(hv, hv[1:]))
 
+    def test_box_with_a_pinned_axis(self, tmp_path):
+        # equal bounds pin the crank, as under synth
+        box = {"lower": [0.3, 1.0, 1.0, 0.0, 3.5],
+               "upper": [0.3, 1.5, 1.5, 6.0, 5.0]}
+        config = {"box": box, "ga": {"population": 16, "generations": 3}}
+        code, out = run(tmp_path, "pareto", config)
+        assert code == 0
+        rows = (out / "front.csv").read_text().splitlines()[2:]
+        assert rows and all(row.split(",")[0] == "0.3" for row in rows)
+
     def test_invalid_ga_config_exit_1(self, tmp_path):
         code, _ = run(tmp_path, "pareto",
                       {"ga": {"population": 7, "generations": 1}})
@@ -307,7 +317,7 @@ class TestSlam:
         code, _ = run(tmp_path, "slam", config)
         assert code == 2
 
-    @pytest.mark.parametrize("threshold", [0.5, 0.9])
+    @pytest.mark.parametrize("threshold", [0.4, 0.5, 0.9])
     def test_path_svg_draws_the_planners_blocked_cells(self, tmp_path,
                                                        monkeypatch, threshold):
         grids, drawn = [], []
@@ -332,13 +342,20 @@ class TestSlam:
         code, out = run(tmp_path, "slam", config)
         assert code == 0
         probabilities = grids[0].probabilities()
-        blocked = set(map(tuple, np.argwhere(probabilities > threshold)))
-        assert drawn == [blocked]
+        blocked = probabilities > threshold
+        # cells never observed (p = 0.5) are blocked below 0.5 but not drawn
+        observed = set(map(tuple, np.argwhere(blocked
+                                              & (probabilities != 0.5))))
+        assert drawn == [observed]
+        unobserved = blocked & (probabilities == 0.5)
+        assert unobserved.any() == (threshold < 0.5)
+        svg = (out / "path.svg").read_text()
+        assert ("blocked (observed)" in svg) == (threshold < 0.5)
         # cells with 0.5 < p <= 0.9 exist, so a drawing at 0.5 would differ
         assert (probabilities > 0.5).sum() > (probabilities > 0.9).sum() > 0
         path = np.loadtxt(out / "path.csv", delimiter=",", skiprows=2,
                           dtype=int)
-        assert not blocked & set(map(tuple, path.tolist()))
+        assert not blocked[tuple(path.T)].any()
 
     def test_summary_counts_skipped_corrections(self, tmp_path):
         # the singular innovation of test_slam's
@@ -461,6 +478,8 @@ BAD_CONFIGS = [
                  id="synth-one-sweep-sample"),
     pytest.param("pareto", lambda tmp: {"sweep_samples": 1},
                  id="pareto-one-sweep-sample"),
+    pytest.param("pareto", lambda tmp: {"coupler": "solved"},
+                 id="pareto-coupler-key"),
     pytest.param("slam", lambda tmp: {"script": []}, id="empty-script"),
     pytest.param("slam", lambda tmp: {"script": {"type": "constant", "steps": 0}},
                  id="zero-steps"),
@@ -739,15 +758,14 @@ FUZZ_BASES = [
                                        "min_transmission_deg": 10.0,
                                        "min_cycle_ratio": 1.2}}),
     ("pareto", {"box": TIGHT_BOX, "sweep_samples": 24, "branch": -1,
-                "coupler": "explicit",
                 "ga": {"population": 8, "generations": 2,
                        "crossover_prob": 0.9, "crossover_eta": 15.0,
                        "mutation_prob": 0.2, "mutation_eta": 20.0}}),
     ("isotropy", {"family": {"alpha1": 0.1, "gamma1": 1.0, "beta": 1.5,
                              "char_length": 1.0, "variant": 2, "sign": -1},
                   "tol": 1e-8}),
-    ("isotropy", {"legs": [LEG, dict(LEG, mount_angle=2.0),
-                           dict(LEG, mount_angle=-2.0)],
+    ("isotropy", {"legs": [LEG, dict(LEG, mount_angle=2.0, leg_angle=-0.6),
+                           dict(LEG, mount_angle=-2.0, leg_angle=1.5)],
                   "heading": 0.2, "char_length": 1.5}),
     ("mobility", {"graphs": [{"space": "spatial", "moving_links": 10,
                               "p5": 9, "p4": 0, "p3": 3, "p2": 0, "p1": 0,
@@ -827,10 +845,25 @@ def _mutated(draw, base):
     return doc
 
 
+FUZZ_IDS = [f"{c}-{i}" for i, (c, _) in enumerate(FUZZ_BASES)]
+
+
 class TestConfigFuzz:
-    @pytest.mark.parametrize("command, base", FUZZ_BASES,
-                             ids=[f"{c}-{i}" for i, (c, _) in
-                                  enumerate(FUZZ_BASES)])
+    @pytest.mark.parametrize("command, base", FUZZ_BASES, ids=FUZZ_IDS)
+    def test_base_config_is_valid(self, tmp_path, monkeypatch, command,
+                                  base):
+        # a base that fails its own checks would leave every mutation of
+        # it failing at the same check
+        monkeypatch.setattr(search, "scan", _reached)
+        monkeypatch.setattr(nsga2, "evolve", _reached)
+        monkeypatch.setattr(slam, "simulate", _reached)
+        if command in ("isotropy", "mobility"):
+            assert run(tmp_path, command, base)[0] == 0
+        else:
+            with pytest.raises(_Reached):
+                run(tmp_path, command, base)
+
+    @pytest.mark.parametrize("command, base", FUZZ_BASES, ids=FUZZ_IDS)
     @settings(derandomize=True, max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

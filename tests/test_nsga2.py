@@ -497,6 +497,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GAConfig(crossover_prob=1.5)
 
+    def test_crossed_bounds_rejected(self):
+        for lower, upper in (([1.0], [0.0]), ([0.0, np.nan], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="must not exceed"):
+                Problem(lower=lower, upper=upper, evaluate=None)
+
+    def test_equal_bounds_pin_a_gene(self):
+        # the pinned gene keeps its value through sampling, crossover and
+        # mutation, which here touches every gene of every child
+        genes = []
+        base = zdt1_problem(dim=3)
+
+        def evaluate(X):
+            genes.append(X[:, 1].copy())
+            return base.evaluate(X)
+
+        problem = Problem(lower=[0.0, 0.25, 0.0], upper=[1.0, 0.25, 1.0],
+                          evaluate=evaluate)
+        evolve(problem, GAConfig(population=12, generations=5,
+                                 mutation_prob=1.0, seed=2))
+        assert len(genes) == 6 and np.all(np.concatenate(genes) == 0.25)
+
     def test_three_objectives_rejected(self):
         problem = Problem(lower=np.zeros(2), upper=np.ones(2),
                           evaluate=lambda X: (np.zeros((len(X), 3)),
@@ -561,14 +582,6 @@ class TestLegProblem:
         F, _ = leg_objectives(HOEKEN_GENOME)
         assert F[0] <= 1e-3
         assert np.degrees(-F[1]) >= 20.0
-
-    def test_explicit_coupler_genome(self):
-        problem = leg_problem(coupler="explicit")
-        assert problem.dimension == 7
-        genome = np.concatenate([HOEKEN_GENOME, [2.5, 0.0]])
-        F, _ = problem.evaluate(genome[None])
-        solved = leg_objectives(HOEKEN_GENOME)[0][0]
-        assert F[0, 0] >= solved - 1e-15
 
     def test_short_leg_run_improves_archive(self):
         box = ParamBox(

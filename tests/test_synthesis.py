@@ -81,30 +81,19 @@ def assemble(sweep):
     return LinearSystem(matrix=A, rhs=b, constant=constant)
 
 
-def solve_oracle(system, pinned=None):
-    """Solve the normal equations, or a stack of them; pinned maps unknown
-    indices to one value per system.  Returns (x, delta, condition)."""
+def solve_oracle(system):
+    """Solve the normal equations, or a stack of them.  Returns (x, delta,
+    condition)."""
     A, b = system.matrix, system.rhs
-    pinned = dict(pinned or {})
     shape = b.shape[:-1]
     A, b = A.reshape(-1, 6, 6), b.reshape(-1, 6)
-    free = [j for j in range(6) if j not in pinned]
-    x = np.zeros(b.shape)
-    for j, v in pinned.items():
-        x[:, j] = np.ravel(v)
-    Aff = A[:, free][:, :, free]
-    rhs = b[:, free]
-    if pinned:
-        fixed = sorted(pinned)
-        rhs = rhs - (A[:, free][:, :, fixed] @ x[:, fixed, None])[..., 0]
-    condition = np.linalg.cond(Aff)
+    condition = np.linalg.cond(A)
     deficient = ~(condition <= RANK_DEFICIENCY_COND)
-    xf = np.empty(rhs.shape)
-    xf[~deficient] = np.linalg.solve(Aff[~deficient],
-                                     rhs[~deficient, :, None])[..., 0]
+    x = np.empty(b.shape)
+    x[~deficient] = np.linalg.solve(A[~deficient],
+                                    b[~deficient, :, None])[..., 0]
     for i in np.flatnonzero(deficient):
-        xf[i] = np.linalg.lstsq(Aff[i], rhs[i], rcond=None)[0]
-    x[:, free] = xf
+        x[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
     delta = (np.reshape(system.constant, -1)
              - (2.0 * b[:, None, :] @ x[:, :, None])[:, 0, 0]
              + (x[:, None, :] @ A @ x[:, :, None])[:, 0, 0])
@@ -214,36 +203,6 @@ class TestSolve:
             solve(replace(trace, B=B))
         with pytest.raises(InvalidSystemError):
             solve(replace(trace, beta=np.full(8, np.inf)))
-
-    def test_pinned_unknowns_respected(self):
-        trace = hoeken_sweep(16)
-        solution = solve(trace, coupler=(2.5, 0.1))
-        assert solution.x[0] == 2.5 and solution.x[1] == 0.1
-        assert solution.condition == 1.0
-        free = solve(trace)
-        assert free.delta <= solution.delta + 1e-15
-
-    def test_coupler_shape_and_values_checked(self):
-        trace = hoeken_sweep(16)
-        batch = sweep(take(HOEKEN, np.zeros(3, dtype=int)), 16)
-        for coupler in [(1.0, 2.0, 3.0), np.ones((1, 2))]:
-            with pytest.raises(ValueError, match="coupler has shape"):
-                solve(trace, coupler=coupler)
-        for coupler in [np.ones(2), np.ones((2, 2)), np.ones((3, 1))]:
-            with pytest.raises(ValueError, match="coupler has shape"):
-                solve(batch, coupler=coupler)
-        with pytest.raises(ValueError, match="coupler has shape"):
-            reduced_objective(HOEKEN, 16, coupler=np.ones(2))
-        for bad in (np.nan, np.inf):
-            with pytest.raises(InvalidSystemError):
-                solve(trace, coupler=(bad, 0.0))
-            coupler = np.ones((3, 2))
-            coupler[1, 1] = bad
-            with pytest.raises(InvalidSystemError):
-                solve(batch, coupler=coupler)
-            with pytest.raises(InvalidSystemError):
-                reduced_objective(HOEKEN, 16, coupler=coupler[1:2])
-        solve(batch, coupler=np.ones((3, 2)))
 
 
 class TestResidual:
@@ -356,17 +315,6 @@ class TestOracle:
             assert abs(new.delta[i] - residual_delta(trace.row(i), least)) \
                 <= gap * scale[i]
 
-        coupler = rng.uniform(-3.0, 3.0, (len(scale), 2))
-        given = solve(trace, coupler=coupler)
-        x, delta, cond = solve_oracle(system, {0: coupler[:, 0],
-                                               1: coupler[:, 1]})
-        assert np.array_equal(given.x[:, :2], coupler)
-        assert np.all(given.condition == 1.0)
-        assert np.all(np.abs(given.delta - delta)
-                      <= 16 * EPS * (scale + (x * x).sum(axis=-1)))
-        assert np.all(np.abs(given.x - x).max(axis=-1)
-                      <= 16 * EPS * cond * (1.0 + np.abs(x).max(axis=-1)))
-
 
 class TestDeltaIsResidual:
     """delta0 is the mean squared deviation at the reported x, within 4
@@ -378,7 +326,7 @@ class TestDeltaIsResidual:
         count = search.DEFAULT_SWEEP_SAMPLES
         points = search.DEFAULT_BOX.map_unit(lp_tau(5, 2 ** 14))
         scan = FourBarParams(*points.T)
-        batches = [scan] + [kernel_batch(seed=seed, extra=60)[0]
+        batches = [scan] + [kernel_batch(seed=seed, extra=60)
                             for seed in range(3)]
         for params in batches:
             result = reduced_objective(params, count)
@@ -525,7 +473,7 @@ def kernel_batch(seed=3, extra=9):
     rows += [[rng.uniform(0.1, 0.6), rng.uniform(0.4, 2.5),
               rng.uniform(0.4, 2.5), rng.uniform(0.0, 2.0 * np.pi),
               rng.uniform(np.pi, 1.9 * np.pi)] for _ in range(extra)]
-    return FourBarParams(*np.array(rows).T), rng.uniform(-1.0, 3.0, (len(rows), 2))
+    return FourBarParams(*np.array(rows).T)
 
 
 class TestBatchKernel:
@@ -536,27 +484,21 @@ class TestBatchKernel:
     def three_row_chunks(self, monkeypatch):
         monkeypatch.setattr(synthesis, "CHUNK_ANGLES", 3 * KERNEL_COUNT)
 
-    @pytest.mark.parametrize("explicit", [False, True],
-                             ids=["solved", "pinned"])
-    def test_rows_match_single_designs_and_residual(self, explicit):
-        params, coupler = kernel_batch()
-        given = coupler if explicit else None
-        batch = reduced_objective(params, KERNEL_COUNT, coupler=given)
-        rows = len(coupler)
+    def test_rows_match_single_designs_and_residual(self):
+        params = kernel_batch()
+        batch = reduced_objective(params, KERNEL_COUNT)
+        rows = len(params.crank)
         assert len(batch.arc.violation) == batch.delta0.shape[0] == rows
         errors = [batch.arc.error(i) for i in range(rows)]
         kinds = [None if e is None else type(e) for e in errors]
         assert kinds[:7] == [None, None, NotAssemblableError,
                              DegenerateConfigurationError,
                              DegenerateConfigurationError, None, None]
-        # pinning the coupler point takes the parallelogram's degeneracy out
-        assert (batch.condition[6] > RANK_DEFICIENCY_COND) != explicit
+        assert batch.condition[6] > RANK_DEFICIENCY_COND
         assert kinds[7:].count(None) >= 3
         for i in range(rows):
             design = take(params, i)
-            alone = reduced_objective(
-                design, KERNEL_COUNT,
-                coupler=None if given is None else given[i:i + 1])
+            alone = reduced_objective(design, KERNEL_COUNT)
             assert str(errors[i]) == str(alone.arc.error(0))
             for name in ("delta0", "x", "condition", "mu_min"):
                 np.testing.assert_array_equal(getattr(batch, name)[i],
@@ -572,11 +514,9 @@ class TestBatchKernel:
             direct = residual_delta(trace, batch.x[i])
             assert abs(direct - batch.delta0[i]) <= 1e-12 * (1.0 + direct)
             assert batch.mu_min[i] == batch.arc.mu_min[i] <= trace.mu.min()
-            if explicit:
-                assert np.array_equal(batch.x[i, :2], coupler[i])
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        params, _ = kernel_batch(seed=8, extra=40)
+        params = kernel_batch(seed=8, extra=40)
         chunked = reduced_objective(params, KERNEL_COUNT)
         monkeypatch.setattr(synthesis, "CHUNK_ANGLES", 1000 * KERNEL_COUNT)
         whole = reduced_objective(params, KERNEL_COUNT)
