@@ -1,5 +1,7 @@
 """Small planar-geometry helpers shared across the package."""
 
+import math
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -23,11 +25,19 @@ def rot2(angle):
 
 def wrap_pi(angle):
     """Wrap angle(s) into (-pi, pi]; values already in range pass through
-    bit-exact."""
-    a = np.asarray(angle, dtype=float)
-    wrapped = np.where((a > -np.pi) & (a <= np.pi), a,
-                       np.pi - np.mod(np.pi - a, TWO_PI))
-    if np.ndim(angle) == 0:
-        return float(wrapped)
-    return wrapped
+    bit-exact, others become pi - ((pi - a) mod 2 pi), and NaN or +-inf
+    give NaN.
 
+    A scalar (a number or a 0-d array) gives a Python float, computed with
+    Python's float `%`, whose remainder is the one `np.mod` computes.
+    Anything else gives a new float array of its shape; when every entry is
+    in range it is a copy, and no `np.mod` runs.
+    """
+    if isinstance(angle, float) or np.ndim(angle) == 0:
+        a = float(angle)
+        return a if -math.pi < a <= math.pi else math.pi - (math.pi - a) % TWO_PI
+    a = np.asarray(angle, dtype=float)
+    inside = (a > -np.pi) & (a <= np.pi)
+    if inside.all():
+        return a.copy()
+    return np.where(inside, a, np.pi - np.mod(np.pi - a, TWO_PI))

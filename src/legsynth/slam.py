@@ -7,7 +7,8 @@ correct pose and landmark estimates with an extended Kalman update, and
 fold the observation into the map: a frame's new landmarks by inverse
 observation, in one block, and occupancy-grid cells along each ray by
 log-odds (free along the ray, occupied at the hit), walked as Bresenham
-lines in 32-bit cells whenever a frame fits them.  Grid path planning is
+lines in 32-bit cells whenever a frame fits them.  A frame without rays
+does no ray work, in the sensor or in the map.  Grid path planning is
 8-connected A* over a padded table of open cells.
 
 A World builds what a sensor frame reads once, as read-only arrays: its
@@ -88,12 +89,15 @@ class SensorConfig:
     bearing_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.max_range <= 0 or self.n_rays < 0:
+        if not (self.max_range > 0 and self.n_rays >= 0):
             raise ValueError("max_range must be positive, n_rays non-negative")
         if not 0 < self.fov <= 2.0 * np.pi:
             raise ValueError("fov must lie in (0, 2 pi]")
-        if self.range_sigma < 0 or self.bearing_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        for name in ("range_sigma", "bearing_sigma"):
+            sigma = float(getattr(self, name))
+            if not (sigma >= 0 and math.isfinite(_measurement_variance(sigma))):
+                raise ValueError(f"{name} must be non-negative and have a "
+                                 "finite square")
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ class ProcessNoise:
     heading: float = 0.0
 
     def __post_init__(self):
-        if min(self.x, self.y, self.heading) < 0:
+        if not all(rate >= 0 for rate in (self.x, self.y, self.heading)):
             raise ValueError("process noise rates must be non-negative")
 
     def matrix(self, dt):
@@ -120,7 +124,7 @@ class OdometryNoise:
     angular_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.velocity_sigma < 0 or self.angular_sigma < 0:
+        if not (self.velocity_sigma >= 0 and self.angular_sigma >= 0):
             raise ValueError("odometry noise sigmas must be non-negative")
 
 
@@ -267,9 +271,9 @@ class CorrectionResult:
 
 def unicycle(pose, u):
     """First-order unicycle step; heading wrapped to (-pi, pi]."""
-    x, y, heading = pose
-    x += u.velocity * np.cos(heading) * u.dt
-    y += u.velocity * np.sin(heading) * u.dt
+    x, y, heading = np.asarray(pose, dtype=float).tolist()
+    x += u.velocity * math.cos(heading) * u.dt
+    y += u.velocity * math.sin(heading) * u.dt
     heading = wrap_pi(heading + u.angular_velocity * u.dt)
     return np.array([x, y, heading])
 
@@ -281,12 +285,12 @@ def predict(state, u, noise=None):
     process noise; landmark blocks are untouched except through their
     cross-covariance with the pose.
     """
-    heading = state.mean[2]
+    heading = float(state.mean[2])
     mean = state.mean.copy()
     mean[:3] = unicycle(state.mean[:3], u)
     F = np.array([
-        [1.0, 0.0, -u.velocity * np.sin(heading) * u.dt],
-        [0.0, 1.0, u.velocity * np.cos(heading) * u.dt],
+        [1.0, 0.0, -u.velocity * math.sin(heading) * u.dt],
+        [0.0, 1.0, u.velocity * math.cos(heading) * u.dt],
         [0.0, 0.0, 1.0],
     ])
     P = state.cov.copy()
@@ -306,7 +310,9 @@ def observe(pose, world, sensor, rng):
     Landmarks beyond max_range or outside the field of view are omitted;
     visible ones get seeded Gaussian range/bearing noise.  The ray set is
     cast against the obstacle polygons at fixed angular resolution, with
-    the same range noise applied to hits.
+    the same range noise applied to hits.  A sensor with no rays does no
+    ray work: the frame's ray arrays are empty, of the same dtypes, and the
+    generator makes the same draws.
     """
     pose = np.asarray(pose, dtype=float)
     delta = world.landmark_points - pose[:2]
@@ -317,6 +323,12 @@ def observe(pose, world, sensor, rng):
     noise = rng.standard_normal((np.count_nonzero(visible), 2))
     ranges = np.maximum(dist[visible] + sensor.range_sigma * noise[:, 0], 0.0)
     bearings = wrap_pi(bearing[visible] + sensor.bearing_sigma * noise[:, 1])
+    landmarks = dict(ids=world.landmark_ids[visible], ranges=ranges,
+                     bearings=bearings, range_sigma=sensor.range_sigma,
+                     bearing_sigma=sensor.bearing_sigma)
+    if not sensor.n_rays:
+        return Observation(ray_angles=np.empty(0), ray_distances=np.empty(0),
+                           ray_hits=np.empty(0, dtype=bool), **landmarks)
 
     # each ray against every obstacle edge: ray = pose + t d, edge =
     # start + s e; the nearest crossing with t >= 0 and s in [0, 1] is a hit
@@ -344,11 +356,17 @@ def observe(pose, world, sensor, rng):
         noisy = distances[hits] + sensor.range_sigma * rng.standard_normal(
             np.count_nonzero(hits))
         distances[hits] = np.clip(noisy, 0.0, sensor.max_range)
-    return Observation(ids=world.landmark_ids[visible], ranges=ranges,
-                       bearings=bearings, ray_angles=wrap_pi(angles),
-                       ray_distances=distances, ray_hits=hits,
-                       range_sigma=sensor.range_sigma,
-                       bearing_sigma=sensor.bearing_sigma)
+    return Observation(ray_angles=wrap_pi(angles), ray_distances=distances,
+                       ray_hits=hits, **landmarks)
+
+
+def _measurement_variance(sigma):
+    """A sensor sigma squared and floored at MEASUREMENT_VARIANCE_FLOOR, or
+    inf when the square overflows a float."""
+    try:
+        return max(sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
+    except OverflowError:
+        return math.inf
 
 
 def _measurement_jacobian(mean, slots):
@@ -378,6 +396,10 @@ def _measurement_jacobian(mean, slots):
     return J.reshape(2 * m, -1), columns, predicted
 
 
+# the lower triangle of _lower_inverse's largest leaf
+_LEAF_TRIANGLE = _read_only(np.tri(32, dtype=bool))
+
+
 def _lower_inverse(L):
     """L^-1 for a lower-triangular L, by 2 x 2 block recursion:
     [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]].  Blocks of at
@@ -387,7 +409,7 @@ def _lower_inverse(L):
     m = len(L)
     if m <= 32:
         # the pivoted LU inverse leaves rounding above the diagonal
-        return np.tril(np.linalg.inv(L))
+        return np.where(_LEAF_TRIANGLE[:m, :m], np.linalg.inv(L), 0.0)
     h = m // 2
     A_inv = _lower_inverse(L[:h, :h])
     C_inv = _lower_inverse(L[h:, h:])
@@ -447,8 +469,8 @@ def correct(state, z):
     innovation = observed - predicted
     innovation[1::2] = wrap_pi(innovation[1::2])
 
-    r_var = max(z.range_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
-    b_var = max(z.bearing_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
+    r_var = _measurement_variance(z.range_sigma)
+    b_var = _measurement_variance(z.bearing_sigma)
     R = np.diag([r_var, b_var] * len(slots))
     P = state.cov
     PHt = P[:, columns] @ J.T
@@ -509,7 +531,9 @@ def update_map(state, z):
     is inside the grid when its row and col, read unsigned, are below the
     height and width.  The output shares what it does not change with the
     input: the mean and covariance when no landmark joins, the grid when
-    no ray comes near it.
+    no ray comes near it.  A frame with no rays does no ray work: it
+    returns the state with its new landmarks, or, when none joins, the
+    input state itself.
     """
     mean, P = state.mean, state.cov
     x, y, heading = state.mean[:3]
@@ -528,8 +552,8 @@ def update_map(state, z):
         G_pose[1::2, 2] = dist * cos
         G_meas = np.stack([cos, -dist * sin, sin, dist * cos],
                           axis=1).reshape(k, 2, 2)
-        r_var = max(z.range_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
-        b_var = max(z.bearing_sigma ** 2, MEASUREMENT_VARIANCE_FLOOR)
+        r_var = _measurement_variance(z.range_sigma)
+        b_var = _measurement_variance(z.bearing_sigma)
         cross = G_pose @ P[:3, :]
         block = cross[:, :3] @ G_pose.T
         # each landmark's own measurement noise, on the 2 x 2 diagonal blocks
@@ -543,10 +567,10 @@ def update_map(state, z):
         P[n:, :n] = cross
         P[:n, n:] = cross.T
         P[n:, n:] = 0.5 * (block + block.T)
-    new = replace(state, mean=mean, cov=P, landmark_ids=tuple(
-        state.landmark_ids) + tuple(z.ids[fresh].tolist()))
+        state = replace(state, mean=mean, cov=P, landmark_ids=tuple(
+            state.landmark_ids) + tuple(z.ids[fresh].tolist()))
     if not len(z.ray_angles):
-        return new
+        return state
 
     grid = state.grid
     # push the hit a quarter cell along the ray so surfaces lying
@@ -562,8 +586,9 @@ def update_map(state, z):
     near = ((np.maximum(origin, ends) >= 0)
             & (np.minimum(origin, ends) < (grid.height, grid.width))).all(axis=1)
     if not near.any():
-        return new
-    grid = new.grid = replace(grid, log_odds=grid.log_odds.copy())
+        return state
+    grid = replace(grid, log_odds=grid.log_odds.copy())
+    state = replace(state, grid=grid)
     height, width = grid.height, grid.width
     stops = ends[near]
     longest = int(np.abs(stops - origin).max(initial=0)) + 1
@@ -602,7 +627,7 @@ def update_map(state, z):
         increment = np.where(occupied, LOG_ODDS_OCCUPIED, LOG_ODDS_FREE)[ended]
         for c, inc in zip(cell[ended].tolist(), increment.tolist()):
             flat[c] = min(max(flat[c] + inc, -LOG_ODDS_LIMIT), LOG_ODDS_LIMIT)
-    return new
+    return state
 
 
 _DIAG = math.sqrt(2.0)

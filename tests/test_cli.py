@@ -401,6 +401,21 @@ class TestSlam:
         assert len(texts[0]) == 5
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("sensor, key", [
+        ({"range_sigma": 1e300}, "range_sigma"),
+        ({"bearing_sigma": 1e200}, "bearing_sigma"),
+        ({"range_sigma": 1e155, "n_rays": 0}, "range_sigma"),
+    ])
+    def test_sigma_with_no_finite_square_exit_1(self, tmp_path, capsys,
+                                                 sensor, key):
+        # squared, each would overflow the measurement variance
+        code, out = run(tmp_path, "slam", {"sensor": sensor})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and key in err
+        assert "Traceback" not in err
+        assert not (out / "run_log.csv").exists()
+
     def test_unknown_world_key_exit_1(self, tmp_path):
         data = world_to_dict(desk_world())
         data["weather"] = "sunny"

@@ -400,6 +400,111 @@ def dijkstra_cost(grid, start, goal, threshold=0.5):
     return None
 
 
+# The all-numpy forms of wrap_pi, unicycle, predict and observe: numpy's
+# scalar cos and sin on the pose, np.mod on every angle and the whole ray
+# set-up for every frame.  The library's forms must give the same bits.
+
+def wrap_pi_where(angle):
+    a = np.asarray(angle, dtype=float)
+    wrapped = np.where((a > -np.pi) & (a <= np.pi), a,
+                       np.pi - np.mod(np.pi - a, 2.0 * np.pi))
+    if np.ndim(angle) == 0:
+        return float(wrapped)
+    return wrapped
+
+
+def unicycle_numpy(pose, u):
+    x, y, heading = pose
+    x += u.velocity * np.cos(heading) * u.dt
+    y += u.velocity * np.sin(heading) * u.dt
+    heading = wrap_pi_where(heading + u.angular_velocity * u.dt)
+    return np.array([x, y, heading])
+
+
+def predict_numpy(state, u, noise=None):
+    heading = state.mean[2]
+    mean = state.mean.copy()
+    mean[:3] = unicycle_numpy(state.mean[:3], u)
+    F = np.array([
+        [1.0, 0.0, -u.velocity * np.sin(heading) * u.dt],
+        [0.0, 1.0, u.velocity * np.cos(heading) * u.dt],
+        [0.0, 0.0, 1.0],
+    ])
+    P = state.cov.copy()
+    P[:3, :3] = F @ P[:3, :3] @ F.T
+    P[:3, 3:] = F @ P[:3, 3:]
+    P[3:, :3] = P[:3, 3:].T
+    if noise is not None:
+        P[:3, :3] += noise.matrix(u.dt)
+    P[:3, :3] = 0.5 * (P[:3, :3] + P[:3, :3].T)
+    return replace(state, mean=mean, cov=P)
+
+
+def observe_numpy(pose, world, sensor, rng):
+    pose = np.asarray(pose, dtype=float)
+    delta = world.landmark_points - pose[:2]
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    bearing = wrap_pi_where(np.arctan2(delta[:, 1], delta[:, 0]) - pose[2])
+    visible = ~((dist > sensor.max_range) | (np.abs(bearing) > sensor.fov / 2.0))
+    noise = rng.standard_normal((np.count_nonzero(visible), 2))
+    ranges = np.maximum(dist[visible] + sensor.range_sigma * noise[:, 0], 0.0)
+    bearings = wrap_pi_where(bearing[visible] + sensor.bearing_sigma * noise[:, 1])
+    angles = pose[2] + np.linspace(-sensor.fov / 2.0, sensor.fov / 2.0,
+                                   sensor.n_rays, endpoint=False)
+    edges = world.edge_vectors
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, None, :]
+    rel = world.edge_starts - pose[:2]
+    hits = np.zeros(sensor.n_rays, dtype=bool)
+    distances = np.full(sensor.n_rays, float(sensor.max_range))
+    step = max(1, slam.CAST_PAIRS // max(1, len(edges)))
+    for first in range(0, sensor.n_rays, step):
+        part = slice(first, first + step)
+        d = directions[part]
+        denom = d[..., 0] * edges[:, 1] - d[..., 1] * edges[:, 0]
+        parallel = np.abs(denom) < 1e-15
+        denom = np.where(parallel, 1.0, denom)
+        t = (rel[:, 0] * edges[:, 1] - rel[:, 1] * edges[:, 0]) / denom
+        s = (rel[:, 0] * d[..., 1] - rel[:, 1] * d[..., 0]) / denom
+        crossing = (~parallel & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
+                    & (t < sensor.max_range))
+        hits[part] = crossing.any(axis=1)
+        distances[part] = t.min(axis=1, initial=sensor.max_range, where=crossing)
+    if sensor.range_sigma:
+        noisy = distances[hits] + sensor.range_sigma * rng.standard_normal(
+            np.count_nonzero(hits))
+        distances[hits] = np.clip(noisy, 0.0, sensor.max_range)
+    return Observation(ids=world.landmark_ids[visible], ranges=ranges,
+                       bearings=bearings, ray_angles=wrap_pi_where(angles),
+                       ray_distances=distances, ray_hits=hits,
+                       range_sigma=sensor.range_sigma,
+                       bearing_sigma=sensor.bearing_sigma)
+
+
+def drive(world, sensor, seed, steps, step_functions):
+    """The poses, frames and states of a seeded run stepped by the given
+    (unicycle, predict, observe), and the generator's state after it."""
+    unicycle_fn, predict_fn, observe_fn = step_functions
+    rng = np.random.default_rng(seed)
+    truth = dead_reckoning = np.array([0.1, -0.2, 3.0])
+    state = initial_state(truth, world)
+    process = ProcessNoise(0.001, 0.001, 0.0005)
+    record = []
+    for u in steps:
+        truth = unicycle_fn(truth, u)
+        u_measured = MotionInput(u.velocity + 0.05 * rng.standard_normal(),
+                                 u.angular_velocity
+                                 + 0.03 * rng.standard_normal(), u.dt)
+        dead_reckoning = unicycle_fn(dead_reckoning, u_measured)
+        state = predict_fn(state, u_measured, process)
+        predicted = (state.mean, state.cov)
+        z = observe_fn(truth, world, sensor, rng)
+        state = update_map(correct(state, z).state, z)
+        record.append((truth, dead_reckoning, *predicted,
+                       *(getattr(z, name) for name in FRAME_FIELDS),
+                       state.mean, state.cov, state.grid.log_odds))
+    return record, state.landmark_ids, rng.bit_generator.state
+
+
 class TestPredict:
     def test_zero_motion_grows_by_process_noise_only(self):
         state = initial_state([0.5, -0.2, 0.3], desk_world())
@@ -429,6 +534,35 @@ class TestPredict:
         state = initial_state([0.0, 0.0, 3.0], desk_world())
         out = predict(state, MotionInput(0.0, 1.0, 1.0))
         assert -np.pi < out.mean[2] <= np.pi
+
+
+class TestNoiseModels:
+    @pytest.mark.parametrize("model, field", [
+        (SensorConfig, "max_range"), (SensorConfig, "fov"),
+        (SensorConfig, "range_sigma"), (SensorConfig, "bearing_sigma"),
+        (OdometryNoise, "velocity_sigma"), (OdometryNoise, "angular_sigma"),
+        (ProcessNoise, "x"), (ProcessNoise, "y"), (ProcessNoise, "heading"),
+    ])
+    def test_nan_refused(self, model, field):
+        with pytest.raises(ValueError):
+            model(**{field: np.nan})
+        model(**{field: 0.5})
+
+    @pytest.mark.parametrize("field", ["range_sigma", "bearing_sigma"])
+    def test_sigma_must_square_to_a_finite_variance(self, field):
+        for sigma in (1e155, 1e300, np.inf):
+            with pytest.raises(ValueError, match=field):
+                SensorConfig(**{field: sigma})
+        SensorConfig(**{field: 1e154})
+        assert slam._measurement_variance(1e154) == 1e154 ** 2
+        assert slam._measurement_variance(1e155) == np.inf
+        assert slam._measurement_variance(0.0) == slam.MEASUREMENT_VARIANCE_FLOOR
+        # a frame built by hand with such a sigma skips its correction
+        state = seeded_state_with_landmark([0.0, 0.0, 0.0], [2.0, 0.0],
+                                           np.diag([0.1, 0.1, 0.01]))
+        z = replace(ray_frame(), ids=np.array([1]), ranges=np.array([2.0]),
+                    bearings=np.array([0.0]), **{field: 1e300})
+        assert correct(state, z).skipped
 
 
 class TestWorld:
@@ -841,6 +975,16 @@ class TestCorrect:
 
 
 class TestUpdateMap:
+    def test_rayless_frame_without_new_landmarks_returns_its_input(self):
+        state, world, rng = TestStateUntouched.mapped_state(5.0, 0)
+        z = observe(np.array([0.05, 0.0, 0.0]), world,
+                    SensorConfig(max_range=5.0, n_rays=0), rng)
+        assert len(z.ids) and not len(z.ray_angles)
+        assert update_map(state, z) is state
+        assert update_map(state, ray_frame()) is state
+        fresh = initial_state([0.0, 0.0, 0.0], world)
+        assert update_map(fresh, z) is not fresh
+
     def test_empty_observation_is_noop(self):
         state = initial_state([0.0, 0.0, 0.0], desk_world())
         result = update_map(state, ray_frame())
@@ -1616,6 +1760,69 @@ class TestWrap:
         assert np.all(wrapped <= np.pi)
         assert wrap_pi(np.pi) == np.pi
         assert wrap_pi(-np.pi) == np.pi
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert got.dtype == expected.dtype == float
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        assert got[finite].tobytes() == expected[finite].tobytes()
+
+    def test_wrap_pi_matches_the_where_form(self):
+        pi = np.pi
+        special = [pi, -pi, np.nextafter(pi, 4.0), np.nextafter(pi, 0.0),
+                   np.nextafter(-pi, 0.0), np.nextafter(-pi, -4.0), 0.0, -0.0,
+                   1e300, -1e300, 3 * pi, -3 * pi, 2 * pi, -2 * pi, 1e-300,
+                   -1e-20, 5e-324, np.nan, np.inf, -np.inf]
+        rng = np.random.default_rng(12)
+        values = np.concatenate([special, rng.uniform(-50.0, 50.0, 2000),
+                                 rng.uniform(-pi, pi, 200)])
+        with np.errstate(invalid="ignore"):
+            expected = wrap_pi_where(values)
+            got = wrap_pi(values)
+            self.assert_same_bits(got, expected)
+            assert np.isnan(got[len(special) - 3:len(special)]).all()
+            for value in values:
+                for scalar in (float(value), np.float64(value),
+                               np.array(value)):
+                    wrapped = wrap_pi(scalar)
+                    assert type(wrapped) is float
+                    self.assert_same_bits(wrapped, wrap_pi_where(scalar))
+            # a block, and a block already in range
+            self.assert_same_bits(wrap_pi(values.reshape(-1, 4)),
+                                  expected.reshape(-1, 4))
+        inside = rng.uniform(-pi, pi, 50)
+        wrapped = wrap_pi(inside)
+        assert not np.shares_memory(wrapped, inside)
+        assert wrapped.tobytes() == inside.tobytes()
+        assert wrap_pi([1.0, 7.0]).tolist() == [1.0, 7.0 - 2 * pi]
+
+    @pytest.mark.parametrize("n_rays", [0, 36])
+    def test_seeded_run_matches_the_numpy_forms(self, n_rays):
+        # every pose, prediction, frame and state bit for bit, and the
+        # generator left in the same state: the rayless frame draws as the
+        # full ray set-up does
+        sensor = SensorConfig(max_range=5.0, n_rays=n_rays, range_sigma=0.05,
+                              bearing_sigma=0.01)
+        steps = loop_script(side=1.0, speed=0.5, dt=0.2)
+        runs = [drive(desk_world(), sensor, 9, steps, functions)
+                for functions in ((unicycle, predict, observe),
+                                  (unicycle_numpy, predict_numpy,
+                                   observe_numpy))]
+        (ours, ids, generator), (numpy_forms, numpy_ids, numpy_generator) = runs
+        assert len(ours) == len(numpy_forms) == len(steps)
+        for row, numpy_row in zip(ours, numpy_forms):
+            for got, expected in zip(row, numpy_row):
+                assert got.dtype == expected.dtype
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+        assert ids == numpy_ids and len(ids) == 8
+        assert generator == numpy_generator
+        # headings crossed +-pi, and rays hit when there are rays
+        headings = np.array([row[0][2] for row in ours])
+        assert np.abs(np.diff(headings)).max() > np.pi
+        assert any(row[-6].any() for row in ours) == bool(n_rays)
 
     def test_unicycle_matches_manual_integration(self):
         pose = np.array([0.1, 0.2, 0.3])
