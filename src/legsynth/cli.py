@@ -402,11 +402,18 @@ def cmd_isotropy(config, out, seed, tag):
     try:
         stance = _isotropy_config(config)
         tol = _get(config, "tol", float, 1e-8, lo=0.0)
-        report = iso.isotropy_report(stance, tol=tol)
-        jacobian = iso.jacobian_via_AB(stance)
+        # a figure past the float range is refused below, not warned about
+        with np.errstate(all="ignore"):
+            report = iso.isotropy_report(stance, tol=tol)
+            jacobian = iso.jacobian_via_AB(stance)
     except (iso.SingularLegError, iso.SingularConfigurationError,
             iso.UndefinedFamilyError) as err:
         raise InfeasibleError(str(err), diagnostics={"error": str(err)})
+    if not all(np.isfinite(figure).all() for figure in (
+            report.residuals, report.lam, report.u_values, report.condition,
+            jacobian)):
+        error = "a figure of the stance overflows the float range"
+        raise InfeasibleError(error, diagnostics={"error": error})
 
     payload = {
         "config_hash": tag,

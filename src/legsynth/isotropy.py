@@ -17,9 +17,12 @@ Leg i carries a local frame at its hip joint O_i, turned by the passive
 angle alpha_i relative to the body; the foot S_i sits at local
 coordinates (a_i, q_i) where q_i is the prismatic generalized coordinate.
 beta_i = atan2(q_i, a_i) is the foot direction in the leg frame.
+
+A `TripodConfig` keeps each per-leg figure as one read-only (3,) array,
+and every function below computes on those arrays, all legs at once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,14 +75,14 @@ class TripodLeg:
         if self.extension == 0:
             raise ValueError("extension (generalized coordinate) must be nonzero")
 
-    @property
-    def beta(self):
-        return float(np.arctan2(self.extension, self.foot_offset))
-
 
 @dataclass(frozen=True)
 class TripodConfig:
-    """Body pose plus the three supporting legs (gait legs 1, 3, 5)."""
+    """Body pose plus the three supporting legs (gait legs 1, 3, 5).
+
+    Each TripodLeg field, and beta = arctan2(extension, foot_offset), is
+    also kept as a read-only (3,) float array of that name, one per leg.
+    """
 
     legs: tuple
     heading: float = 0.0
@@ -87,15 +90,20 @@ class TripodConfig:
     position: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
-        if len(self.legs) != 3:
+        legs = self.legs
+        if len(legs) != 3:
             raise ValueError("a tripod stance has exactly 3 legs")
         if not self.char_length > 0:
             raise ValueError("char_length must be positive")
         object.__setattr__(self, "position",
                            np.asarray(self.position, dtype=float))
-
-    def extensions(self):
-        return np.array([leg.extension for leg in self.legs])
+        figures = {f.name: np.array([getattr(leg, f.name) for leg in legs],
+                                    dtype=float) for f in fields(TripodLeg)}
+        figures["beta"] = np.arctan2(figures["extension"],
+                                     figures["foot_offset"])
+        for name, value in figures.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -109,13 +117,15 @@ class IsotropyReport:
     condition: float
 
 
-def _leg_sines(config):
-    sines = np.array([np.sin(leg.beta) for leg in config.legs])
-    small = np.nonzero(np.abs(sines) < SIN_BETA_TOL)[0]
-    if small.size:
-        raise SingularLegError(f"leg {int(small[0])} has its foot on the "
-                               "leg x-axis (sin beta ~ 0)")
-    return sines
+def _rotate(angle, vectors):
+    """Each row of the (3, 2) `vectors` turned by rot2 of its `angle`."""
+    return (rot2(angle) @ vectors[..., None])[..., 0]
+
+
+def _hip_vectors(config):
+    """The hip vectors r_O, one row per leg, in the body frame."""
+    return config.mount_radius[:, None] * np.column_stack(
+        [np.cos(config.mount_angle), np.sin(config.mount_angle)])
 
 
 def inverse_jacobian(config):
@@ -126,18 +136,14 @@ def inverse_jacobian(config):
     stance closure onto the foot direction, normalized so that
     q_dot = J_inv @ (xi_dot, eta_dot, L * theta_dot).
     """
-    sines = _leg_sines(config)
-    theta, L = config.heading, config.char_length
-    rows = np.empty((3, 3))
-    for i, leg in enumerate(config.legs):
-        total = theta + leg.leg_angle + leg.beta
-        swing = leg.leg_angle + leg.beta - leg.mount_angle
-        rows[i] = (-1.0 / sines[i]) * np.array([
-            np.cos(total),
-            np.sin(total),
-            leg.mount_radius * np.sin(swing) / L,
-        ])
-    return rows
+    sines = np.sin(config.beta)
+    small = np.nonzero(np.abs(sines) < SIN_BETA_TOL)[0]
+    if small.size:
+        raise SingularLegError(f"leg {int(small[0])} has its foot on the "
+                               "leg x-axis (sin beta ~ 0)")
+    total = (config.heading + config.leg_angle) + config.beta
+    return (-1.0 / sines)[:, None] * np.column_stack(
+        [np.cos(total), np.sin(total), u_values(config) / config.char_length])
 
 
 def ab_matrices(config):
@@ -147,27 +153,25 @@ def ab_matrices(config):
     with r_S the foot vector in the leg frame and r_O the hip vector in
     the body frame; B = -diag(q).  The body-rate map is A^-1 B.
     """
-    theta, L = config.heading, config.char_length
+    r_s = np.column_stack([config.foot_offset, config.extension])
+    turned = _rotate(np.pi / 2.0 - config.leg_angle, _hip_vectors(config))
     A = np.empty((3, 3))
-    for i, leg in enumerate(config.legs):
-        r_s = np.array([leg.foot_offset, leg.extension])
-        r_o = leg.mount_radius * np.array([np.cos(leg.mount_angle),
-                                           np.sin(leg.mount_angle)])
-        A[i, 0:2] = rot2(theta + leg.leg_angle) @ r_s
-        A[i, 2] = r_s @ (rot2(np.pi / 2.0 - leg.leg_angle) @ r_o) / L
-    B = -np.diag(config.extensions())
-    return A, B
+    A[:, 0:2] = _rotate(config.heading + config.leg_angle, r_s)
+    A[:, 2] = (r_s[:, None, :] @ turned[..., None])[:, 0, 0] \
+        / config.char_length
+    return A, -np.diag(config.extension)
 
 
 def jacobian_via_AB(config):
     """Body-pose rates per unit prismatic rate, via the stance matrices.
 
     Returns A^-1 B; raises SingularConfigurationError at working-area
-    boundaries where the stance matrix loses rank.
+    boundaries where the stance matrix loses rank.  The rank test reads A
+    scaled exactly, by a power of two, to a largest entry in [0.5, 1).
     """
     A, B = ab_matrices(config)
-    norm = np.linalg.norm(A)
-    if abs(np.linalg.det(A)) < 1e-12 * norm ** 3:
+    unit = np.ldexp(A, -np.frexp(np.abs(A).max())[1])
+    if abs(np.linalg.det(unit)) < 1e-12 * np.linalg.norm(unit) ** 3:
         raise SingularConfigurationError("stance matrix is singular "
                                          "(working-area boundary)")
     return np.linalg.solve(A, B)
@@ -175,10 +179,8 @@ def jacobian_via_AB(config):
 
 def u_values(config):
     """Per-leg rotational coupling terms r_O * sin(alpha + beta - gamma)."""
-    return np.array([
-        leg.mount_radius * np.sin(leg.leg_angle + leg.beta - leg.mount_angle)
-        for leg in config.legs
-    ])
+    return config.mount_radius * np.sin(
+        config.leg_angle + config.beta - config.mount_angle)
 
 
 def isotropy_report(config, tol=1e-8):
@@ -201,13 +203,15 @@ def isotropy_report(config, tol=1e-8):
     off = np.abs(M - np.diag(np.diag(M))).max()
     diag = np.diag(M)
     spread = diag.max() - diag.min()
+    # Python floats: a bound past the float range is inf, with no warning
+    bound = float(tol) * float(scale)
     u = u_values(config)
     u_gap = float(np.max(np.abs(u[:, None] - u[None, :])))
     residuals = np.array([M[0, 0] - M[1, 1], M[1, 1] - M[2, 2],
                           2.0 * M[0, 1], M[0, 2], M[1, 2], u_gap])
     return IsotropyReport(
         residuals=residuals,
-        isotropic=bool(off <= tol * scale and spread <= tol * scale),
+        isotropic=bool(off <= bound and spread <= bound),
         lam=float(1.0 / np.sqrt(diag.mean())), u_values=u,
         condition=float(np.linalg.cond(J_inv, 2)))
 
@@ -258,17 +262,14 @@ def closed_form_family(alpha1, gamma1, beta, char_length=1.0,
 
 def hip_positions(config):
     """World coordinates of the three hip joints O_i."""
-    return np.array([config.position + rot2(config.heading) @ (
-        leg.mount_radius * np.array([np.cos(leg.mount_angle),
-                                     np.sin(leg.mount_angle)]))
-        for leg in config.legs])
+    return config.position + _rotate(config.heading, _hip_vectors(config))
 
 
 def foot_positions(config):
     """World coordinates of the three feet for the given configuration."""
-    return hip_positions(config) + np.array([
-        rot2(config.heading + leg.leg_angle) @ np.array(
-            [leg.foot_offset, leg.extension]) for leg in config.legs])
+    foot = np.column_stack([config.foot_offset, config.extension])
+    return hip_positions(config) + _rotate(config.heading + config.leg_angle,
+                                           foot)
 
 
 @dataclass(frozen=True)
@@ -293,42 +294,30 @@ def forward_kinematics(config, feet, extensions=None):
     analytic stance Jacobian.
     """
     feet = np.asarray(feet, dtype=float).reshape(3, 2)
-    q = (config.extensions() if extensions is None
+    q = (config.extension if extensions is None
          else np.asarray(extensions, dtype=float))
     z = np.array([config.position[0], config.position[1], config.heading,
-                  *(leg.leg_angle for leg in config.legs)])
-
-    radius = np.array([leg.mount_radius for leg in config.legs])
-    gamma = np.array([leg.mount_angle for leg in config.legs])
-    a = np.array([leg.foot_offset for leg in config.legs])
-
-    def residual_and_jacobian(z):
-        pos, theta, alphas = z[0:2], z[2], z[3:6]
-        R = np.empty(6)
-        J = np.zeros((6, 6))
-        for i in range(3):
-            hip_dir = np.array([np.cos(theta + gamma[i]),
-                                np.sin(theta + gamma[i])])
-            hip = pos + radius[i] * hip_dir
-            ang = theta + alphas[i]
-            foot_vec = rot2(ang) @ np.array([a[i], q[i]])
-            R[2 * i:2 * i + 2] = hip + foot_vec - feet[i]
-            d_hip = radius[i] * np.array([-np.sin(theta + gamma[i]),
-                                          np.cos(theta + gamma[i])])
-            d_foot = rot2(ang + np.pi / 2.0) @ np.array([a[i], q[i]])
-            J[2 * i:2 * i + 2, 0] = [1.0, 0.0]
-            J[2 * i:2 * i + 2, 1] = [0.0, 1.0]
-            J[2 * i:2 * i + 2, 2] = d_hip + d_foot
-            J[2 * i:2 * i + 2, 3 + i] = d_foot
-        return R, J
+                  *config.leg_angle])
+    r_s = np.column_stack([config.foot_offset, q])
+    radius = config.mount_radius[:, None]
+    rows = np.arange(6)
+    J = np.zeros((6, 6))
+    J[rows, rows % 2] = 1.0
 
     for iteration in range(_FK_MAX_ITER):
-        R, J = residual_and_jacobian(z)
+        turn = z[2] + config.mount_angle
+        ang = z[2] + z[3:6]
+        hip = z[0:2] + radius * np.column_stack([np.cos(turn), np.sin(turn)])
+        R = (hip + _rotate(ang, r_s) - feet).ravel()
         err = float(np.abs(R).max())
         if err <= _FK_TOL:
             return FkResult(position=z[0:2].copy(), heading=float(z[2]),
                             leg_angles=z[3:6].copy(), residual=err,
                             iterations=iteration)
+        d_hip = radius * np.column_stack([-np.sin(turn), np.cos(turn)])
+        d_foot = _rotate(ang + np.pi / 2.0, r_s)
+        J[:, 2] = (d_hip + d_foot).ravel()
+        J[rows, 3 + rows // 2] = d_foot.ravel()
         try:
             step = np.linalg.solve(J, R)
         except np.linalg.LinAlgError:

@@ -27,14 +27,16 @@ class SvgPlot:
                             np.asarray(ys, float), label, None, radius))
 
     def _bounds(self):
+        """Half the plot window (x0, x1, y0, y1), as tx and ty map halved
+        data: exact for normal floats, and no span of finite data overflows."""
         xs = np.concatenate([s[1] for s in self.series if len(s[1])])
         ys = np.concatenate([s[2] for s in self.series if len(s[2])])
-        x0, x1 = float(xs.min()), float(xs.max())
-        y0, y1 = float(ys.min()), float(ys.max())
-        if x1 - x0 < 1e-12:
-            x0, x1 = x0 - 0.5, x1 + 0.5
-        if y1 - y0 < 1e-12:
-            y0, y1 = y0 - 0.5, y1 + 0.5
+        x0, x1 = float(xs.min()) / 2, float(xs.max()) / 2
+        y0, y1 = float(ys.min()) / 2, float(ys.max()) / 2
+        if x1 - x0 < 1e-12 / 2:
+            x0, x1 = x0 - 0.25, x1 + 0.25
+        if y1 - y0 < 1e-12 / 2:
+            y0, y1 = y0 - 0.25, y1 + 0.25
         if self.equal_aspect:
             spanx, spany = x1 - x0, y1 - y0
             span = max(spanx, spany)
@@ -71,11 +73,11 @@ class SvgPlot:
                          f'text-anchor="middle" font-size="14">'
                          f'{self.title}</text>')
         for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
-            xv = x0 + tick * (x1 - x0)
-            yv = y0 + tick * (y1 - y0)
-            parts.append(f'<text x="{tx(xv):.1f}" y="{_HEIGHT - _MARGIN + 18}" '
+            hx, hy = x0 + tick * (x1 - x0), y0 + tick * (y1 - y0)
+            xv, yv = 2 * hx, 2 * hy
+            parts.append(f'<text x="{tx(hx):.1f}" y="{_HEIGHT - _MARGIN + 18}" '
                          f'text-anchor="middle" font-size="10">{xv:.4g}</text>')
-            parts.append(f'<text x="{_MARGIN - 6}" y="{ty(yv):.1f}" '
+            parts.append(f'<text x="{_MARGIN - 6}" y="{ty(hy):.1f}" '
                          f'text-anchor="end" font-size="10">{yv:.4g}</text>')
 
         legend_y = _MARGIN + 14
@@ -84,12 +86,12 @@ class SvgPlot:
             color = series[4] or _COLORS[i % len(_COLORS)]
             if kind == "line":
                 points = " ".join(f"{tx(x):.2f},{ty(y):.2f}"
-                                  for x, y in zip(xs, ys))
+                                  for x, y in zip(xs / 2, ys / 2))
                 parts.append(f'<polyline points="{points}" fill="none" '
                              f'stroke="{color}" stroke-width="1.5"/>')
             else:
                 radius = series[5]
-                for x, y in zip(xs, ys):
+                for x, y in zip(xs / 2, ys / 2):
                     parts.append(f'<circle cx="{tx(x):.2f}" cy="{ty(y):.2f}" '
                                  f'r="{radius}" fill="{color}" '
                                  f'fill-opacity="0.7"/>')

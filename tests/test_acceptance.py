@@ -189,7 +189,7 @@ def test_criterion_5_jacobian_cross_checks():
         config = _random_stance(rng, max_condition=100.0)
         J = np.linalg.inv(inverse_jacobian(config))
         feet = foot_positions(config)
-        q = config.extensions()
+        q = config.extension
         h = 1e-6
         for i in range(3):
             dq = np.zeros(3)

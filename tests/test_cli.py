@@ -224,6 +224,12 @@ class TestPareto:
         assert peak < 64 * 2 ** 20
 
 
+# three legs of a sound stance, the base of the extreme-scale configs
+STANCE_LEGS = [{"mount_radius": 1.0, "mount_angle": m, "leg_angle": a,
+                "foot_offset": 0.2, "extension": 1.0}
+               for m, a in ((0.0, 0.3), (2.0, 1.0), (-2.0, 2.0))]
+
+
 class TestIsotropy:
     def test_family_defaults_are_isotropic(self, tmp_path):
         code, out = run(tmp_path, "isotropy",
@@ -252,6 +258,45 @@ class TestIsotropy:
     def test_unknown_family_key_exit_1(self, tmp_path):
         code, _ = run(tmp_path, "isotropy", {"family": {"gamma": 1.0}})
         assert code == 1
+
+    @pytest.mark.parametrize("config, code, error", [
+        pytest.param({"legs": [dict(STANCE_LEGS[0], mount_radius=1e200),
+                               *STANCE_LEGS[1:]], "char_length": 1e-200},
+                     2, "overflows", id="radius-1e200-length-1e-200"),
+        pytest.param({"legs": [dict(leg, mount_radius=1e200, extension=1e200)
+                               for leg in STANCE_LEGS],
+                      "char_length": 1e200},
+                     2, "overflows", id="lengths-1e200"),
+        pytest.param({"legs": [dict(leg, mount_radius=1e-300,
+                                    extension=1e-300, foot_offset=1e-301)
+                               for leg in STANCE_LEGS],
+                      "char_length": 1e-300},
+                     2, "singular", id="lengths-1e-300"),
+        pytest.param({"family": {"char_length": 1e308}}, 0, None,
+                     id="family-length-1e308"),
+        pytest.param({"tol": 1e308}, 0, None, id="tol-1e308"),
+    ])
+    def test_extreme_scales_write_standard_json(self, tmp_path, capsys,
+                                                config, code, error):
+        # in-process, so that a RuntimeWarning fails the test
+        got, out = run(tmp_path, "isotropy", config)
+        err = capsys.readouterr().err
+        assert got == code
+        assert "Traceback" not in err
+
+        def refuse(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        if code == 2:
+            assert not (out / "isotropy.json").exists()
+            diagnostics = (out / "diagnostics.json").read_text()
+            assert error in json.loads(diagnostics,
+                                       parse_constant=refuse)["error"]
+        else:
+            json.loads((out / "isotropy.json").read_text(),
+                       parse_constant=refuse)
+            svg = (out / "layout.svg").read_text()
+            assert "nan" not in svg and "inf" not in svg
 
 
 class TestMobility:

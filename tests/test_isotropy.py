@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from legsynth.isotropy import (FkDivergedError, SingularConfigurationError,
+from legsynth.geometry import rot2
+from legsynth.isotropy import (SIN_BETA_TOL, FkDivergedError, FkResult,
+                               SingularConfigurationError, SingularLegError,
                                TripodConfig, TripodLeg, UndefinedFamilyError,
                                ab_matrices, closed_form_family,
                                foot_positions, forward_kinematics,
@@ -56,7 +58,7 @@ class TestInverseJacobian:
         J_inv = inverse_jacobian(config)
         J = np.linalg.inv(J_inv)
         feet = foot_positions(config)
-        q = config.extensions()
+        q = config.extension
         h = 1e-7
         for i in range(3):
             dq = np.zeros(3)
@@ -75,8 +77,8 @@ class TestInverseJacobian:
         for _ in range(20):
             config = random_config(rng)
             J_inv = inverse_jacobian(config)
-            for i, leg in enumerate(config.legs):
-                expected = 1.0 / np.sin(leg.beta) ** 2
+            for i in range(3):
+                expected = 1.0 / np.sin(config.beta[i]) ** 2
                 assert np.isclose(J_inv[i, 0] ** 2 + J_inv[i, 1] ** 2,
                                   expected, rtol=1e-12)
 
@@ -121,6 +123,30 @@ class TestJacobianViaAB:
         config = TripodConfig(legs=(leg, leg, other))
         with pytest.raises(SingularConfigurationError):
             jacobian_via_AB(config)
+
+    def test_rank_test_is_scale_free(self):
+        # a power-of-two copy of a stance has A scaled exactly; at 2^+-500
+        # its determinant and Frobenius norm cubed under- or overflow
+        def scaled(config, factor):
+            legs = tuple(TripodLeg(factor * leg.mount_radius,
+                                   leg.mount_angle, leg.leg_angle,
+                                   factor * leg.foot_offset,
+                                   factor * leg.extension)
+                         for leg in config.legs)
+            return TripodConfig(legs=legs, heading=config.heading,
+                                char_length=factor * config.char_length)
+
+        rng = np.random.default_rng(24)
+        sound = [random_nonsingular_config(rng) for _ in range(5)]
+        leg = TripodLeg(1.0, 0.5, 0.2, 0.1, 1.0)
+        doubled = TripodConfig(legs=(leg, leg, TripodLeg(1.0, -1.0, 1.4,
+                                                         0.0, 0.8)))
+        for factor in (2.0 ** -500, 2.0 ** -200, 2.0 ** 200, 2.0 ** 500):
+            for config in sound:
+                J = jacobian_via_AB(scaled(config, factor))
+                assert J.tobytes() == jacobian_via_AB(config).tobytes()
+            with pytest.raises(SingularConfigurationError):
+                jacobian_via_AB(scaled(doubled, factor))
 
     def test_extension_scaling_scales_B(self):
         rng = np.random.default_rng(7)
@@ -205,6 +231,26 @@ class TestIsotropyConditions:
             report = isotropy_report(config, tol=tol)
             residual_small = np.abs(report.residuals).max() <= tol
             assert report.isotropic == residual_small
+
+    def test_flag_matches_the_numpy_bound_at_every_tol(self):
+        # a bound tol * scale past the float range is inf; the pytest
+        # filter turns a RuntimeWarning from legsynth into an error
+        rng = np.random.default_rng(23)
+        configs = [closed_form_family(0.3, np.pi / 3, np.pi / 2,
+                                      char_length=10.0),
+                   random_nonsingular_config(rng),
+                   random_nonsingular_config(rng)]
+        for config in configs:
+            J_inv = inverse_jacobian(config)
+            M = J_inv.T @ J_inv
+            scale = np.linalg.norm(M)
+            off = np.abs(M - np.diag(np.diag(M))).max()
+            spread = np.diag(M).max() - np.diag(M).min()
+            for tol in (0.0, 5e-324, 1e-8, 0.5, 1e300, 1e308,
+                        np.finfo(float).max):
+                with np.errstate(over="ignore"):
+                    expected = off <= tol * scale and spread <= tol * scale
+                assert isotropy_report(config, tol=tol).isotropic == expected
 
     def test_equal_singular_values_on_family(self):
         rng = np.random.default_rng(13)
@@ -295,7 +341,7 @@ class TestForwardKinematics:
         rng = np.random.default_rng(16)
         config = random_nonsingular_config(rng)
         feet = foot_positions(config)
-        q = config.extensions() * 1.02
+        q = config.extension * 1.02
         result = forward_kinematics(config, feet, extensions=q)
         assert result.residual <= 1e-12
 
@@ -305,7 +351,7 @@ class TestForwardKinematics:
             config = random_nonsingular_config(rng, max_condition=100.0)
             J = np.linalg.inv(inverse_jacobian(config))
             feet = foot_positions(config)
-            q = config.extensions()
+            q = config.extension
             h = 1e-6
             for i in range(3):
                 dq = np.zeros(3)
@@ -330,3 +376,255 @@ class TestForwardKinematics:
         feet = centroid + 50.0 * (feet - centroid)
         with pytest.raises(FkDivergedError):
             forward_kinematics(config, feet)
+
+
+# The per-leg forms the arrays of TripodConfig replaced, kept verbatim as
+# oracles; `leg_beta` and `leg_extensions` stand for the deleted
+# `TripodLeg.beta` and `TripodConfig.extensions()`.
+def leg_beta(leg):
+    return float(np.arctan2(leg.extension, leg.foot_offset))
+
+
+def leg_extensions(config):
+    return np.array([leg.extension for leg in config.legs])
+
+
+def leg_sines_per_leg(config):
+    sines = np.array([np.sin(leg_beta(leg)) for leg in config.legs])
+    small = np.nonzero(np.abs(sines) < SIN_BETA_TOL)[0]
+    if small.size:
+        raise SingularLegError(f"leg {int(small[0])} has its foot on the "
+                               "leg x-axis (sin beta ~ 0)")
+    return sines
+
+
+def inverse_jacobian_per_leg(config):
+    sines = leg_sines_per_leg(config)
+    theta, L = config.heading, config.char_length
+    rows = np.empty((3, 3))
+    for i, leg in enumerate(config.legs):
+        total = theta + leg.leg_angle + leg_beta(leg)
+        swing = leg.leg_angle + leg_beta(leg) - leg.mount_angle
+        rows[i] = (-1.0 / sines[i]) * np.array([
+            np.cos(total),
+            np.sin(total),
+            leg.mount_radius * np.sin(swing) / L,
+        ])
+    return rows
+
+
+def ab_matrices_per_leg(config):
+    theta, L = config.heading, config.char_length
+    A = np.empty((3, 3))
+    for i, leg in enumerate(config.legs):
+        r_s = np.array([leg.foot_offset, leg.extension])
+        r_o = leg.mount_radius * np.array([np.cos(leg.mount_angle),
+                                           np.sin(leg.mount_angle)])
+        A[i, 0:2] = rot2(theta + leg.leg_angle) @ r_s
+        A[i, 2] = r_s @ (rot2(np.pi / 2.0 - leg.leg_angle) @ r_o) / L
+    B = -np.diag(leg_extensions(config))
+    return A, B
+
+
+def jacobian_via_AB_unscaled(config):
+    A, B = ab_matrices_per_leg(config)
+    norm = np.linalg.norm(A)
+    if abs(np.linalg.det(A)) < 1e-12 * norm ** 3:
+        raise SingularConfigurationError("stance matrix is singular "
+                                         "(working-area boundary)")
+    return np.linalg.solve(A, B)
+
+
+def u_values_per_leg(config):
+    return np.array([
+        leg.mount_radius * np.sin(leg.leg_angle + leg_beta(leg)
+                                  - leg.mount_angle)
+        for leg in config.legs
+    ])
+
+
+def hip_positions_per_leg(config):
+    return np.array([config.position + rot2(config.heading) @ (
+        leg.mount_radius * np.array([np.cos(leg.mount_angle),
+                                     np.sin(leg.mount_angle)]))
+        for leg in config.legs])
+
+
+def foot_positions_per_leg(config):
+    return hip_positions_per_leg(config) + np.array([
+        rot2(config.heading + leg.leg_angle) @ np.array(
+            [leg.foot_offset, leg.extension]) for leg in config.legs])
+
+
+def forward_kinematics_per_leg(config, feet, extensions=None):
+    feet = np.asarray(feet, dtype=float).reshape(3, 2)
+    q = (leg_extensions(config) if extensions is None
+         else np.asarray(extensions, dtype=float))
+    z = np.array([config.position[0], config.position[1], config.heading,
+                  *(leg.leg_angle for leg in config.legs)])
+
+    radius = np.array([leg.mount_radius for leg in config.legs])
+    gamma = np.array([leg.mount_angle for leg in config.legs])
+    a = np.array([leg.foot_offset for leg in config.legs])
+
+    def residual_and_jacobian(z):
+        pos, theta, alphas = z[0:2], z[2], z[3:6]
+        R = np.empty(6)
+        J = np.zeros((6, 6))
+        for i in range(3):
+            hip_dir = np.array([np.cos(theta + gamma[i]),
+                                np.sin(theta + gamma[i])])
+            hip = pos + radius[i] * hip_dir
+            ang = theta + alphas[i]
+            foot_vec = rot2(ang) @ np.array([a[i], q[i]])
+            R[2 * i:2 * i + 2] = hip + foot_vec - feet[i]
+            d_hip = radius[i] * np.array([-np.sin(theta + gamma[i]),
+                                          np.cos(theta + gamma[i])])
+            d_foot = rot2(ang + np.pi / 2.0) @ np.array([a[i], q[i]])
+            J[2 * i:2 * i + 2, 0] = [1.0, 0.0]
+            J[2 * i:2 * i + 2, 1] = [0.0, 1.0]
+            J[2 * i:2 * i + 2, 2] = d_hip + d_foot
+            J[2 * i:2 * i + 2, 3 + i] = d_foot
+        return R, J
+
+    for iteration in range(50):
+        R, J = residual_and_jacobian(z)
+        err = float(np.abs(R).max())
+        if err <= 1e-12:
+            return FkResult(position=z[0:2].copy(), heading=float(z[2]),
+                            leg_angles=z[3:6].copy(), residual=err,
+                            iterations=iteration)
+        try:
+            step = np.linalg.solve(J, R)
+        except np.linalg.LinAlgError:
+            raise FkDivergedError("closure Jacobian singular during Newton "
+                                  "iteration") from None
+        z = z - step
+    raise FkDivergedError(f"no convergence in 50 iterations "
+                          f"(residual {err:.3e})")
+
+
+def outcome(function, *args, **kwargs):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return function(*args, **kwargs)
+    except (SingularLegError, SingularConfigurationError,
+            FkDivergedError) as err:
+        return type(err), str(err)
+
+
+def assert_bit_identical(got, expected):
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+    elif isinstance(expected, FkResult):
+        for name in ("position", "heading", "leg_angles", "residual",
+                     "iterations"):
+            assert_bit_identical(getattr(got, name), getattr(expected, name))
+    elif isinstance(expected, tuple):
+        for part, expected_part in zip(got, expected, strict=True):
+            assert_bit_identical(part, expected_part)
+    else:
+        assert type(got) is type(expected)
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def oracle_stance(rng, index):
+    """A seeded stance: most as `random_config` draws them, every third
+    with lengths spread over six decades and angles over several turns,
+    every seventh with one foot on its leg x-axis and every eleventh with
+    two legs alike."""
+    if index % 3 != 2:
+        config = random_config(rng)
+    else:
+        scale = 10.0 ** rng.integers(-3, 4)
+        legs = tuple(
+            TripodLeg(mount_radius=scale * rng.uniform(0.01, 5.0),
+                      mount_angle=rng.uniform(-10.0, 10.0),
+                      leg_angle=rng.uniform(-10.0, 10.0),
+                      foot_offset=scale * rng.uniform(-5.0, 5.0),
+                      extension=scale * rng.choice([-1.0, 1.0])
+                      * rng.uniform(1e-3, 5.0))
+            for _ in range(3))
+        config = TripodConfig(legs=legs, heading=rng.uniform(-30.0, 30.0),
+                              char_length=scale * rng.uniform(0.1, 3.0),
+                              position=rng.uniform(-1.0, 1.0, size=2))
+    legs = list(config.legs)
+    if index % 7 == 3:
+        k = rng.integers(3)
+        legs[k] = TripodLeg(legs[k].mount_radius, legs[k].mount_angle,
+                            legs[k].leg_angle, 1.0, 1e-14 * (index % 2 - 0.5))
+    if index % 11 == 5:
+        legs[2] = legs[1]
+    return TripodConfig(legs=tuple(legs), heading=config.heading,
+                        char_length=config.char_length,
+                        position=config.position)
+
+
+ORACLE_PAIRS = [
+    (inverse_jacobian, inverse_jacobian_per_leg),
+    (ab_matrices, ab_matrices_per_leg),
+    (jacobian_via_AB, jacobian_via_AB_unscaled),
+    (u_values, u_values_per_leg),
+    (hip_positions, hip_positions_per_leg),
+    (foot_positions, foot_positions_per_leg),
+]
+
+
+class TestArraysMatchPerLegOracles:
+    def test_figures_are_read_only_leg_arrays(self):
+        config = random_config(np.random.default_rng(20))
+        for name in ("mount_radius", "mount_angle", "leg_angle",
+                     "foot_offset", "extension"):
+            figure = getattr(config, name)
+            assert figure.shape == (3,) and not figure.flags.writeable
+            assert figure.tolist() == [getattr(leg, name)
+                                       for leg in config.legs]
+        assert not config.beta.flags.writeable
+        assert config.beta.tolist() == [leg_beta(leg) for leg in config.legs]
+
+    def test_functions_bit_identical(self):
+        rng = np.random.default_rng(21)
+        raised = []
+        for index in range(300):
+            config = oracle_stance(rng, index)
+            for function, oracle in ORACLE_PAIRS:
+                expected = outcome(oracle, config)
+                if isinstance(expected[0], type):
+                    raised.append(expected[0])
+                assert_bit_identical(outcome(function, config), expected)
+        assert raised.count(SingularLegError) >= 35
+        assert raised.count(SingularConfigurationError) >= 20
+
+    def test_singular_leg_error_names_the_same_leg(self):
+        leg = TripodLeg(1.0, 0.0, 0.3, 0.2, 1.0)
+        for k in range(3):
+            legs = [leg] * 3
+            legs[k] = TripodLeg(1.0, 2.0, 1.0, -1.0, 1e-13)
+            config = TripodConfig(legs=tuple(legs))
+            expected = outcome(inverse_jacobian_per_leg, config)
+            assert expected[0] is SingularLegError
+            assert f"leg {k} " in expected[1]
+            assert outcome(inverse_jacobian, config) == expected
+
+    def test_forward_kinematics_bit_identical(self):
+        rng = np.random.default_rng(22)
+        converged = diverged = 0
+        for index in range(120):
+            config = oracle_stance(rng, index)
+            feet = foot_positions_per_leg(config)
+            centroid = feet.mean(axis=0)
+            for args in ((feet,),
+                         (feet, leg_extensions(config)
+                          * rng.uniform(0.9, 1.1, size=3)),
+                         (centroid + rng.uniform(1.0, 60.0)
+                          * (feet - centroid),)):
+                expected = outcome(forward_kinematics_per_leg, config, *args)
+                if isinstance(expected, FkResult):
+                    converged += 1
+                else:
+                    diverged += 1
+                assert_bit_identical(
+                    outcome(forward_kinematics, config, *args), expected)
+        assert converged >= 100 and diverged >= 50
