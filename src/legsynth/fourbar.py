@@ -223,7 +223,7 @@ def _transmission(coupler, rocker, d):
     with np.errstate(invalid="ignore", over="ignore"):
         cos_mu = (coupler * coupler + rocker * rocker - d * d) \
             / (2.0 * coupler * rocker)
-    mu = np.arccos(np.clip(cos_mu, -1.0, 1.0))
+    mu = np.arccos(np.minimum(np.maximum(cos_mu, -1.0), 1.0))
     return np.minimum(mu, np.pi - mu)
 
 

@@ -10,7 +10,9 @@ binary crossover, and polynomial mutation; survival is (mu + lambda)
 truncation by nondomination rank with crowding-distance tie-breaking.
 The ranks of two objectives come from one lexicographic sort and a
 binary-search sweep, O(N log N) for N rows (Jensen, IEEE TEC 7(5),
-2003), with no N x N dominance matrix.
+2003), with no N x N dominance matrix; crowding distances of both
+objectives take one pass.  Ranking and crowding refuse objectives that
+are not (n, 2).
 
 Convergence is tracked by the exact hypervolume of the running
 nondominated archive (every feasible point ever evaluated, reduced to
@@ -24,13 +26,13 @@ coupler point and the target line of each genome come out of the
 closed-form inner solve of synthesis.reduced_objective.
 """
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fourbar import FourBarParams
-from .search import DEFAULT_BOX, DEFAULT_SWEEP_SAMPLES, dominates
+from .search import DEFAULT_BOX, DEFAULT_SWEEP_SAMPLES
 from .synthesis import reduced_objective
 
 OBJECTIVE_SENTINEL = 1e30
@@ -43,7 +45,7 @@ class Problem:
     evaluate maps an (n, dimension) array of genomes to (F, violation):
     the (n, 2) objective matrix and the n total constraint violations, 0
     for a feasible genome and positive otherwise.  Each row must be a pure
-    function of its genome.
+    function of its genome.  The bounds, and upper - lower, are finite.
     """
 
     lower: np.ndarray
@@ -59,6 +61,9 @@ class Problem:
             raise ValueError("bounds must be 1-D arrays of equal length")
         if not np.all(lo <= hi):
             raise ValueError("lower bounds must not exceed upper bounds")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(hi - lo).all():
+                raise ValueError("bounds and their spans must be finite")
 
     @property
     def dimension(self):
@@ -133,95 +138,80 @@ def _evaluate(problem, genomes):
 
 
 def fast_nondominated_sort(F, violation):
-    """The nondomination rank of every row (Deb et al., IEEE TEC 2002).
+    """The nondomination rank of every row of the (n, 2) objectives F
+    (Deb et al., IEEE TEC 2002), under constraint-domination: feasible
+    rows (violation <= 0) are ranked by dominance, rank 0 nondominated,
+    and every other row follows, one rank per distinct violation in
+    increasing order (NaN last).  F that is not (n, 2), or a feasible row
+    with a NaN objective, raises ValueError.
 
-    Rank 0 is the nondominated set; each later rank is nondominated once
-    all lower ranks are removed, under constraint-domination: feasible
-    rows (violation <= 0) are ranked by objective dominance, and every
-    other row follows, one rank per distinct violation in increasing
-    order (NaN last).  Two objectives take one lexicographic sort and a
-    binary-search sweep, O(N log N) (Jensen, IEEE TEC 7(5), 2003); more
-    objectives peel an N x N dominance matrix front by front.  A feasible
-    row with a NaN objective raises ValueError.
+    One sort and a binary-search sweep rank the feasible rows in O(N log
+    N) (Jensen, IEEE TEC 7(5), 2003): in (f1, f2) order a row's
+    dominators come first and tails[r], the least f2 ranked r so far,
+    grows with r, so a row's rank is bisect_right of tails; an exact
+    repeat of the row before it takes that row's rank.
     """
-    F = np.asarray(F, dtype=float)
-    violation = np.asarray(violation, dtype=float)
+    F, violation = _objectives(F), np.asarray(violation, dtype=float)
     feasible = np.flatnonzero(violation <= 0.0)
-    if np.isnan(F[feasible]).any():
+    G = F[feasible]
+    if np.isnan(G).any():
         raise ValueError("feasible rows must have no NaN objective")
-    rank = np.empty(len(F), dtype=int)
-    if F.shape[1] == 2:
-        rank[feasible] = _sweep_ranks_2d(F[feasible])
-    else:
-        rank[feasible] = _peel_ranks(F[feasible])
-    fronts = rank[feasible].max(initial=-1) + 1
-    infeasible = np.flatnonzero(~(violation <= 0.0))
-    _, level = np.unique(violation[infeasible], return_inverse=True)
-    rank[infeasible] = fronts + level
-    return rank
-
-
-def _sweep_ranks_2d(F):
-    """Nondomination ranks of two-objective rows without NaN.
-
-    In (f1, f2) order every dominator of a row comes before it, and
-    tails[r], the least f2 of the rows ranked r so far, never decreases
-    with r.  A row's rank is then the number of fronts holding a member
-    with f2 no greater than its own, bisect_right of tails.  An exact
-    repeat of the row before it has that row's dominators and so takes
-    its rank.
-    """
-    order = np.lexsort((F[:, 1], F[:, 0]))
-    tails, ranks, previous = [], [], None
-    for row in F[order].tolist():
-        if row != previous:
-            r = bisect.bisect_right(tails, row[1])
-            if r == len(tails):
-                tails.append(row[1])
+    # a row f1 + i f2 as one complex number sorts in (f1, f2) order
+    z = G.view(complex)[:, 0]
+    order = np.argsort(z, kind="stable")
+    z = z[order]
+    fresh = np.ones(len(z), dtype=bool)
+    np.not_equal(z[1:], z[:-1], out=fresh[1:])
+    tails, ranks = [], []
+    for f2, new in zip(z.imag.tolist(), fresh.tolist()):
+        if new:
+            r = bisect_right(tails, f2)
+            if r < len(tails):
+                tails[r] = f2
             else:
-                tails[r] = row[1]
-            previous = row
+                tails.append(f2)
         ranks.append(r)
-    rank = np.empty(len(order), dtype=int)
-    rank[order] = ranks
-    return rank
-
-
-def _peel_ranks(F):
-    """Nondomination ranks by peeling the dominance matrix of F."""
-    D = dominates(F, F)
-    dominators = D.sum(axis=0)
     rank = np.empty(len(F), dtype=int)
-    fronts = 0
-    # ranked rows stay at -1: no row of a later front dominates them
-    while (dominators >= 0).any():
-        current = np.flatnonzero(dominators == 0)
-        rank[current] = fronts
-        fronts += 1
-        dominators = dominators - D[current].sum(axis=0)
-        dominators[current] = -1
+    rank[feasible[order]] = ranks
+    if len(feasible) < len(F):
+        infeasible = np.flatnonzero(~(violation <= 0.0))
+        _, level = np.unique(violation[infeasible], return_inverse=True)
+        rank[infeasible] = level + len(tails)
     return rank
+
+
+def _objectives(F):
+    """F as a float array, refused unless it is (n, 2)."""
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[1] != 2:
+        raise ValueError("objectives must form an (n, 2) array")
+    return F
 
 
 def crowding_distance(F, rank):
-    """Crowding distance of each row of F (n, m) within its `rank` front.
-
-    Boundary members of every objective get infinity; interior members
-    accumulate range-normalized neighbor gaps per objective, ties in index
-    order.  Ranks are non-negative.
-    """
-    F = np.asarray(F, dtype=float)
-    rank = np.asarray(rank)
+    """Crowding distance of each row of the (n, 2) objectives F within
+    its `rank` front (ranks non-negative): boundary members of each
+    objective get infinity, interior members accumulate range-normalized
+    neighbor gaps per objective, ties in index order.  Both objectives
+    sort by rank first, so they share the front edges."""
+    F, rank = _objectives(F), np.asarray(rank)
+    order = np.array([np.lexsort((column, rank)) for column in F.T])
+    f = F[order, [[0], [1]]]
+    counts = np.bincount(rank)
+    counts = counts[counts > 0]
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    edge = np.zeros(len(F), dtype=bool)
+    edge[first] = edge[last] = True
+    span = np.repeat(f[:, last] - f[:, first], counts, axis=1)
+    # 0 off the interior adds nothing: no distance is ever -0.0
+    step = np.zeros_like(f)
+    np.divide(f[:, 2:] - f[:, :-2], span[:, 1:-1], out=step[:, 1:-1],
+              where=~edge[1:-1] & (span[:, 1:-1] > 0))
     d = np.zeros(len(F))
-    for j in range(F.shape[1]):
-        order = np.lexsort((F[:, j], rank))
-        r, f = rank[order], F[order, j]
-        first = np.diff(r, prepend=-1) != 0
-        last = np.diff(r, append=-1) != 0
-        span = (f[last] - f[first])[np.cumsum(first) - 1]
-        inner = np.flatnonzero(~(first | last) & (span > 0))
-        d[order[inner]] += (f[inner + 1] - f[inner - 1]) / span[inner]
-        d[order[first | last]] = np.inf
+    for rows, s in zip(order, step):
+        d[rows] += s
+        d[rows[edge]] = np.inf
     return d
 
 
@@ -274,50 +264,48 @@ def _survivors(F, violation, size):
     """
     rank = fast_nondominated_sort(F, violation)
     crowding = crowding_distance(F, rank)
-    filled = np.cumsum(np.bincount(rank))
-    cut = np.searchsorted(filled, size)
+    counts = np.bincount(rank)
+    rows = np.argsort(rank, kind="stable")
+    end = np.cumsum(counts)
+    cut = np.searchsorted(end, size)
     # a front that fits exactly keeps its index order
-    key = np.where((rank == cut) & (filled[cut] > size), -crowding, 0.0)
-    return np.lexsort((key, rank))[:size], rank, crowding
+    if end[cut] > size:
+        front = rows[end[cut] - counts[cut]:end[cut]]
+        front[:] = front[np.argsort(-crowding[front], kind="stable")]
+    return rows[:size], rank, crowding
 
 
 def _breed(genomes, rank, crowding, problem, config, rng):
     """One generation of offspring genomes (vectorized operators)."""
-    pop = config.population
-    dim = problem.dimension
+    pop, dim = config.population, problem.dimension
     lo, hi = problem.lower, problem.upper
 
-    draws = rng.integers(0, pop, size=(pop, 2))
-    a, b = draws[:, 0], draws[:, 1]
+    a, b = rng.integers(0, pop, size=(pop, 2)).T
     b_wins = (rank[b] < rank[a]) | ((rank[b] == rank[a]) & (crowding[b] > crowding[a]))
     genomes = genomes[np.where(b_wins, b, a)]
 
     # simulated binary crossover on consecutive pairs
     half = pop // 2
-    p1 = genomes[0::2].copy()
-    p2 = genomes[1::2].copy()
+    p1, p2 = genomes[0::2], genomes[1::2]
     do_pair = rng.random(half) < config.crossover_prob
     do_var = rng.random((half, dim)) < 0.5
     u = rng.random((half, dim))
-    eta = config.crossover_eta
-    beta = np.where(u <= 0.5,
-                    (2.0 * u) ** (1.0 / (eta + 1.0)),
-                    (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)))
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) \
+        ** (1.0 / (config.crossover_eta + 1.0))
     mask = do_pair[:, None] & do_var
-    c1 = np.where(mask, 0.5 * ((1 + beta) * p1 + (1 - beta) * p2), p1)
-    c2 = np.where(mask, 0.5 * ((1 - beta) * p1 + (1 + beta) * p2), p2)
+    plus, minus = 1 + beta, 1 - beta
     children = np.empty_like(genomes)
-    children[0::2] = c1
-    children[1::2] = c2
+    children[0::2] = np.where(mask, 0.5 * (plus * p1 + minus * p2), p1)
+    children[1::2] = np.where(mask, 0.5 * (minus * p1 + plus * p2), p2)
 
     # polynomial mutation
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / dim
     mut = rng.random((pop, dim)) < pm
     u = rng.random((pop, dim))
-    eta_m = config.mutation_eta
-    delta = np.where(u < 0.5,
-                     (2.0 * u) ** (1.0 / (eta_m + 1.0)) - 1.0,
-                     1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta_m + 1.0)))
+    low = u < 0.5
+    power = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) \
+        ** (1.0 / (config.mutation_eta + 1.0))
+    delta = np.where(low, power - 1.0, 1.0 - power)
     children = np.where(mut, children + delta * (hi - lo), children)
     return np.clip(children, lo, hi)
 
@@ -365,9 +353,9 @@ def evolve(problem, config):
         children = _breed(genomes, rank, crowding, problem, config, rng)
         F_children, v_children = _evaluate(problem, children)
         record(generation, F_children, v_children)
-        genomes = np.vstack([genomes, children])
-        F = np.vstack([F, F_children])
-        violation = np.append(violation, v_children)
+        genomes = np.concatenate([genomes, children])
+        F = np.concatenate([F, F_children])
+        violation = np.concatenate([violation, v_children])
         rows, rank, crowding = _survivors(F, violation, config.population)
         genomes, F, violation = genomes[rows], F[rows], violation[rows]
         rank, crowding = rank[rows], crowding[rows]

@@ -1,12 +1,13 @@
 """Outer quasi-random search over the five nonlinear linkage parameters.
 
 Implements the parameter-space-investigation workflow: spray the search
-box with LP-tau points, evaluate the reduced objective and gait metrics of
-all points in one batch, keep everything (infeasible samples included,
-with reasons) as a sampling table of per-sample arrays, then reduce it by
-feasibility limits and Pareto dominance: Kung's sort-based maxima filter
-(Kung, Luccio and Preparata, JACM 1975), a block at a time, each block's
-front pruning the rows after it.
+box (start angles within two turns of 0) with LP-tau points, evaluate the
+reduced objective and gait metrics of all points in one batch, keep
+everything (infeasible samples included, with reasons) as a sampling
+table of per-sample arrays, then reduce it by feasibility limits and
+Pareto dominance: Kung's sort-based maxima filter (Kung, Luccio and
+Preparata, JACM 1975), a block at a time, each block's front pruning the
+rows after it.
 """
 
 from dataclasses import dataclass, fields
@@ -21,7 +22,7 @@ from .synthesis import reduced_objective
 @dataclass(frozen=True)
 class ParamBox:
     """Axis-aligned search bounds for (crank, coupler, rocker,
-    start_angle, support_arc); angles in radians."""
+    start_angle, support_arc); angles in radians, start in [-4*pi, 4*pi]."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -41,6 +42,9 @@ class ParamBox:
             raise ValueError("link length bounds must be positive")
         if not (np.pi <= lo[4] and hi[4] < 2.0 * np.pi):
             raise ValueError("support-arc bounds must lie within [pi, 2*pi)")
+        # far out, start + arc * k rounds to start; 2*pi may be rounded up
+        if not (-4.0 * np.pi <= lo[3] and hi[3] <= 4.0 * np.pi):
+            raise ValueError("start-angle bounds must lie in [-4*pi, 4*pi]")
 
     def map_unit(self, u):
         """Affine image of unit-cube points in the box."""

@@ -28,7 +28,7 @@ class SvgPlot:
 
     def _bounds(self):
         """Half the plot window (x0, x1, y0, y1), as tx and ty map halved
-        data: exact for normal floats, and no span of finite data overflows."""
+        data: exact for normal floats; no finite span overflows or is 0."""
         xs = np.concatenate([s[1] for s in self.series if len(s[1])])
         ys = np.concatenate([s[2] for s in self.series if len(s[2])])
         x0, x1 = float(xs.min()) / 2, float(xs.max()) / 2
@@ -43,6 +43,11 @@ class SvgPlot:
             cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
             x0, x1 = cx - span / 2, cx + span / 2
             y0, y1 = cy - span / 2, cy + span / 2
+        # above about 2^53 the pads round away: step one float out instead
+        if x1 == x0:
+            x0, x1 = np.nextafter(x0, -np.inf), np.nextafter(x1, np.inf)
+        if y1 == y0:
+            y0, y1 = np.nextafter(y0, -np.inf), np.nextafter(y1, np.inf)
         return x0, x1, y0, y1
 
     def render(self, comment=None):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -514,6 +516,13 @@ LEG = {"mount_radius": 1.0, "mount_angle": 0.0, "leg_angle": 0.4,
 NAN = float("nan")
 
 
+# start + arc * k rounds to start for every sample of such a start angle,
+# and the span of the second box overflows
+START_1E17 = {"lower": [0.1, 0.4, 0.4, 1e17, 3.2],
+              "upper": [0.6, 2.5, 2.5, 1e17, 5.9]}
+START_SPAN_OVERFLOWS = {"lower": [0.1, 0.4, 0.4, -1e308, 3.2],
+                        "upper": [0.6, 2.5, 2.5, 1e308, 5.9]}
+
 BAD_CONFIGS = [
     pytest.param("pareto", lambda tmp: {"sampling_table": 5},
                  id="table-not-a-string"),
@@ -532,6 +541,15 @@ BAD_CONFIGS = [
         "sampling_table": _table(tmp, "feasible,delta0,min_transmission_deg\n"
                                       "1,nan,30\n")},
         id="table-with-nan-delta0"),
+    pytest.param("synth", lambda tmp: {"box": START_1E17, "budget": 256},
+                 id="synth-start-angle-1e17"),
+    pytest.param("pareto", lambda tmp: {"box": START_1E17},
+                 id="pareto-start-angle-1e17"),
+    pytest.param("synth", lambda tmp: {"box": START_SPAN_OVERFLOWS,
+                                       "budget": 256},
+                 id="synth-start-angle-span-overflows"),
+    pytest.param("pareto", lambda tmp: {"box": START_SPAN_OVERFLOWS},
+                 id="pareto-start-angle-span-overflows"),
     pytest.param("synth", lambda tmp: {"budget": 2 ** 32}, id="budget-2^32"),
     pytest.param("synth", lambda tmp: {"budget": 2 ** 40}, id="budget-2^40"),
     pytest.param("synth", lambda tmp: {"sweep_samples": 1},
@@ -987,3 +1005,17 @@ class TestReadmeSketches:
         else:
             with pytest.raises(_Reached):
                 run(tmp_path, command, config)
+
+
+def test_cli_import_loads_neither_numpy_random_nor_scipy(tmp_path):
+    # benchmark runs time interpreter start-up until `import legsynth.cli`
+    # in a fresh interpreter.  numpy imports numpy.random at the first
+    # default_rng, inside a command; scipy is a test-only dependency.
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = ("import sys, legsynth.cli; "
+             "print(sorted({'numpy.random', 'scipy'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

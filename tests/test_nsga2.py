@@ -1,3 +1,4 @@
+import bisect
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from legsynth.cli import MAX_POPULATION
 from legsynth.fourbar import (FourBarParams, LinkageError, arc_check,
                               coupler_path, sweep)
-from legsynth.nsga2 import (GAConfig, OBJECTIVE_SENTINEL, Problem,
+from legsynth import nsga2
+from legsynth.nsga2 import (GAConfig, OBJECTIVE_SENTINEL, Problem, _breed,
                             _nondominated_2d, _staircase_area, _survivors,
                             crowding_distance,
                             evolve, fast_nondominated_sort, hypervolume_2d,
                             leg_problem)
 from legsynth.search import ParamBox
+from legsynth.search import dominates as dominance_matrix
 from legsynth.synthesis import LineTarget, solve
 
 HOEKEN_GENOME = np.array([0.5, 1.25, 1.25, np.radians(65.0),
@@ -157,6 +160,194 @@ def leg_objectives(genome, **kwargs):
     return F[0], violation[0]
 
 
+# The engine's ranking, crowding, truncation and breeding as they were
+# before ranking, crowding and truncation were fused for two objectives,
+# copied verbatim but for their names: the oracles of the bit-for-bit
+# tests.  oracle_peel_ranks is the m-objective path the engine dropped.
+
+
+def oracle_fast_nondominated_sort(F, violation):
+    """The nondomination rank of every row (Deb et al., IEEE TEC 2002).
+
+    Rank 0 is the nondominated set; each later rank is nondominated once
+    all lower ranks are removed, under constraint-domination: feasible
+    rows (violation <= 0) are ranked by objective dominance, and every
+    other row follows, one rank per distinct violation in increasing
+    order (NaN last).  Two objectives take one lexicographic sort and a
+    binary-search sweep, O(N log N) (Jensen, IEEE TEC 7(5), 2003); more
+    objectives peel an N x N dominance matrix front by front.  A feasible
+    row with a NaN objective raises ValueError.
+    """
+    F = np.asarray(F, dtype=float)
+    violation = np.asarray(violation, dtype=float)
+    feasible = np.flatnonzero(violation <= 0.0)
+    if np.isnan(F[feasible]).any():
+        raise ValueError("feasible rows must have no NaN objective")
+    rank = np.empty(len(F), dtype=int)
+    if F.shape[1] == 2:
+        rank[feasible] = oracle_sweep_ranks_2d(F[feasible])
+    else:
+        rank[feasible] = oracle_peel_ranks(F[feasible])
+    fronts = rank[feasible].max(initial=-1) + 1
+    infeasible = np.flatnonzero(~(violation <= 0.0))
+    _, level = np.unique(violation[infeasible], return_inverse=True)
+    rank[infeasible] = fronts + level
+    return rank
+
+
+def oracle_sweep_ranks_2d(F):
+    """Nondomination ranks of two-objective rows without NaN.
+
+    In (f1, f2) order every dominator of a row comes before it, and
+    tails[r], the least f2 of the rows ranked r so far, never decreases
+    with r.  A row's rank is then the number of fronts holding a member
+    with f2 no greater than its own, bisect_right of tails.  An exact
+    repeat of the row before it has that row's dominators and so takes
+    its rank.
+    """
+    order = np.lexsort((F[:, 1], F[:, 0]))
+    tails, ranks, previous = [], [], None
+    for row in F[order].tolist():
+        if row != previous:
+            r = bisect.bisect_right(tails, row[1])
+            if r == len(tails):
+                tails.append(row[1])
+            else:
+                tails[r] = row[1]
+            previous = row
+        ranks.append(r)
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = ranks
+    return rank
+
+
+def oracle_peel_ranks(F):
+    """Nondomination ranks by peeling the dominance matrix of F."""
+    D = dominance_matrix(F, F)
+    dominators = D.sum(axis=0)
+    rank = np.empty(len(F), dtype=int)
+    fronts = 0
+    # ranked rows stay at -1: no row of a later front dominates them
+    while (dominators >= 0).any():
+        current = np.flatnonzero(dominators == 0)
+        rank[current] = fronts
+        fronts += 1
+        dominators = dominators - D[current].sum(axis=0)
+        dominators[current] = -1
+    return rank
+
+
+def oracle_crowding_distance(F, rank):
+    """Crowding distance of each row of F (n, m) within its `rank` front.
+
+    Boundary members of every objective get infinity; interior members
+    accumulate range-normalized neighbor gaps per objective, ties in index
+    order.  Ranks are non-negative.
+    """
+    F = np.asarray(F, dtype=float)
+    rank = np.asarray(rank)
+    d = np.zeros(len(F))
+    for j in range(F.shape[1]):
+        order = np.lexsort((F[:, j], rank))
+        r, f = rank[order], F[order, j]
+        first = np.diff(r, prepend=-1) != 0
+        last = np.diff(r, append=-1) != 0
+        span = (f[last] - f[first])[np.cumsum(first) - 1]
+        inner = np.flatnonzero(~(first | last) & (span > 0))
+        d[order[inner]] += (f[inner + 1] - f[inner - 1]) / span[inner]
+        d[order[first | last]] = np.inf
+    return d
+
+
+def oracle_survivors(F, violation, size):
+    """The `size` rows that survive truncation, in survival order, and
+    the rank and crowding distance of every row.
+
+    Whole fronts enter in rank order, each in index order; of the front
+    that does not fit, the members of largest crowding distance enter.
+    """
+    rank = oracle_fast_nondominated_sort(F, violation)
+    crowding = oracle_crowding_distance(F, rank)
+    filled = np.cumsum(np.bincount(rank))
+    cut = np.searchsorted(filled, size)
+    # a front that fits exactly keeps its index order
+    key = np.where((rank == cut) & (filled[cut] > size), -crowding, 0.0)
+    return np.lexsort((key, rank))[:size], rank, crowding
+
+
+def oracle_breed(genomes, rank, crowding, problem, config, rng):
+    """One generation of offspring genomes (vectorized operators)."""
+    pop = config.population
+    dim = problem.dimension
+    lo, hi = problem.lower, problem.upper
+
+    draws = rng.integers(0, pop, size=(pop, 2))
+    a, b = draws[:, 0], draws[:, 1]
+    b_wins = (rank[b] < rank[a]) | ((rank[b] == rank[a]) & (crowding[b] > crowding[a]))
+    genomes = genomes[np.where(b_wins, b, a)]
+
+    # simulated binary crossover on consecutive pairs
+    half = pop // 2
+    p1 = genomes[0::2].copy()
+    p2 = genomes[1::2].copy()
+    do_pair = rng.random(half) < config.crossover_prob
+    do_var = rng.random((half, dim)) < 0.5
+    u = rng.random((half, dim))
+    eta = config.crossover_eta
+    beta = np.where(u <= 0.5,
+                    (2.0 * u) ** (1.0 / (eta + 1.0)),
+                    (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)))
+    mask = do_pair[:, None] & do_var
+    c1 = np.where(mask, 0.5 * ((1 + beta) * p1 + (1 - beta) * p2), p1)
+    c2 = np.where(mask, 0.5 * ((1 - beta) * p1 + (1 + beta) * p2), p2)
+    children = np.empty_like(genomes)
+    children[0::2] = c1
+    children[1::2] = c2
+
+    # polynomial mutation
+    pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / dim
+    mut = rng.random((pop, dim)) < pm
+    u = rng.random((pop, dim))
+    eta_m = config.mutation_eta
+    delta = np.where(u < 0.5,
+                     (2.0 * u) ** (1.0 / (eta_m + 1.0)) - 1.0,
+                     1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta_m + 1.0)))
+    children = np.where(mut, children + delta * (hi - lo), children)
+    return np.clip(children, lo, hi)
+
+
+def seeded_populations(seed, count=400):
+    """(F, violation) of seeded two-objective populations: coarse
+    objectives for repeated rows and ties, -0.0 beside 0.0, rows at
+    OBJECTIVE_SENTINEL, violations that are NaN, inf or negative, NaN
+    objectives on infeasible rows, populations with every row
+    infeasible, and one with no rows at all."""
+    rng = np.random.default_rng(seed)
+    yield np.empty((0, 2)), np.empty(0)
+    for trial in range(count):
+        n = int(rng.integers(1, 60))
+        F = rng.integers(0, int(rng.integers(1, 8)), size=(n, 2)) \
+            + rng.choice([0.0, 0.25, 1e-9], size=(n, 2))
+        F[rng.random((n, 2)) < 0.1] *= -1.0
+        F[rng.random(n) < 0.1] = OBJECTIVE_SENTINEL
+        V = [np.zeros(n),
+             np.where(rng.random(n) < 0.3, rng.integers(1, 4, n), 0.0),
+             rng.integers(1, 4, n).astype(float),
+             np.where(rng.random(n) < 0.3, np.nan,
+                      np.where(rng.random(n) < 0.3, rng.integers(1, 3, n),
+                               0.0)),
+             np.where(rng.random(n) < 0.5, np.inf,
+                      -rng.random(n) * (rng.random(n) < 0.5))][trial % 5]
+        F[~(V <= 0.0) & (rng.random(n) < 0.2)] = np.nan
+        yield F, V
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
 class TestNondominatedSort:
     def test_two_front_example(self):
         pop = individuals([(1, 2), (2, 1), (3, 3)])
@@ -182,8 +373,7 @@ class TestNondominatedSort:
         rng = np.random.default_rng(4)
         for _ in range(50):
             n = int(rng.integers(1, 60))
-            m = int(rng.integers(2, 4))
-            F = rng.integers(0, 6, size=(n, m)).astype(float)
+            F = rng.integers(0, 6, size=(n, 2)).astype(float)
             V = np.where(rng.random(n) < 0.3, rng.uniform(0, 2, n), 0.0)
             assert (fronts_of(fast_nondominated_sort(F, V))
                     == brute_force_fronts(F, V))
@@ -231,13 +421,28 @@ class TestNondominatedSort:
 
     @pytest.mark.parametrize("objectives", [2, 3])
     def test_nan_objective_of_feasible_row_refused(self, objectives):
+        # the engine is bi-objective: three objectives are refused whole,
+        # before any row is read
         F = np.ones((4, objectives))
         F[2, 1] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
+        refusal = "NaN" if objectives == 2 else r"\(n, 2\)"
+        with pytest.raises(ValueError, match=refusal):
             fast_nondominated_sort(F, np.zeros(4))
-        # an infeasible row's objectives are never compared
-        rank = fast_nondominated_sort(F, np.array([0.0, 0.0, 1.0, 0.0]))
-        assert fronts_of(rank) == [[0, 1, 3], [2]]
+        violation = np.array([0.0, 0.0, 1.0, 0.0])
+        if objectives == 2:
+            # an infeasible row's objectives are never compared
+            rank = fast_nondominated_sort(F, violation)
+            assert fronts_of(rank) == [[0, 1, 3], [2]]
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                fast_nondominated_sort(F, violation)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3), (2, 2, 2)])
+    def test_objectives_other_than_two_columns_refused(self, shape):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            fast_nondominated_sort(np.zeros(shape), np.zeros(4))
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            crowding_distance(np.zeros(shape), np.zeros(4, dtype=int))
 
     def test_population_cap_memory_is_bounded(self):
         rng = np.random.default_rng(0)
@@ -276,10 +481,10 @@ class TestCrowdingDistance:
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(6)
-        F = rng.random((20, 3))
+        F = rng.random((20, 2))
         d = crowding_distance(F, np.zeros(20, dtype=int))
         expected = np.zeros(20)
-        for j in range(3):
+        for j in range(2):
             order = np.argsort(F[:, j], kind="stable")
             expected[order[0]] = expected[order[-1]] = np.inf
             span = F[order[-1], j] - F[order[0], j]
@@ -310,7 +515,7 @@ class TestCrowdingDistance:
         rng = np.random.default_rng(8)
         for _ in range(300):
             n = int(rng.integers(1, 60))
-            F = rng.integers(0, 5, size=(n, int(rng.integers(2, 4))))
+            F = rng.integers(0, 5, size=(n, 2))
             F = F + rng.choice([0.0, 0.5, 1e-9], size=F.shape)
             rank = rng.integers(0, int(rng.integers(1, 12)), size=n)
             d = crowding_distance(F, rank)
@@ -351,6 +556,83 @@ class TestSurvivors:
                 exact_fits += size in filled and len(fronts) > 1
                 cuts += size not in filled
         assert exact_fits > 0 and cuts > 0
+
+
+class TestAgainstOracleEngine:
+    """Ranking, crowding, truncation and breeding against the oracle
+    copies of the engine before the fused two-objective survival step,
+    bit for bit, on seeded_populations."""
+
+    def test_ranks(self):
+        peeled = 0
+        for F, V in seeded_populations(31):
+            rank = fast_nondominated_sort(F, V)
+            assert same_bits(rank, oracle_fast_nondominated_sort(F, V))
+            if np.all(V <= 0.0):
+                # the dominance-matrix peeling the engine dropped
+                assert same_bits(rank, oracle_peel_ranks(F))
+                peeled += 1
+        assert peeled > 50
+
+    def test_crowding(self):
+        rng = np.random.default_rng(32)
+        for F, V in seeded_populations(33):
+            # true ranks, and ranks with empty fronts between them
+            for rank in (oracle_fast_nondominated_sort(F, V),
+                         rng.integers(0, 12, size=len(F))):
+                assert same_bits(crowding_distance(F, rank),
+                                 oracle_crowding_distance(F, rank))
+
+    def test_survivors(self):
+        rng = np.random.default_rng(34)
+        cuts = 0
+        for F, V in seeded_populations(35):
+            if not len(F):
+                continue  # the oracle has no front to cut in
+            for size in {1, len(F), int(rng.integers(1, len(F) + 1))}:
+                got = _survivors(F, V, size)
+                expected = oracle_survivors(F, V, size)
+                for a, b in zip(got, expected):
+                    assert same_bits(a, b)
+                cuts += size not in np.cumsum(np.bincount(expected[1]))
+        assert cuts > 100
+
+    def test_children(self):
+        rng = np.random.default_rng(36)
+        for trial in range(300):
+            dim, pop = int(rng.integers(1, 7)), 2 * int(rng.integers(2, 30))
+            lo = rng.normal(size=dim)
+            hi = lo + rng.random(dim) * rng.choice([0.0, 1.0, 100.0], dim)
+            problem = Problem(lower=lo, upper=hi, evaluate=None)
+            config = GAConfig(
+                population=pop, crossover_prob=float(rng.random()),
+                crossover_eta=float(rng.choice([0.0, 1.0, 15.0])),
+                mutation_prob=[None, 1.0, float(rng.random())][trial % 3],
+                mutation_eta=float(rng.choice([0.0, 5.0, 20.0])))
+            genomes = lo + rng.random((pop, dim)) * (hi - lo)
+            rank = rng.integers(0, 5, size=pop)
+            crowding = np.where(rng.random(pop) < 0.2, np.inf,
+                                rng.random(pop))
+            children = _breed(genomes, rank, crowding, problem, config,
+                              np.random.default_rng(trial))
+            expected = oracle_breed(genomes, rank, crowding, problem, config,
+                                    np.random.default_rng(trial))
+            assert same_bits(children, expected)
+
+    @pytest.mark.parametrize("make_problem, config", [
+        (lambda: zdt1_problem(dim=4),
+         GAConfig(population=24, generations=30, seed=5)),
+        (lambda: leg_problem(count=12),
+         GAConfig(population=16, generations=12, seed=7)),
+    ], ids=["zdt1", "leg"])
+    def test_evolve(self, monkeypatch, make_problem, config):
+        result = evolve(make_problem(), config)
+        monkeypatch.setattr(nsga2, "_survivors", oracle_survivors)
+        monkeypatch.setattr(nsga2, "_breed", oracle_breed)
+        expected = evolve(make_problem(), config)
+        for name in ("genomes", "F", "violation", "rank", "hypervolume",
+                     "best_objectives", "archive"):
+            assert same_bits(getattr(result, name), getattr(expected, name))
 
 
 class TestHypervolume:
@@ -501,6 +783,16 @@ class TestConfigValidation:
         for lower, upper in (([1.0], [0.0]), ([0.0, np.nan], [1.0, 1.0])):
             with pytest.raises(ValueError, match="must not exceed"):
                 Problem(lower=lower, upper=upper, evaluate=None)
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([-1e308, 0.0], [1e308, 1.0]),
+        ([-np.inf, 0.0], [0.0, 1.0]),
+        ([0.0, 0.0], [np.inf, 1.0]),
+    ], ids=["span-overflows", "lower-infinite", "upper-infinite"])
+    def test_bounds_without_finite_span_rejected(self, lower, upper):
+        # the initial sample draws lower + u (upper - lower)
+        with pytest.raises(ValueError, match="finite"):
+            Problem(lower=lower, upper=upper, evaluate=None)
 
     def test_equal_bounds_pin_a_gene(self):
         # the pinned gene keeps its value through sampling, crossover and

@@ -336,6 +336,22 @@ class TestBoxAndTable:
             ParamBox(lower=np.array([0.1, 0.4, 0.4, 0.0, 1.0]),
                      upper=np.array([0.6, 2.5, 2.5, 6.0, 2.0]))
 
+    @pytest.mark.parametrize("start", [(1e17, 1e17), (-1e308, 1e308),
+                                       (-12.6, 0.0), (0.0, 12.6)])
+    def test_start_angle_beyond_two_turns_rejected(self, start):
+        # far out, start + arc * k rounds to start: a sweep of one point
+        with pytest.raises(ValueError, match="start-angle"):
+            ParamBox(lower=[0.1, 0.4, 0.4, start[0], 3.2],
+                     upper=[0.6, 2.5, 2.5, start[1], 5.9])
+
+    @pytest.mark.parametrize("start", [(-4.0 * np.pi, 4.0 * np.pi),
+                                       (0.0, 6.2832)])
+    def test_start_angle_window_accepted(self, start):
+        # the edges, and 2*pi rounded up as the README box writes it
+        box = ParamBox(lower=[0.1, 0.4, 0.4, start[0], 3.2],
+                       upper=[0.6, 2.5, 2.5, start[1], 5.9])
+        assert (box.lower[3], box.upper[3]) == start
+
     def test_default_box_produces_samples(self):
         table = scan(DEFAULT_BOX, 64)
         assert len(table) == 64

@@ -10,7 +10,8 @@ from legsynth.fourbar import (DegenerateConfigurationError, FourBarParams,
                               coupler_path, sample_schedule, sweep)
 from legsynth.lptau import lp_tau
 from legsynth.synthesis import (RANK_DEFICIENCY_COND, InvalidSystemError,
-                                reduced_objective, residual_delta, solve)
+                                SynthesisSolution, reduced_objective,
+                                residual_delta, solve)
 from test_fourbar import arc_check_oracle, positions_oracle
 
 EPS = np.finfo(float).eps
@@ -314,6 +315,114 @@ class TestOracle:
                 <= gap * (1.0 + np.abs(least).max())
             assert abs(new.delta[i] - residual_delta(trace.row(i), least)) \
                 <= gap * scale[i]
+
+
+# The inner solve before its two line fits shared the statistics of k
+# and summed in place of np.mean, copied verbatim but for its names: the
+# oracle of the bit-for-bit tests.
+
+
+def oracle_line_fit(f, k):
+    """Least-squares line w0 + w1 k through each row of f: w0, w1 and the
+    residual f - w0 - w1 k.
+
+    Products and sums run elementwise and along the last axis, so each
+    row of a batch is fitted exactly as it would be alone.
+    """
+    kc = k - k.mean()
+    w1 = (f * kc).mean(axis=-1) / (kc * kc).mean()
+    mean = f.mean(axis=-1)
+    return mean - w1 * k.mean(), w1, f - mean[..., None] - w1[..., None] * kc
+
+
+def oracle_abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def oracle_solve(k, B, beta):
+    """solve of the sweep with fractions k, joint B as an (x, y) pair of
+    arrays and coupler angle beta."""
+    if not (all(np.all(np.isfinite(v)) for v in B)
+            and np.all(np.isfinite(beta))):
+        raise InvalidSystemError("sweep contains non-finite entries")
+    c, s = np.cos(beta), np.sin(beta)
+    a0, a1, e_res = oracle_line_fit(c + 1j * s, k)
+    b0, b1, b_res = oracle_line_fit(B[0] + 1j * B[1], k)
+    power = oracle_abs2(e_res).mean(axis=-1)
+    with np.errstate(divide="ignore"):
+        condition = 1.0 / power
+    deficient = ~(condition <= RANK_DEFICIENCY_COND)
+    # e = a0 + a1 k leaves z free; the norm |z|^2 + |b0 + a0 z|^2
+    # + |b1 + a1 z|^2 of the solution is least at this z
+    least_norm = -((a0.conjugate() * b0 + a1.conjugate() * b1)
+                   / (1.0 + oracle_abs2(a0) + oracle_abs2(a1)))
+    z = np.where(deficient, least_norm,
+                 -(e_res.conjugate() * b_res).mean(axis=-1)
+                 / np.where(deficient, 1.0, power))
+    w0, w1 = b0 + a0 * z, b1 + a1 * z
+    x = np.stack([z.real, z.imag, w0.real, w0.imag, w1.real, w1.imag],
+                 axis=-1)
+    return SynthesisSolution(x=x, delta=oracle_residual(k, B, c, s, x),
+                             condition=condition[()])
+
+
+def oracle_residual(k, B, c, s, x):
+    """residual_delta of the sweep with fractions k, joint B as an (x, y)
+    pair, and c = cos beta and s = sin beta, which _solve has at hand."""
+    x = np.asarray(x, dtype=float)[..., None]
+    u = B[0] + x[..., 0, :] * c - x[..., 1, :] * s - x[..., 2, :] \
+        - x[..., 4, :] * k
+    v = B[1] + x[..., 0, :] * s + x[..., 1, :] * c - x[..., 3, :] \
+        - x[..., 5, :] * k
+    return np.mean(u * u + v * v, axis=-1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestSolveAgainstOracle:
+    """The kernel's solve of batch sweeps against oracle_solve, bit for
+    bit, on oracle_designs: regular rows, rank-deficient parallelograms
+    and near-parallelograms."""
+
+    @pytest.mark.parametrize("count", [2, 3, 5, 24, 25])
+    @pytest.mark.parametrize("branch", [+1, -1])
+    def test_batches(self, count, branch):
+        rng = np.random.default_rng(3 * count + (branch > 0))
+        trace = sweep(oracle_designs(rng, 60, branch), count)
+        args = (trace.fractions, (trace.B[..., 0], trace.B[..., 1]),
+                trace.beta)
+        expected = oracle_solve(*args)
+        deficient = expected.condition > RANK_DEFICIENCY_COND
+        batches = [args]
+        if count > 2:
+            # and a batch with no deficient row, which skips the
+            # minimum-norm branch
+            assert 0 < deficient.sum() < len(deficient)
+            regular = np.flatnonzero(~deficient)
+            batches.append((args[0], tuple(b[regular] for b in args[1]),
+                            args[2][regular]))
+        for batch in batches:
+            got, expected = synthesis._solve(*batch), oracle_solve(*batch)
+            for name in ("x", "delta", "condition"):
+                assert same_bits(getattr(got, name), getattr(expected, name))
+
+    def test_one_design(self):
+        # one design's solve runs on numpy scalars, as the oracle's does
+        rng = np.random.default_rng(12)
+        params = oracle_designs(rng, 12, +1)
+        for i in range(len(params.crank)):
+            trace = sweep(take(params, i), 24)
+            got = solve(trace)
+            expected = oracle_solve(trace.fractions,
+                                    (trace.B[..., 0], trace.B[..., 1]),
+                                    trace.beta)
+            for name in ("x", "delta", "condition"):
+                assert same_bits(getattr(got, name), getattr(expected, name))
+        assert expected.condition > RANK_DEFICIENCY_COND  # PARALLELOGRAM
 
 
 class TestDeltaIsResidual:
