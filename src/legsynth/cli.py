@@ -167,8 +167,10 @@ def _scan_args(config):
     that synth and pareto share."""
     box = (_build(search.ParamBox, config["box"], "box") if "box" in config
            else search.DEFAULT_BOX)
+    # the inner solve has three complex unknowns, the coupler point and
+    # the target line, so fewer than four samples fit every design exactly
     count = _get(config, "sweep_samples", int, search.DEFAULT_SWEEP_SAMPLES,
-                 lo=2, hi=MAX_SWEEP_SAMPLES)
+                 lo=4, hi=MAX_SWEEP_SAMPLES)
     branch = _get(config, "branch", int, 1)
     if branch not in (1, -1):
         raise ConfigError("branch must be 1 or -1")

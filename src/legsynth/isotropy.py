@@ -31,10 +31,6 @@ from .geometry import rot2
 # |sin beta| below this is reported as a singular leg (foot on the leg
 # x-axis, prismatic rate unobservable in the closure projection).
 SIN_BETA_TOL = 1e-12
-# forward_kinematics stops at this closure residual (infinity norm) and
-# gives up after this many Newton steps.
-_FK_TOL = 1e-12
-_FK_MAX_ITER = 50
 
 
 class SingularLegError(ValueError):
@@ -47,10 +43,6 @@ class SingularConfigurationError(ValueError):
 
 class UndefinedFamilyError(ValueError):
     """Closed-form family parameters make the hip radius diverge."""
-
-
-class FkDivergedError(RuntimeError):
-    """Forward-kinematics Newton iteration failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -270,59 +262,3 @@ def foot_positions(config):
     foot = np.column_stack([config.foot_offset, config.extension])
     return hip_positions(config) + _rotate(config.heading + config.leg_angle,
                                            foot)
-
-
-@dataclass(frozen=True)
-class FkResult:
-    position: np.ndarray
-    heading: float
-    leg_angles: np.ndarray
-    residual: float
-    iterations: int
-
-
-def forward_kinematics(config, feet, extensions=None):
-    """Solve the stance closure for body pose and passive leg angles.
-
-    Given the three foot positions and prismatic extensions, Newton
-    iteration, seeded with the pose and passive angles stored in
-    `config`, drives the six closure equations
-    S_i = R_C + rot(theta) r_O_i + rot(theta + alpha_i) (a_i, q_i)
-    below 1e-12 in the infinity norm, or raises FkDivergedError after
-    50 steps.  The six unknowns are the body position, heading, and the
-    three passive angles.  Used as the finite-difference oracle for the
-    analytic stance Jacobian.
-    """
-    feet = np.asarray(feet, dtype=float).reshape(3, 2)
-    q = (config.extension if extensions is None
-         else np.asarray(extensions, dtype=float))
-    z = np.array([config.position[0], config.position[1], config.heading,
-                  *config.leg_angle])
-    r_s = np.column_stack([config.foot_offset, q])
-    radius = config.mount_radius[:, None]
-    rows = np.arange(6)
-    J = np.zeros((6, 6))
-    J[rows, rows % 2] = 1.0
-
-    for iteration in range(_FK_MAX_ITER):
-        turn = z[2] + config.mount_angle
-        ang = z[2] + z[3:6]
-        hip = z[0:2] + radius * np.column_stack([np.cos(turn), np.sin(turn)])
-        R = (hip + _rotate(ang, r_s) - feet).ravel()
-        err = float(np.abs(R).max())
-        if err <= _FK_TOL:
-            return FkResult(position=z[0:2].copy(), heading=float(z[2]),
-                            leg_angles=z[3:6].copy(), residual=err,
-                            iterations=iteration)
-        d_hip = radius * np.column_stack([-np.sin(turn), np.cos(turn)])
-        d_foot = _rotate(ang + np.pi / 2.0, r_s)
-        J[:, 2] = (d_hip + d_foot).ravel()
-        J[rows, 3 + rows // 2] = d_foot.ravel()
-        try:
-            step = np.linalg.solve(J, R)
-        except np.linalg.LinAlgError:
-            raise FkDivergedError("closure Jacobian singular during Newton "
-                                  "iteration") from None
-        z = z - step
-    raise FkDivergedError(f"no convergence in {_FK_MAX_ITER} iterations "
-                          f"(residual {err:.3e})")

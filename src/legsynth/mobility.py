@@ -22,8 +22,8 @@ class MechanismGraph:
     """Joint census of one mechanism.
 
     p5..p1 count kinematic pairs by the number of constraints they
-    impose; actuated_inputs may be None when actuation is not being
-    audited.
+    impose (a planar graph takes only p5 and p4); actuated_inputs may be
+    None when actuation is not being audited.
     """
 
     space: str
@@ -43,6 +43,8 @@ class MechanismGraph:
                   self.p2, self.p1)
         if any(c < 0 for c in counts):
             raise ValueError("link and joint counts must be non-negative")
+        if self.space == PLANAR and (self.p3 or self.p2 or self.p1):
+            raise ValueError("a planar graph has no p3, p2 or p1 pairs")
         total_joints = self.p5 + self.p4 + self.p3 + self.p2 + self.p1
         if self.actuated_inputs is not None:
             if self.actuated_inputs < 0:

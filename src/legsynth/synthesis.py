@@ -12,10 +12,12 @@ outer searches (the quasi-random scan and NSGA-II) minimize; the coupler
 point is never a search variable.
 
 The error is the mean (not the bare sum) of squared deviations over the
-sweep samples.  Every function here also takes a batch of designs as
-stacked arrays; reduced_objective, which sweeps and solves a batch in
-bounded chunks, is the one evaluation kernel of the scan, NSGA-II and
-the CLI.
+sweep samples.  solve and residual_delta read a sweep as plain arrays:
+the schedule fractions k, joint B as an (x, y) pair and the coupler
+angle beta (its cosine and sine for residual_delta), one row per design
+of a batch.  reduced_objective, which sweeps and solves a batch in
+bounded chunks through solve, is the one evaluation kernel of the scan,
+NSGA-II and the CLI.
 """
 
 from dataclasses import dataclass
@@ -106,9 +108,13 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def solve(sweep):
-    """Least-squares coupler point and target line of a sweep (or a batch
-    sweep), in closed form.
+def solve(k, B, beta):
+    """Least-squares coupler point and target line of a sweep, or of a
+    batch of sweeps, in closed form.
+
+    k is the (count,) sweep fractions, shared by every row; B is joint B
+    as an (x, y) pair of arrays and beta the coupler angle, each of shape
+    (count,) for one design or (rows, count) for a batch.
 
     In complex numbers the error is mean|b + e z - w0 - w1 k|^2 over the
     samples, with b the joint B, e = exp(i beta), z the coupler point and
@@ -122,13 +128,6 @@ def solve(sweep):
     degenerate sweeps (for example constant coupler angle) stay usable
     inside an outer search.
     """
-    return _solve(sweep.fractions, (sweep.B[..., 0], sweep.B[..., 1]),
-                  sweep.beta)
-
-
-def _solve(k, B, beta):
-    """solve of the sweep with fractions k, joint B as an (x, y) pair of
-    arrays and coupler angle beta."""
     if not (all(np.isfinite(v).all() for v in B)
             and np.isfinite(beta).all()):
         raise InvalidSystemError("sweep contains non-finite entries")
@@ -148,25 +147,20 @@ def _solve(k, B, beta):
                  / np.where(deficient, 1.0, power))
     # (z, w0, w1) as complex columns read as six real ones
     x = np.stack([z, b0 + a0 * z, b1 + a1 * z], axis=-1).view(float)
-    return SynthesisSolution(x=x, delta=_residual(k, B, c, s, x),
+    return SynthesisSolution(x=x, delta=residual_delta(k, B, c, s, x),
                              condition=condition[()])
 
 
-def residual_delta(sweep, x):
+def residual_delta(k, B, c, s, x):
     """Mean squared trajectory deviation of a sweep for arbitrary unknown
     vectors: one design and a 6-vector, or a batch and a (rows, 6) array.
 
-    Evaluates the error directly from the sweep samples and the six real
-    unknowns, independent of the projection; solve() reports it at its
-    own solution.
+    k, B are the sweep fractions and joint B as solve takes them, and
+    c = cos beta and s = sin beta of the coupler angle, which solve has
+    at hand.  Evaluates the error directly from the sweep samples and the
+    six real unknowns, independent of the projection; solve reports it
+    at its own solution.
     """
-    return _residual(sweep.fractions, (sweep.B[..., 0], sweep.B[..., 1]),
-                     np.cos(sweep.beta), np.sin(sweep.beta), x)
-
-
-def _residual(k, B, c, s, x):
-    """residual_delta of the sweep with fractions k, joint B as an (x, y)
-    pair, and c = cos beta and s = sin beta, which _solve has at hand."""
     x = np.asarray(x, dtype=float)[..., None]
     u = B[0] + x[..., 0, :] * c - x[..., 1, :] * s - x[..., 2, :] \
         - x[..., 4, :] * k
@@ -194,7 +188,7 @@ def reduced_objective(params, count):
     step = max(1, CHUNK_ANGLES // count)
     for start in range(0, len(feasible), step):
         part = feasible[start:start + step]
-        solution = _solve(*_sampled(params, count, part))
+        solution = solve(*_sampled(params, count, part))
         delta0[part] = solution.delta
         x[part] = solution.x
         condition[part] = solution.condition

@@ -17,9 +17,8 @@ import pytest
 from legsynth import cli, slam
 from legsynth.fourbar import FourBarParams, arc_check, gait_metrics, sweep
 from legsynth.isotropy import (ab_matrices, closed_form_family,
-                               foot_positions, forward_kinematics,
-                               inverse_jacobian, isotropy_report,
-                               jacobian_via_AB)
+                               foot_positions, inverse_jacobian,
+                               isotropy_report, jacobian_via_AB)
 from legsynth.lptau import lp_tau
 from legsynth.mobility import mobility, rationality_report, reference_graphs
 from legsynth.nsga2 import (GAConfig, evolve,
@@ -29,8 +28,9 @@ from legsynth.slam import (MotionInput, NoPathError, OccupancyGrid,
                            OdometryNoise, ProcessNoise, SensorConfig,
                            desk_world, loop_script, path_cost, plan_path,
                            simulate, update_map)
-from legsynth.synthesis import RANK_DEFICIENCY_COND, residual_delta, solve
-from test_synthesis import assemble, solve_oracle
+from legsynth.synthesis import RANK_DEFICIENCY_COND, solve
+from test_isotropy import forward_kinematics
+from test_synthesis import assemble, residual, solve_oracle, sweep_arrays
 
 
 def report(criterion, passed, detail):
@@ -224,15 +224,15 @@ def test_criterion_6_linear_solve_stationarity():
     worst_grad = 0.0
     for _ in range(100):
         trace = _random_sweep(rng)
-        solution = solve(trace)
+        solution = solve(*sweep_arrays(trace))
         if solution.condition > RANK_DEFICIENCY_COND:
             continue
         h = 1e-6
         for j in range(6):
             e = np.zeros(6)
             e[j] = h
-            g = (residual_delta(trace, solution.x + e)
-                 - residual_delta(trace, solution.x - e)) / (2 * h)
+            g = (residual(trace, solution.x + e)
+                 - residual(trace, solution.x - e)) / (2 * h)
             worst_grad = max(worst_grad, abs(g) / (1.0 + solution.delta))
     # the blocks of the normal-equation oracle against finite differences
     # of the residual, and solve() against that oracle at the tolerances
@@ -244,7 +244,7 @@ def test_criterion_6_linear_solve_stationarity():
         trace = _random_sweep(rng)
         system = assemble(trace)
         x, delta, cond = solve_oracle(system)
-        solution = solve(trace)
+        solution = solve(*sweep_arrays(trace))
         scale = np.mean((trace.B ** 2).sum(axis=1)) + x @ x
         worst_x = max(worst_x, np.abs(solution.x - x).max()
                       / (eps * cond * (1.0 + np.abs(x).max())))
@@ -253,12 +253,12 @@ def test_criterion_6_linear_solve_stationarity():
         h = 0.5  # exact for a quadratic, keeps roundoff small
         grad0 = np.empty(6)
         hess = np.empty((6, 6))
-        base = residual_delta(trace, np.zeros(6))
+        base = residual(trace, np.zeros(6))
         for i in range(6):
             ei = np.zeros(6)
             ei[i] = h
-            fp = residual_delta(trace, ei)
-            fm = residual_delta(trace, -ei)
+            fp = residual(trace, ei)
+            fm = residual(trace, -ei)
             grad0[i] = (fp - fm) / (2 * h)
             hess[i, i] = (fp - 2 * base + fm) / h ** 2
         for i in range(6):
@@ -266,13 +266,13 @@ def test_criterion_6_linear_solve_stationarity():
                 e = np.zeros(6)
                 e[i] = h
                 e[j] = h
-                fpp = residual_delta(trace, e)
+                fpp = residual(trace, e)
                 e[j] = -h
-                fpm = residual_delta(trace, e)
+                fpm = residual(trace, e)
                 e[i] = -h
-                fmm = residual_delta(trace, e)
+                fmm = residual(trace, e)
                 e[j] = h
-                fmp = residual_delta(trace, e)
+                fmp = residual(trace, e)
                 hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) \
                     / (4 * h ** 2)
         worst_block = max(worst_block,

@@ -556,6 +556,14 @@ BAD_CONFIGS = [
                  id="synth-one-sweep-sample"),
     pytest.param("pareto", lambda tmp: {"sweep_samples": 1},
                  id="pareto-one-sweep-sample"),
+    pytest.param("synth", lambda tmp: {"sweep_samples": 2},
+                 id="synth-two-sweep-samples"),
+    pytest.param("pareto", lambda tmp: {"sweep_samples": 2},
+                 id="pareto-two-sweep-samples"),
+    pytest.param("synth", lambda tmp: {"sweep_samples": 3},
+                 id="synth-three-sweep-samples"),
+    pytest.param("pareto", lambda tmp: {"sweep_samples": 3},
+                 id="pareto-three-sweep-samples"),
     pytest.param("pareto", lambda tmp: {"coupler": "solved"},
                  id="pareto-coupler-key"),
     pytest.param("slam", lambda tmp: {"script": []}, id="empty-script"),
@@ -565,6 +573,9 @@ BAD_CONFIGS = [
                  id="negative-steps"),
     pytest.param("mobility", lambda tmp: {"graphs": 5}, id="graphs-a-number"),
     pytest.param("mobility", lambda tmp: {"graphs": True}, id="graphs-true"),
+    pytest.param("mobility", lambda tmp: {"graphs": [
+        {"space": "planar", "moving_links": 3, "p5": 4, "p3": 5,
+         "actuated_inputs": 1}]}, id="planar-graph-with-p3"),
     pytest.param("slam", lambda tmp: {"script": {"type": "loop", "speed": 0}},
                  id="loop-zero-speed"),
     pytest.param("slam", lambda tmp: {"script": {"type": "loop", "dt": 0}},

@@ -71,6 +71,19 @@ class TestFormula:
         with pytest.raises(ValueError):
             MechanismGraph(space="hyperbolic", moving_links=1)
 
+    @pytest.mark.parametrize("pair", ["p3", "p2", "p1"])
+    def test_planar_rejects_spatial_pairs(self, pair):
+        # W = 3n - 2 p5 - p4 has no term for them: with p3 = 5 this
+        # graph read W = 1, "rational"
+        with pytest.raises(ValueError, match="planar"):
+            MechanismGraph(space="planar", moving_links=3, p5=4,
+                           actuated_inputs=1, **{pair: 5})
+
+    @pytest.mark.parametrize("pair", ["p3", "p2", "p1"])
+    def test_spatial_takes_every_pair(self, pair):
+        graph = MechanismGraph(space="spatial", moving_links=3, **{pair: 1})
+        assert mobility(graph).dof == 18 - {"p3": 3, "p2": 2, "p1": 1}[pair]
+
 
 counts = st.integers(min_value=0, max_value=20)
 

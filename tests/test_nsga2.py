@@ -16,6 +16,7 @@ from legsynth.nsga2 import (GAConfig, OBJECTIVE_SENTINEL, Problem, _breed,
 from legsynth.search import ParamBox
 from legsynth.search import dominates as dominance_matrix
 from legsynth.synthesis import LineTarget, solve
+from test_synthesis import sweep_arrays
 
 HOEKEN_GENOME = np.array([0.5, 1.25, 1.25, np.radians(65.0),
                           np.radians(221.0)])
@@ -841,7 +842,7 @@ class TestLegProblem:
             params = FourBarParams(*genome)
             count = 24
             trace = sweep(params, count)
-            solution = solve(trace)
+            solution = solve(*sweep_arrays(trace))
             path = coupler_path(trace, solution.x[:2])
             targets = LineTarget(*solution.x[2:]).points(trace.fractions)
             direct = np.mean(((path - targets) ** 2).sum(axis=1))

@@ -37,6 +37,18 @@ def hoeken_sweep(count=32):
     return sweep(HOEKEN, count)
 
 
+def sweep_arrays(trace):
+    """The fractions, joint B as an (x, y) pair and beta of a Sweep: the
+    arrays solve takes."""
+    return trace.fractions, (trace.B[..., 0], trace.B[..., 1]), trace.beta
+
+
+def residual(trace, x):
+    """residual_delta of a Sweep at x."""
+    k, B, beta = sweep_arrays(trace)
+    return residual_delta(k, B, np.cos(beta), np.sin(beta), x)
+
+
 # The oracle: the six real unknowns' 6x6 normal equations, solved with an
 # SVD condition number, a batched solve and a per-row minimum-norm lstsq
 # fallback, with the error from the quadratic shortcut.  solve() must
@@ -137,12 +149,12 @@ class TestAssemble:
         h = 0.5
         grad0 = np.empty(6)
         hess = np.empty((6, 6))
-        base = residual_delta(trace, np.zeros(6))
+        base = residual(trace, np.zeros(6))
         for i in range(6):
             ei = np.zeros(6)
             ei[i] = h
-            f_plus = residual_delta(trace, ei)
-            f_minus = residual_delta(trace, -ei)
+            f_plus = residual(trace, ei)
+            f_minus = residual(trace, -ei)
             grad0[i] = (f_plus - f_minus) / (2 * h)
             hess[i, i] = (f_plus - 2 * base + f_minus) / h ** 2
         for i in range(6):
@@ -150,13 +162,13 @@ class TestAssemble:
                 e = np.zeros(6)
                 e[i] = h
                 e[j] = h
-                fpp = residual_delta(trace, e)
+                fpp = residual(trace, e)
                 e[j] = -h
-                fpm = residual_delta(trace, e)
+                fpm = residual(trace, e)
                 e[i] = -h
-                fmm = residual_delta(trace, e)
+                fmm = residual(trace, e)
                 e[j] = h
-                fmp = residual_delta(trace, e)
+                fmp = residual(trace, e)
                 hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4 * h ** 2)
         assert np.abs(0.5 * hess - system.matrix).max() < 1e-10
         assert np.abs(-0.5 * grad0 - system.rhs).max() < 1e-10
@@ -164,7 +176,7 @@ class TestAssemble:
 
 class TestSolve:
     def test_parallelogram_is_rank_deficient(self):
-        solution = solve(sweep(PARALLELOGRAM, 12))
+        solution = solve(*sweep_arrays(sweep(PARALLELOGRAM, 12)))
         assert solution.condition > RANK_DEFICIENCY_COND
         assert np.isfinite(solution.delta)
 
@@ -184,7 +196,7 @@ class TestSolve:
                 delta = (rx[0] + ry[0]) / len(k)
                 best = min(best, delta)
         assert best <= 1e-4  # the grid already exposes a small-error optimum
-        solution = solve(trace)
+        solution = solve(*sweep_arrays(trace))
         assert solution.delta <= best + 1e-12
         assert solution.delta <= 1e-4
 
@@ -192,7 +204,7 @@ class TestSolve:
         # B at the origin throughout: every normal-equation mean of B (the
         # right-hand side) vanishes, and so does the best fit
         trace = replace(hoeken_sweep(8), B=np.zeros((8, 2)))
-        solution = solve(trace)
+        solution = solve(*sweep_arrays(trace))
         assert np.allclose(solution.x, 0.0, atol=1e-12)
         assert solution.delta == 0.0
 
@@ -201,46 +213,46 @@ class TestSolve:
         B = trace.B.copy()
         B[3, 1] = np.nan
         with pytest.raises(InvalidSystemError):
-            solve(replace(trace, B=B))
+            solve(*sweep_arrays(replace(trace, B=B)))
         with pytest.raises(InvalidSystemError):
-            solve(replace(trace, beta=np.full(8, np.inf)))
+            solve(*sweep_arrays(replace(trace, beta=np.full(8, np.inf))))
 
 
 class TestResidual:
     def test_stationary_at_solution(self):
         trace = hoeken_sweep(24)
-        solution = solve(trace)
+        solution = solve(*sweep_arrays(trace))
         h = 1e-6
         worst = 0.0
         for j in range(6):
             e = np.zeros(6)
             e[j] = h
-            g = (residual_delta(trace, solution.x + e)
-                 - residual_delta(trace, solution.x - e)) / (2 * h)
+            g = (residual(trace, solution.x + e)
+                 - residual(trace, solution.x - e)) / (2 * h)
             worst = max(worst, abs(g))
         assert worst <= 1e-8 * (1.0 + solution.delta)
 
     def test_perturbation_increases_error(self):
         trace = hoeken_sweep(24)
-        solution = solve(trace)
+        solution = solve(*sweep_arrays(trace))
         for j in range(6):
             e = np.zeros(6)
             e[j] = 0.1
-            assert residual_delta(trace, solution.x + e) \
+            assert residual(trace, solution.x + e) \
                 > solution.delta
 
     def test_dominates_random_draws(self):
         trace = hoeken_sweep(24)
-        solution = solve(trace)
+        solution = solve(*sweep_arrays(trace))
         rng = np.random.default_rng(9)
         draws = rng.uniform(-3.0, 3.0, size=(1000, 6))
         for x in draws:
-            assert solution.delta <= residual_delta(trace, x) + 1e-15
+            assert solution.delta <= residual(trace, x) + 1e-15
 
     def test_matches_quadratic_shortcut(self):
         trace = hoeken_sweep(20)
-        solution = solve(trace)
-        direct = residual_delta(trace, solution.x)
+        solution = solve(*sweep_arrays(trace))
+        direct = residual(trace, solution.x)
         assert abs(direct - solution.delta) < 1e-12
 
 
@@ -285,7 +297,7 @@ class TestOracle:
         rng = np.random.default_rng(count + (branch > 0) * 1000)
         trace = sweep(oracle_designs(rng, 120, branch), count)
         system = assemble(trace)
-        new = solve(trace)
+        new = solve(*sweep_arrays(trace))
         x, delta, cond = solve_oracle(system)
         scale = (trace.B ** 2).sum(axis=-1).mean(axis=-1)
         size = 1.0 + np.abs(x).max(axis=-1)
@@ -313,7 +325,7 @@ class TestOracle:
             gap = 16 * (EPS + new.condition[i] ** -0.5)
             assert np.abs(new.x[i] - least).max() \
                 <= gap * (1.0 + np.abs(least).max())
-            assert abs(new.delta[i] - residual_delta(trace.row(i), least)) \
+            assert abs(new.delta[i] - residual(trace.row(i), least)) \
                 <= gap * scale[i]
 
 
@@ -368,7 +380,7 @@ def oracle_solve(k, B, beta):
 
 def oracle_residual(k, B, c, s, x):
     """residual_delta of the sweep with fractions k, joint B as an (x, y)
-    pair, and c = cos beta and s = sin beta, which _solve has at hand."""
+    pair, and c = cos beta and s = sin beta, which solve has at hand."""
     x = np.asarray(x, dtype=float)[..., None]
     u = B[0] + x[..., 0, :] * c - x[..., 1, :] * s - x[..., 2, :] \
         - x[..., 4, :] * k
@@ -393,8 +405,7 @@ class TestSolveAgainstOracle:
     def test_batches(self, count, branch):
         rng = np.random.default_rng(3 * count + (branch > 0))
         trace = sweep(oracle_designs(rng, 60, branch), count)
-        args = (trace.fractions, (trace.B[..., 0], trace.B[..., 1]),
-                trace.beta)
+        args = sweep_arrays(trace)
         expected = oracle_solve(*args)
         deficient = expected.condition > RANK_DEFICIENCY_COND
         batches = [args]
@@ -406,7 +417,7 @@ class TestSolveAgainstOracle:
             batches.append((args[0], tuple(b[regular] for b in args[1]),
                             args[2][regular]))
         for batch in batches:
-            got, expected = synthesis._solve(*batch), oracle_solve(*batch)
+            got, expected = solve(*batch), oracle_solve(*batch)
             for name in ("x", "delta", "condition"):
                 assert same_bits(getattr(got, name), getattr(expected, name))
 
@@ -416,10 +427,8 @@ class TestSolveAgainstOracle:
         params = oracle_designs(rng, 12, +1)
         for i in range(len(params.crank)):
             trace = sweep(take(params, i), 24)
-            got = solve(trace)
-            expected = oracle_solve(trace.fractions,
-                                    (trace.B[..., 0], trace.B[..., 1]),
-                                    trace.beta)
+            got = solve(*sweep_arrays(trace))
+            expected = oracle_solve(*sweep_arrays(trace))
             for name in ("x", "delta", "condition"):
                 assert same_bits(getattr(got, name), getattr(expected, name))
         assert expected.condition > RANK_DEFICIENCY_COND  # PARALLELOGRAM
@@ -442,14 +451,14 @@ class TestDeltaIsResidual:
             rows = np.flatnonzero(result.arc.violation <= 0.0)
             trace = sweep(take(params, rows), count)
             for j, i in enumerate(rows):
-                direct = residual_delta(trace.row(j), result.x[i])
+                direct = residual(trace.row(j), result.x[i])
                 assert abs(result.delta0[i] - direct) \
                     <= 4 * np.spacing(result.delta0[i]), i
             if params is scan:
                 # the best design through the public one-design sweep
                 best = np.argmin(result.delta0)
-                direct = residual_delta(sweep(take(scan, best), count),
-                                        result.x[best])
+                direct = residual(sweep(take(scan, best), count),
+                                  result.x[best])
                 assert abs(result.delta0[best] - direct) \
                     <= 4 * np.spacing(result.delta0[best])
 
@@ -466,8 +475,8 @@ def reduced_objective_oracle(params, count):
     accepted = take(params, np.flatnonzero(ok))
     trace, _, _ = positions_oracle(accepted, *sample_schedule(
         accepted.start_angle, accepted.support_arc, count))
-    solution = solve(trace)
-    delta0[ok] = residual_delta(trace, solution.x)
+    solution = solve(*sweep_arrays(trace))
+    delta0[ok] = residual(trace, solution.x)
     x[ok] = solution.x
     condition[ok] = solution.condition
     return arc, delta0, x, condition, np.where(ok, arc[4], np.nan)
@@ -529,21 +538,21 @@ class TestReducedObjective:
         # the target line direction is solved, so rotating the whole sweep
         # cannot change the reduced objective
         trace = hoeken_sweep(24)
-        base = solve(trace).delta
+        base = solve(*sweep_arrays(trace)).delta
         angle = 0.7
         R = np.array([[np.cos(angle), -np.sin(angle)],
                       [np.sin(angle), np.cos(angle)]])
         rotated = replace(trace, B=trace.B @ R.T, C=trace.C @ R.T,
                           beta=trace.beta + angle)
-        turned = solve(rotated).delta
+        turned = solve(*sweep_arrays(rotated)).delta
         assert abs(turned - base) <= 1e-12
 
     def test_scale_covariance(self):
         trace = hoeken_sweep(24)
-        solution = solve(trace)
+        solution = solve(*sweep_arrays(trace))
         s = 2.5
         scaled = replace(trace, B=s * trace.B, C=s * trace.C)
-        scaled_solution = solve(scaled)
+        scaled_solution = solve(*sweep_arrays(scaled))
         assert np.allclose(scaled_solution.x, s * solution.x, rtol=1e-9)
         assert np.isclose(scaled_solution.delta, s ** 2 * solution.delta,
                           rtol=1e-9)
@@ -551,7 +560,7 @@ class TestReducedObjective:
     def test_embeds_solution(self):
         result = reduced_objective(HOEKEN, 24)
         trace = hoeken_sweep(24)
-        solution = solve(trace)
+        solution = solve(*sweep_arrays(trace))
         assert result.delta0[0] == solution.delta
         assert np.array_equal(result.x[0], solution.x)
         assert result.mu_min[0] == arc_check(HOEKEN).mu_min[0] \
@@ -620,7 +629,7 @@ class TestBatchKernel:
                 assert np.isnan(batch.mu_min[i])
                 continue
             trace = sweep(design, KERNEL_COUNT)
-            direct = residual_delta(trace, batch.x[i])
+            direct = residual(trace, batch.x[i])
             assert abs(direct - batch.delta0[i]) <= 1e-12 * (1.0 + direct)
             assert batch.mu_min[i] == batch.arc.mu_min[i] <= trace.mu.min()
 
