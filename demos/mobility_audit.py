@@ -7,11 +7,10 @@ body makes twelve drives fight over six freedoms until the body is
 split into articulated segments.
 """
 
-from legsynth.mobility import (MechanismGraph, mobility, rationality_report,
-                               reference_graphs)
+from legsynth.mobility import MechanismGraph, mobility, reference_graphs
 
 print(f"{'mechanism':50s} {'W':>3} {'inputs':>7}  diagnosis")
-for result in rationality_report(reference_graphs()):
+for result in map(mobility, reference_graphs()):
     inputs = "-" if result.actuated_inputs is None else result.actuated_inputs
     print(f"{result.label:50s} {result.dof:>3} {inputs!s:>7}  "
           f"{result.diagnosis}")

@@ -24,7 +24,7 @@ from . import nsga2
 from . import search
 from . import slam
 from .fourbar import FourBarParams, coupler_path, sweep
-from .mobility import MechanismGraph, rationality_report, reference_graphs
+from .mobility import MechanismGraph, mobility, reference_graphs
 from .svgplot import SvgPlot
 from .synthesis import LineTarget
 
@@ -37,7 +37,7 @@ EXIT_INFEASIBLE = 2
 # test, demo, README sketch or benchmark config uses.
 MAX_SAMPLES = 2 ** 20        # synth budget, LP-tau points
 MAX_SWEEP_SAMPLES = 4096     # crank positions per design
-MAX_POPULATION = 2000        # kernel arrays are population x sweep samples
+MAX_POPULATION = 2000        # designs bred, evaluated, sorted per generation
 MAX_GENERATIONS = 32_000     # the run histories hold one row per generation
 MAX_RAYS = 10_000            # sensor rays per scan
 MAX_RAY_CELLS = 4096         # grid cells a ray walks, max_range / resolution
@@ -465,7 +465,7 @@ def cmd_mobility(config, out, seed, tag):
     if _get(config, "use_reference_fixtures", bool, not blocks):
         graphs = reference_graphs() + graphs
 
-    results = rationality_report(graphs)
+    results = [mobility(g) for g in graphs]
     with open(out / "mobility.csv", "w", newline="") as fh:
         fh.write(f"# config {tag}\n")
         writer = csv.writer(fh, lineterminator="\n")

@@ -22,33 +22,17 @@ from .geometry import TWO_PI
 DEGENERACY_TOL = 1e-9
 
 
+# The reason a design is rejected, formatted with its worst crank angle
+# and the figure that shows the failure there.
+NOT_ASSEMBLABLE = ("linkage not assemblable at crank angle %.6f rad "
+                   "(closure gap %.3e)")
+NEAR_TANGENT = ("near-tangent configuration at crank angle %.6f rad "
+                "(discriminant %.3e)")
+
+
 class LinkageError(Exception):
-    """Base class for four-bar analysis failures.  A subclass's MESSAGE
-    takes the crank angle and the figure that shows the failure."""
-
-
-class NotAssemblableError(LinkageError):
-    """The coupler/rocker circles do not intersect at the given crank angle."""
-
-    MESSAGE = ("linkage not assemblable at crank angle %.6f rad "
-               "(closure gap %.3e)")
-
-    def __init__(self, phi, gap):
-        self.phi = float(phi)
-        self.gap = float(gap)
-        super().__init__(self.MESSAGE % (phi, gap))
-
-
-class DegenerateConfigurationError(LinkageError):
-    """The circle intersection is within tolerance of tangency."""
-
-    MESSAGE = ("near-tangent configuration at crank angle %.6f rad "
-               "(discriminant %.3e)")
-
-    def __init__(self, phi, discriminant):
-        self.phi = float(phi)
-        self.discriminant = float(discriminant)
-        super().__init__(self.MESSAGE % (phi, discriminant))
+    """A design that does not assemble over its support arc; the message
+    is its ArcCheck reason."""
 
 
 @dataclass(frozen=True)
@@ -134,19 +118,16 @@ class ArcCheck:
     violation: np.ndarray
     mu_min: np.ndarray
 
-    def error(self, i):
-        """Design i's error at its worst crank angle, or None."""
-        failure = _failure(self.gap[i], self.discriminant[i])
-        return None if failure is None else failure[0](self.phi[i],
-                                                       failure[1])
-
     def messages(self, rows):
-        """str(self.error(i)) of each rejected design i of `rows`, in one
-        formatting pass."""
-        return [kind.MESSAGE % (phi, figure) for phi, (kind, figure) in zip(
-            self.phi[rows].tolist(),
-            map(_failure, self.gap[rows].tolist(),
-                self.discriminant[rows].tolist()))]
+        """The reason of each rejected design of `rows`, at its worst
+        crank angle: NOT_ASSEMBLABLE with the closure gap where the gap
+        is positive, else NEAR_TANGENT with the discriminant (NaN
+        figures included)."""
+        return [NOT_ASSEMBLABLE % (phi, gap) if gap > 0.0
+                else NEAR_TANGENT % (phi, disc)
+                for phi, gap, disc in zip(self.phi[rows].tolist(),
+                                          self.gap[rows].tolist(),
+                                          self.discriminant[rows].tolist())]
 
 
 @dataclass(frozen=True)
@@ -195,7 +176,7 @@ def _positions(crank, coupler, rocker, phis):
     (x, y) pair of arrays, d = |BD|, the distance a along BD from B to the
     chord of the coupler and rocker circles, and the discriminant
     coupler^2 - a^2, 0 where B sits on D (d < 1e-12).  Links whose squares
-    overflow give inf or NaN, which _failure rejects, without a warning.
+    overflow give inf or NaN, which arc_check rejects, without a warning.
     Each caller derives from these only the pieces it reads."""
     B = crank * np.cos(phis), crank * np.sin(phis)
     BD = 1.0 - B[0], 0.0 - B[1]
@@ -227,17 +208,6 @@ def _transmission(coupler, rocker, d):
     return np.minimum(mu, np.pi - mu)
 
 
-def _failure(gap, discriminant):
-    """The error class of a crank angle with this closure gap and
-    discriminant, and the figure its message reports; None where joint C
-    can be placed."""
-    if gap > 0.0:
-        return NotAssemblableError, gap
-    if not discriminant >= DEGENERACY_TOL:
-        return DegenerateConfigurationError, discriminant
-    return None
-
-
 def arc_check(params):
     """Whole-arc assemblability and worst transmission angle of each
     design, in closed form.
@@ -267,11 +237,12 @@ def arc_check(params):
 def sweep(params, count):
     """Position analysis over the support schedule of one design, or of
     each design of a batch, on the params' assembly branch.  Raises
-    NotAssemblableError / DegenerateConfigurationError at the worst crank
-    angle of the first design that arc_check rejects."""
+    LinkageError with the reason of the first design that arc_check
+    rejects."""
     check = arc_check(params)
-    if not np.all(check.violation <= 0.0):
-        raise check.error(np.argmin(check.violation <= 0.0))
+    rejected = np.flatnonzero(~(check.violation <= 0.0))
+    if len(rejected):
+        raise LinkageError(*check.messages(rejected[:1]))
     crank, coupler, rocker, start, arc = _rows(params)
     phis, fractions = sample_schedule(start, arc, count)
     B, BD, d, a, disc = _positions(crank, coupler, rocker, phis)

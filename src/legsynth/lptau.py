@@ -38,13 +38,9 @@ _INITIAL_M = (
     (1, 3, 1, 13, 27, 49),
 )
 
-_direction_cache = {}
-
 
 def _direction_integers(dim):
     """Direction integers V[j][b] = m_b(dim j) << (32 - b), b = 1..32."""
-    if dim in _direction_cache:
-        return _direction_cache[dim]
     V = np.zeros((dim, _N_BITS + 1), dtype=np.uint64)
     for b in range(1, _N_BITS + 1):
         V[0, b] = 1 << (_N_BITS - b)  # dimension 1: every m_b = 1
@@ -60,7 +56,6 @@ def _direction_integers(dim):
             m.append(new)
         for b in range(1, _N_BITS + 1):
             V[j, b] = np.uint64(m[b - 1]) << np.uint64(_N_BITS - b)
-    _direction_cache[dim] = V
     return V
 
 

@@ -84,11 +84,6 @@ def mobility(graph):
                           rational=rational, diagnosis=diagnosis)
 
 
-def rationality_report(graphs):
-    """One MobilityResult per graph, in input order."""
-    return [mobility(g) for g in graphs]
-
-
 def reference_graphs():
     """The four hexapod/octopod census fixtures used by the audit demo.
 

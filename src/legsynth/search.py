@@ -202,8 +202,8 @@ def write_sampling_table(table, path, header_comment=None):
     """Emit the sampling table as CSV, one formatted line per row: index
     %d, five parameters %.12g, then delta0 %.12g and min_transmission_deg,
     cycle_ratio, support_deg %.9g (empty on an infeasible row), feasible
-    1 or 0, reason.  No cell is quoted: a reason is empty or a fourbar
-    LinkageError message, which holds no comma, quote or line break."""
+    1 or 0, reason.  No cell is quoted: a reason is empty or an ArcCheck
+    reason, which holds no comma, quote or line break."""
     feasible_row = "%d" + ",%.12g" * 6 + ",%.9g" * 3 + ",1,%s\n"
     infeasible_row = "%d" + ",%.12g" * 5 + ",,,,,0,%s\n"
     cells = np.column_stack([table.params, table.delta0,

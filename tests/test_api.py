@@ -1,5 +1,6 @@
 """Every public name of the library has a caller in the library or the
-demos.
+demos, and so has every public method and property of its public
+classes.
 
 A top-level function, class or constant of `src/legsynth` that only the
 tests reach is test code: it belongs in the tests, as the oracles there
@@ -8,6 +9,14 @@ definition), a read of the name where a module imports it, or an
 attribute read on a name bound to an imported legsynth module
 (`iso.closed_form_family`).  Docstrings and attributes of other objects
 (`np.linalg.solve`) do not count.
+
+A method or property is read as an attribute of an instance, whose class
+the source does not name, so any attribute read of its name outside the
+method's own definition counts as a caller (`table.take(rows)` keeps
+`SamplingTable.take`).  A read meant for another class's attribute of
+the same name can keep an unused method, but no method that has a caller
+is flagged.  Dunder methods are called by the language and are not
+checked.
 """
 
 import ast
@@ -103,6 +112,36 @@ def references():
     return found
 
 
+def methods(tree):
+    """The public methods and properties of a module's public top-level
+    classes, each with the node that defines it: {(class, name): node}."""
+    return {(cls.name, node.name): node
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and public(cls.name)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")}
+
+
+def unused_methods():
+    """Every (module, class, name) of methods() that no attribute read in
+    src/legsynth or the demos reaches from outside its own definition."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in MODULES + DEMOS}
+    reads = [(node.attr, id(node)) for tree in trees.values()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)]
+    unused = []
+    for path in MODULES:
+        for (cls, name), definition in methods(trees[path]).items():
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(attr == name and node not in inside
+                       for attr, node in reads):
+                unused.append((path.stem, cls, name))
+    return sorted(unused)
+
+
 def test_every_public_name_has_a_caller():
     seen = references()
     defined = {(path.stem, name)
@@ -120,3 +159,9 @@ def test_allowlist_is_current():
         assert name in definitions(ast.parse(
             (ROOT / "src" / PACKAGE / f"{module}.py").read_text()))
         assert (module, name) not in seen
+
+
+def test_every_public_method_has_a_caller():
+    unused = unused_methods()
+    assert not unused, f"public methods and properties that nothing in " \
+                       f"src/ or demos/ reads: {unused}"

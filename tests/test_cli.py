@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -166,6 +167,25 @@ class TestPareto:
         assert overlap["front_size"] > 0
         assert overlap["table_size"] == 32
         assert overlap["mean_front_to_table"] >= 0.0
+
+    def test_overlap_report_skips_infeasible_rows(self, tmp_path):
+        # the default box rejects some designs: their rows carry a reason
+        # and no figures, and the report reads only the feasible ones
+        synth_code, synth_out = run(tmp_path / "synth", "synth",
+                                    {"budget": 256})
+        assert synth_code == 0
+        table = synth_out / "sampling_table.csv"
+        with open(table, newline="") as fh:
+            fh.readline()
+            flags = [row["feasible"] for row in csv.DictReader(fh)]
+        feasible = flags.count("1")
+        assert 0 < feasible < len(flags) == 256
+        config = {"ga": {"population": 8, "generations": 2},
+                  "sampling_table": str(table)}
+        code, out = run(tmp_path / "ga", "pareto", config)
+        assert code == 0
+        overlap = json.loads((out / "overlap.json").read_text())
+        assert overlap["table_size"] == feasible
 
     @pytest.mark.parametrize("seed", range(5))
     def test_overlap_counts_match_pairwise_oracle(self, seed):
@@ -711,6 +731,35 @@ BAD_CONFIGS = [
                  id="negative-odometry-sigma"),
     pytest.param("slam", lambda tmp: {"process_noise": {"heading": -0.001}},
                  id="negative-process-noise"),
+    pytest.param("mobility", lambda tmp: [], id="config-root-a-list"),
+    pytest.param("synth", lambda tmp: {"branch": 0}, id="synth-branch-0"),
+    pytest.param("pareto", lambda tmp: {"branch": 0}, id="pareto-branch-0"),
+    pytest.param("isotropy", lambda tmp: {"family": {}, "legs": [LEG] * 3},
+                 id="family-beside-legs"),
+    pytest.param("slam", lambda tmp: {"script": {"type": "spiral"}},
+                 id="script-type-spiral"),
+    pytest.param("isotropy", lambda tmp: {"legs": [
+        dict(LEG, mount_radius=0.0), LEG, LEG]}, id="leg-mount-radius-0"),
+    pytest.param("isotropy", lambda tmp: {"legs": [LEG] * 3,
+                                          "char_length": 0.0},
+                 id="legs-char-length-0"),
+    pytest.param("isotropy", lambda tmp: {"family": {"variant": 3}},
+                 id="family-variant-3"),
+    pytest.param("isotropy", lambda tmp: {"family": {"sign": 0}},
+                 id="family-sign-0"),
+    pytest.param("isotropy", lambda tmp: {"family": {"beta": 0.0}},
+                 id="family-beta-0"),
+    pytest.param("isotropy", lambda tmp: {"family": {"beta": np.pi}},
+                 id="family-beta-pi"),
+    pytest.param("pareto", lambda tmp: {"ga": {"population": 4,
+                                               "generations": -1}},
+                 id="generations-minus-1"),
+    pytest.param("pareto", lambda tmp: {"ga": {
+        "population": 4, "generations": 0, "mutation_prob": 1.5}},
+        id="mutation-prob-1.5"),
+    pytest.param("mobility", lambda tmp: {"graphs": [
+        {"space": "planar", "moving_links": 3, "p5": 4,
+         "actuated_inputs": -1}]}, id="actuated-inputs-minus-1"),
 ]
 
 
@@ -725,6 +774,18 @@ class TestParserBehavior:
         assert code == 1
         assert "config error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("mobility", [], "config root must be a JSON object"),
+        ("isotropy", {"family": {"sign": 0}}, "sign must be +1 or -1"),
+    ], ids=["config-root-a-list", "family-sign-0"])
+    def test_first_check_names_the_fault(self, tmp_path, capsys, command,
+                                         config, message):
+        # a later check refuses these configs too, under another name
+        code, _ = run(tmp_path, command, config)
+        assert code == 1
+        assert capsys.readouterr().err == f"legsynth: config error: " \
+                                          f"{message}\n"
 
     @pytest.mark.parametrize("command", ["synth", "pareto", "slam"])
     def test_negative_seed_exit_1(self, tmp_path, capsys, command):
@@ -775,6 +836,22 @@ class TestParserBehavior:
         assert "config error" in err and "Traceback" not in err
         assert name in err
 
+    def test_diagnostics_that_cannot_be_written_still_print(self, tmp_path,
+                                                            capsys):
+        # a directory where diagnostics.json should go: the run still
+        # exits 2 and prints its diagnostics to stderr
+        (tmp_path / "out" / "diagnostics.json").mkdir(parents=True)
+        config = {"box": TIGHT_BOX, "budget": 16,
+                  "limits": {"min_transmission_deg": 91.0}}
+        code, _ = run(tmp_path, "synth", config)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        first, printed = err.splitlines()
+        assert first.startswith("legsynth: infeasible: ")
+        diagnostics = json.loads(printed)
+        assert diagnostics["feasible"] == 0 and diagnostics["config_hash"]
+
     def test_stdout_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         class ClosedPipe:
             def write(self, text):
@@ -793,8 +870,8 @@ class TestParserBehavior:
         assert code == 1
 
     def test_config_too_deep_to_hash_exit_1(self, tmp_path, capsys):
-        # json.load reads a few levels deeper than json.dumps writes; every
-        # depth up to the recursion limit exits 1 before any command runs
+        # every depth up to the recursion limit exits 1: json.load refuses
+        # the deepest files, the command's config checks the rest
         config = tmp_path / "config.json"
         limit = sys.getrecursionlimit()
         for depth in range(limit - 400, limit + 10):
@@ -804,6 +881,16 @@ class TestParserBehavior:
             err = capsys.readouterr().err
             assert code == 1
             assert "config error" in err and "Traceback" not in err
+
+    def test_config_hash_refuses_what_it_cannot_dump(self):
+        # json.load and json.dumps spend the same recursion per level of a
+        # config read from a file, so the load refuses first; a config
+        # built in memory reaches the hash's own refusal
+        config = []
+        for _ in range(sys.getrecursionlimit()):
+            config = [config]
+        with pytest.raises(cli.ConfigError, match="config nests too deeply"):
+            cli._config_hash({"a": config}, 0)
 
 
 def test_text_outputs_end_lines_with_newline_only(tmp_path):

@@ -3,11 +3,10 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from legsynth.fourbar import (DEGENERACY_TOL, DegenerateConfigurationError,
-                              FourBarParams, LinkageError,
-                              NotAssemblableError, Sweep, _failure,
-                              arc_check, coupler_path, gait_metrics,
-                              sample_schedule, sweep)
+from legsynth.fourbar import (DEGENERACY_TOL, NEAR_TANGENT, NOT_ASSEMBLABLE,
+                              FourBarParams, LinkageError, Sweep, arc_check,
+                              coupler_path, gait_metrics, sample_schedule,
+                              sweep)
 from legsynth.geometry import TWO_PI, wrap_pi
 
 PARALLELOGRAM = FourBarParams(crank=0.4, coupler=1.0, rocker=0.4,
@@ -65,17 +64,42 @@ def arc_check_oracle(params):
             np.maximum(DEGENERACY_TOL - least, 0.0), trace.mu.min(axis=1))
 
 
+def failure(gap, discriminant):
+    """The message template of a crank angle with this closure gap and
+    discriminant, and the figure it reports; None where joint C can be
+    placed (test oracle of the classification in ArcCheck.messages)."""
+    if gap > 0.0:
+        return NOT_ASSEMBLABLE, gap
+    if not discriminant >= DEGENERACY_TOL:
+        return NEAR_TANGENT, discriminant
+    return None
+
+
+def kind(check, i):
+    """The template that failure picks for design i of an ArcCheck, or
+    None where the design assembles."""
+    found = failure(check.gap[i], check.discriminant[i])
+    return None if found is None else found[0]
+
+
+def reason(check, i):
+    """Design i's rejection reason at its worst crank angle, formatted
+    from failure's pick, or None where the design assembles."""
+    found = failure(check.gap[i], check.discriminant[i])
+    return None if found is None else found[0] % (check.phi[i], found[1])
+
+
 def solve_position(params, phi):
     """Assemble one design at a single crank angle (test oracle of
     arc_check and sweep): its Pose, with phi, beta and mu numbers and B
     and C 2-vectors.
 
-    Raises NotAssemblableError / DegenerateConfigurationError when joint C
-    cannot be placed on the selected branch.
+    Raises LinkageError, with failure's message, when joint C cannot be
+    placed on the selected branch.
     """
     trace, gap, disc = positions_oracle(params, float(phi))
-    if (failure := _failure(gap[0, 0], disc[0, 0])) is not None:
-        raise failure[0](float(phi), failure[1])
+    if (found := failure(gap[0, 0], disc[0, 0])) is not None:
+        raise LinkageError(found[0] % (float(phi), found[1]))
     return Pose(*(getattr(trace, name)[0, 0] for name in Pose._fields))
 
 
@@ -133,24 +157,31 @@ class TestSolvePosition:
             assert abs(np.hypot(pose.C[0] - 1.0, pose.C[1]) - 1.25) < 1e-12
 
     def test_not_assemblable_reports_angle(self):
-        with pytest.raises(NotAssemblableError) as info:
+        with pytest.raises(LinkageError) as info:
             solve_position(CHEBYSHEV, 0.0)
-        assert info.value.phi == 0.0
+        assert str(info.value) == ("linkage not assemblable at crank angle "
+                                   "0.000000 rad (closure gap 5.000e-01)")
 
     def test_degenerate_near_tangency(self):
         # crank angle where |BD| almost exactly equals coupler + rocker
         params = FourBarParams(crank=0.5, coupler=0.75, rocker=0.75,
                                start_angle=0.0, support_arc=np.pi)
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(LinkageError) as info:
             solve_position(params, np.pi)
+        assert str(info.value) == ("near-tangent configuration at crank "
+                                   "angle 3.141593 rad (discriminant "
+                                   "0.000e+00)")
 
     def test_degenerate_coincident_pivots(self):
         # crank ratio 1 at phi = 0 stacks B on D; the intersection
         # direction is undefined even though the circles coincide
         params = FourBarParams(crank=1.0, coupler=0.7, rocker=0.7,
                                start_angle=0.0, support_arc=np.pi)
-        with pytest.raises(DegenerateConfigurationError):
+        with pytest.raises(LinkageError) as info:
             solve_position(params, 0.0)
+        assert str(info.value) == ("near-tangent configuration at crank "
+                                   "angle 0.000000 rad (discriminant "
+                                   "0.000e+00)")
 
     def test_branches_differ(self):
         rng = np.random.default_rng(3)
@@ -164,7 +195,7 @@ class TestSolvePosition:
             try:
                 a = solve_position(plus, phi)
                 b = solve_position(minus, phi)
-            except (NotAssemblableError, DegenerateConfigurationError):
+            except LinkageError:
                 continue
             assert np.hypot(*(a.C - b.C)) > 1e-6
 
@@ -179,7 +210,7 @@ class TestSolvePosition:
             params = FourBarParams(p1, p2, p3, 0.0, np.pi)
             try:
                 pose = solve_position(params, phi)
-            except (NotAssemblableError, DegenerateConfigurationError):
+            except LinkageError:
                 continue
             checked += 1
             assert abs(np.hypot(*pose.B) - p1) <= 1e-10 * p1
@@ -195,7 +226,7 @@ class TestSolvePosition:
             phi = rng.uniform(0.0, 2.0 * np.pi)
             try:
                 pose = solve_position(params, phi)
-            except (NotAssemblableError, DegenerateConfigurationError):
+            except LinkageError:
                 continue
             checked += 1
             cb = (pose.B - pose.C) / np.hypot(*(pose.B - pose.C))
@@ -214,9 +245,11 @@ class TestSweep:
     def test_unassemblable_sample_rejected(self):
         params = FourBarParams(crank=0.6, coupler=0.4, rocker=0.5,
                                start_angle=np.pi / 2, support_arc=np.pi)
-        with pytest.raises(NotAssemblableError) as info:
+        with pytest.raises(LinkageError) as info:
             sweep(params, 8)
-        assert info.value.phi == arc_check(params).phi[0]
+        assert str(info.value) == arc_check(params).messages([0])[0]
+        assert str(info.value) == ("linkage not assemblable at crank angle "
+                                   "3.141593 rad (closure gap 7.000e-01)")
 
     def test_chebyshev_arc_inside_assemblable_range(self):
         phis, ok = brute_force_assemblable_angles(CHEBYSHEV)
@@ -240,7 +273,7 @@ class TestSweep:
     def test_batch_rows_match_single_designs(self):
         # one design per rejection kind, plus accepted ones: every row of a
         # batch arc check equals the check of its design alone, bit for
-        # bit, a rejected design's sweep raises the error of its row, and
+        # bit, a rejected design's sweep raises the reason of its row, and
         # the batch sweep of the accepted designs matches their own sweeps
         designs = [CHEBYSHEV, PARALLELOGRAM,
                    FourBarParams(0.6, 0.4, 0.5, np.pi / 2, np.pi),
@@ -257,16 +290,16 @@ class TestSweep:
             for name in ("phi", "gap", "discriminant", "violation", "mu_min"):
                 np.testing.assert_array_equal(getattr(batch, name)[i],
                                               getattr(alone, name)[0])
-            error = batch.error(i)
-            assert (error is None) == (batch.violation[i] <= 0.0)
-            kinds.append(None if error is None else type(error))
-            if error is not None:
-                with pytest.raises(type(error)) as info:
+            expected = reason(batch, i)
+            assert (expected is None) == (batch.violation[i] <= 0.0)
+            kinds.append(kind(batch, i))
+            if expected is not None:
+                assert batch.messages([i]) == [expected]
+                with pytest.raises(LinkageError) as info:
                     sweep(design, 5)
-                assert str(info.value) == str(error)
-        assert kinds == [None, None, NotAssemblableError,
-                         DegenerateConfigurationError,
-                         DegenerateConfigurationError, None, None]
+                assert str(info.value) == expected
+        assert kinds == [None, None, NOT_ASSEMBLABLE, NEAR_TANGENT,
+                         NEAR_TANGENT, None, None]
         accepted = [0, 1, 5, 6]
         rows = sweep(FourBarParams(*columns[:, accepted]), 5)
         for r, i in enumerate(accepted):
@@ -400,8 +433,9 @@ class TestArcCheck:
                     rejected += 1
                     assert check.violation[i] == DEGENERACY_TOL \
                         - check.discriminant[i]
-                    with pytest.raises(LinkageError):
+                    with pytest.raises(LinkageError) as info:
                         solve_position(params, check.phi[i])
+                    assert str(info.value) == check.messages([i])[0]
                     continue
                 accepted += 1
                 assert check.violation[i] == 0.0

@@ -163,6 +163,11 @@ class TestInverseJacobian:
             TripodLeg(mount_radius=1.0, mount_angle=0.0, leg_angle=0.0,
                       foot_offset=1.0, extension=0.0)
 
+    def test_two_legs_rejected(self):
+        leg = TripodLeg(1.0, 0.0, 0.4, 0.2, 1.0)
+        with pytest.raises(ValueError, match="exactly 3 legs"):
+            TripodConfig(legs=(leg, leg))
+
 
 class TestJacobianViaAB:
     def test_mutual_inverse_both_orders(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,21 @@ class TestSequenceContract:
 
     def test_prefixes_are_nested(self):
         assert np.array_equal(lp_tau(3, 150)[:100], lp_tau(3, 100))
+
+    @pytest.mark.parametrize("count, message", [
+        (-1, "count must be non-negative"),
+        (2 ** 32, "exceed 32-bit resolution"),
+    ], ids=["minus-1", "2^32"])
+    def test_count_out_of_range(self, count, message):
+        # refused before any point array is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                lp_tau(1, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_dim_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from legsynth.mobility import (MechanismGraph, mobility,
-                               rationality_report, reference_graphs)
+from legsynth import cli
+from legsynth.mobility import MechanismGraph, mobility, reference_graphs
 
 
 class TestFixtures:
@@ -35,7 +37,7 @@ class TestFixtures:
         assert result.rational
 
     def test_reference_set_reproduces_all_four(self):
-        results = rationality_report(reference_graphs())
+        results = [mobility(g) for g in reference_graphs()]
         assert [r.dof for r in results] == [3, 6, 6, 8]
         assert [r.rational for r in results] == [None, True, False, True]
 
@@ -55,8 +57,17 @@ class TestFormula:
                                actuated_inputs=1)
         assert mobility(graph).diagnosis == "under-actuated"
 
-    def test_empty_report(self):
-        assert rationality_report([]) == []
+    def test_empty_report(self, tmp_path, capsys):
+        # no graphs and no fixtures: a table of the header alone
+        config = tmp_path / "mobility.json"
+        config.write_text(json.dumps({"graphs": [],
+                                      "use_reference_fixtures": False}))
+        out = tmp_path / "out"
+        assert cli.main(["mobility", "--config", str(config),
+                         "--out", str(out)]) == cli.EXIT_OK
+        lines = (out / "mobility.csv").read_text().splitlines()
+        assert lines[1:] == ["label,dof,actuated_inputs,rational,diagnosis"]
+        assert capsys.readouterr().out == ""
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

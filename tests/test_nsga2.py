@@ -780,6 +780,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GAConfig(crossover_prob=1.5)
 
+    def test_bounds_not_1d_rejected(self):
+        with pytest.raises(ValueError, match="1-D arrays"):
+            Problem(lower=np.zeros((2, 2)), upper=np.ones((2, 2)),
+                    evaluate=None)
+
     def test_crossed_bounds_rejected(self):
         for lower, upper in (([1.0], [0.0]), ([0.0, np.nan], [1.0, 1.0])):
             with pytest.raises(ValueError, match="must not exceed"):

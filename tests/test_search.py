@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from legsynth import search
-from legsynth.fourbar import (DegenerateConfigurationError, FourBarParams,
-                              NotAssemblableError, arc_check)
+from legsynth.fourbar import (NEAR_TANGENT, NOT_ASSEMBLABLE, FourBarParams,
+                              arc_check)
 from legsynth.search import (DEFAULT_BOX, FeasibilityLimits, ParamBox,
                              SamplingTable, filter_feasible, pareto_filter,
                              scan, write_sampling_table)
 from legsynth.synthesis import reduced_objective
+from test_fourbar import reason
 
 GOOD_POINT = np.array([0.5, 1.25, 1.25, np.radians(65.0), np.radians(221.0)])
 
@@ -71,7 +72,7 @@ def edge_case_table(table):
     rows = np.concatenate([np.flatnonzero(table.feasible)[:4],
                            np.flatnonzero(~table.feasible)[:2]])
     edited = table.take(rows)
-    edited.reason[4] = str(DegenerateConfigurationError(4.25, -3.5e-10))
+    edited.reason[4] = NEAR_TANGENT % (4.25, -3.5e-10)
     edited.min_transmission_deg[0] = np.nan
     edited.delta0[1] = 5e-324
     edited.delta0[2] = 1e308
@@ -168,7 +169,7 @@ class TestScan:
         # box (not assemblable, gap > 0), designs tangent at pi (gap 0,
         # discriminant 0), crank 1 at phi = 0 (B on D) and links whose
         # squares overflow (NaN discriminant); the reason column must be
-        # the message of each rejected row's error, and empty elsewhere
+        # the oracle's reason of each rejected row, and empty elsewhere
         boxes = [DEFAULT_BOX,
                  ParamBox(lower=[0.5, 0.75, 0.75, 0.0, np.pi],
                           upper=[0.5, 0.75, 0.75, 0.5, 1.2 * np.pi]),
@@ -180,9 +181,8 @@ class TestScan:
         params = FourBarParams(*np.concatenate([t.params for t in tables]).T)
         check = arc_check(params)
         reasons = np.concatenate([t.reason for t in tables])
-        for i, reason in enumerate(reasons):
-            error = check.error(i)
-            assert reason == ("" if error is None else str(error)), i
+        for i, found in enumerate(reasons):
+            assert found == (reason(check, i) or ""), i
         rejected = ~(check.violation <= 0.0)  # a NaN violation rejects
         gap, disc = check.gap, check.discriminant
         assert (~rejected).any()
@@ -388,12 +388,12 @@ class TestTableWriter:
         assert list(edited.feasible) == [True] * 4 + [False] * 2
         assert edited.reason[4].startswith("near-tangent configuration")
 
-    @pytest.mark.parametrize("error", [NotAssemblableError,
-                                       DegenerateConfigurationError])
-    def test_linkage_messages_need_no_quoting(self, error):
+    @pytest.mark.parametrize("template", [NOT_ASSEMBLABLE, NEAR_TANGENT],
+                             ids=["NOT_ASSEMBLABLE", "NEAR_TANGENT"])
+    def test_linkage_messages_need_no_quoting(self, template):
         values = [np.nan, np.inf, -np.inf, -0.0, 1e308, 0.5]
         for phi, figure in itertools.product(values, repeat=2):
-            message = str(error(phi, figure))
+            message = template % (phi, figure)
             assert not set(message) & set(',"\r\n'), message
 
     def test_reasons_read_back_unchanged(self, tmp_path, default_scan):

@@ -644,6 +644,11 @@ class TestWorld:
         with pytest.raises(ValueError):
             self.extreme_world({1: np.zeros(2), 2: point})
 
+    def test_landmark_of_four_coordinates_rejected(self):
+        # its four numbers read as two points for one id
+        with pytest.raises(ValueError, match="each landmark is one"):
+            self.extreme_world({1: np.zeros(4)})
+
 
 class TestObserve:
     def test_exact_range_bearing(self):

@@ -1,4 +1,5 @@
-"""SvgPlot window bounds where a zero span's pad rounds away."""
+"""SvgPlot window bounds where a zero span's pad rounds away, and the
+refusal of a plot with nothing in it."""
 
 import re
 
@@ -36,3 +37,8 @@ def test_zero_span_pad_unchanged_where_it_survives(value):
     else:
         assert (x0, x1) == (y0, y1) == (np.nextafter(half, -np.inf),
                                         np.nextafter(half, np.inf))
+
+
+def test_empty_plot_refused():
+    with pytest.raises(ValueError, match="nothing to plot"):
+        SvgPlot().render()

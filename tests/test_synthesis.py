@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from legsynth import search, synthesis
-from legsynth.fourbar import (DegenerateConfigurationError, FourBarParams,
-                              NotAssemblableError, arc_check,
-                              coupler_path, sample_schedule, sweep)
+from legsynth.fourbar import (NEAR_TANGENT, NOT_ASSEMBLABLE, FourBarParams,
+                              arc_check, coupler_path, sample_schedule,
+                              sweep)
 from legsynth.lptau import lp_tau
 from legsynth.synthesis import (RANK_DEFICIENCY_COND, InvalidSystemError,
                                 SynthesisSolution, reduced_objective,
                                 residual_delta, solve)
-from test_fourbar import arc_check_oracle, positions_oracle
+from test_fourbar import arc_check_oracle, kind, positions_oracle, reason
 
 EPS = np.finfo(float).eps
 
@@ -515,7 +515,8 @@ class TestReducedObjective:
                                start_angle=np.pi / 2, support_arc=np.pi)
         result = reduced_objective(params, 12)
         assert result.arc.violation[0] > 0.0
-        assert isinstance(result.arc.error(0), NotAssemblableError)
+        assert kind(result.arc, 0) == NOT_ASSEMBLABLE
+        assert result.arc.messages([0]) == [reason(result.arc, 0)]
         assert result.delta0[0] == np.inf
         assert np.isnan(result.mu_min[0])
 
@@ -607,24 +608,24 @@ class TestBatchKernel:
         batch = reduced_objective(params, KERNEL_COUNT)
         rows = len(params.crank)
         assert len(batch.arc.violation) == batch.delta0.shape[0] == rows
-        errors = [batch.arc.error(i) for i in range(rows)]
-        kinds = [None if e is None else type(e) for e in errors]
-        assert kinds[:7] == [None, None, NotAssemblableError,
-                             DegenerateConfigurationError,
-                             DegenerateConfigurationError, None, None]
+        reasons = [reason(batch.arc, i) for i in range(rows)]
+        kinds = [kind(batch.arc, i) for i in range(rows)]
+        assert kinds[:7] == [None, None, NOT_ASSEMBLABLE, NEAR_TANGENT,
+                             NEAR_TANGENT, None, None]
         assert batch.condition[6] > RANK_DEFICIENCY_COND
         assert kinds[7:].count(None) >= 3
         for i in range(rows):
             design = take(params, i)
             alone = reduced_objective(design, KERNEL_COUNT)
-            assert str(errors[i]) == str(alone.arc.error(0))
+            assert reasons[i] == reason(alone.arc, 0)
             for name in ("delta0", "x", "condition", "mu_min"):
                 np.testing.assert_array_equal(getattr(batch, name)[i],
                                               getattr(alone, name)[0])
             for name in ("phi", "gap", "discriminant", "violation", "mu_min"):
                 np.testing.assert_array_equal(getattr(batch.arc, name)[i],
                                               getattr(alone.arc, name)[0])
-            if errors[i] is not None:
+            if reasons[i] is not None:
+                assert batch.arc.messages([i]) == [reasons[i]]
                 assert batch.delta0[i] == np.inf
                 assert np.isnan(batch.mu_min[i])
                 continue
