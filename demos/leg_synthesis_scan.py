@@ -13,7 +13,6 @@ from legsynth.fourbar import FourBarParams, coupler_path, sweep
 from legsynth.search import (DEFAULT_BOX, FeasibilityLimits, filter_feasible,
                              pareto_filter, scan, write_sampling_table)
 from legsynth.svgplot import SvgPlot
-from legsynth.synthesis import LineTarget
 
 OUT = Path("demo-output/synthesis")
 OUT.mkdir(parents=True, exist_ok=True)
@@ -42,7 +41,7 @@ print(f"  crank {p.crank:.3f}  coupler {p.coupler:.3f}  "
       f"rocker {p.rocker:.3f}  arc {np.degrees(p.support_arc):.1f} deg")
 
 path = coupler_path(sweep(p, 200), x[:2])
-targets = LineTarget(*x[2:]).points(np.linspace(0, 1, 200))
+targets = x[2:4] + np.linspace(0, 1, 200)[:, None] * x[4:]
 plot = SvgPlot(title="best scanned design vs its target line",
                equal_aspect=True)
 plot.add_line(path[:, 0], path[:, 1], label="foot path")

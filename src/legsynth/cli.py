@@ -26,7 +26,6 @@ from . import slam
 from .fourbar import FourBarParams, coupler_path, sweep
 from .mobility import MechanismGraph, mobility, reference_graphs
 from .svgplot import SvgPlot
-from .synthesis import LineTarget
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -210,8 +209,7 @@ def cmd_synth(config, out, seed, tag):
     p = FourBarParams(*feasible.params[best], branch=branch)
     x = feasible.x[best]
     path = coupler_path(sweep(p, 200), x[:2])
-    line = LineTarget(*x[2:])
-    targets = line.points(np.linspace(0.0, 1.0, 200))
+    targets = x[2:4] + np.linspace(0.0, 1.0, 200)[:, None] * x[4:]
     plot = SvgPlot(title="best foot trajectory vs target line",
                    equal_aspect=True)
     plot.add_line(path[:, 0], path[:, 1], label="coupler path")
@@ -233,8 +231,7 @@ def cmd_synth(config, out, seed, tag):
             "cycle_ratio": feasible.cycle_ratio[best],
             "support_deg": feasible.support_deg[best],
             "coupler_point": x[:2].tolist(),
-            "line": {"x0": line.x0, "y0": line.y0,
-                     "span_x": line.span_x, "span_y": line.span_y},
+            "line": {"x0": x[2], "y0": x[3], "span_x": x[4], "span_y": x[5]},
         },
     }
     _write_json(out / "summary.json", summary)

@@ -201,7 +201,7 @@ def _joint_c(branch, B, BD, d, a, disc):
 def _transmission(coupler, rocker, d):
     """Transmission angle between coupler and rocker at C, folded into
     [0, pi/2], where |BD| = d; NaN where overflowing links make it so."""
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cos_mu = (coupler * coupler + rocker * rocker - d * d) \
             / (2.0 * coupler * rocker)
     mu = np.arccos(np.minimum(np.maximum(cos_mu, -1.0), 1.0))

@@ -17,9 +17,10 @@ are not (n, 2).
 Convergence is tracked by the exact hypervolume of the running
 nondominated archive (every feasible point ever evaluated, reduced to
 its nondominated subset) against a reference point frozen from the
-first feasible points.  The archive reading makes the trace monotone by
-construction, which the population-only front does not guarantee under
-crowding truncation.
+first feasible points, computed by hypervolume_2d, the function
+acceptance criterion 8 checks.  The archive reading makes the trace
+monotone by construction, which the population-only front does not
+guarantee under crowding truncation.
 
 The leg instance's genome is the five nonlinear linkage parameters; the
 coupler point and the target line of each genome come out of the
@@ -225,12 +226,6 @@ def hypervolume_2d(front, reference, normalization=None):
     F = np.asarray(front, dtype=float).reshape(-1, 2)
     ref = np.asarray(reference, dtype=float)
     stairs = _nondominated_2d(F[np.all(F < ref, axis=1)])
-    return _staircase_area(stairs, ref, normalization)
-
-
-def _staircase_area(stairs, ref, normalization):
-    """hypervolume_2d of a nondominated staircase: points that dominate
-    `ref`, sorted by f1, with no repeats and f2 strictly falling."""
     area = 0.0
     if len(stairs):
         widths = np.diff(np.append(stairs[:, 0], ref[0]))
@@ -340,10 +335,8 @@ def evolve(problem, config):
                 ideal = pts.min(axis=0)
             archive = _nondominated_2d(np.vstack([archive, pts]))
         if len(archive):
-            # the archive is already a staircase, and so is any subset
-            hypervolume[generation] = _staircase_area(
-                archive[np.all(archive < reference, axis=1)], reference,
-                ideal)
+            hypervolume[generation] = hypervolume_2d(archive, reference,
+                                                     ideal)
             best[generation] = archive.min(axis=0)
 
     _, rank, crowding = _survivors(F, violation, len(F))

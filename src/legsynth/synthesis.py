@@ -42,24 +42,6 @@ class InvalidSystemError(ValueError):
 
 
 @dataclass(frozen=True)
-class LineTarget:
-    """Straight target path traversed linearly in the sweep fraction.
-
-    Desired point i is (x0 + span_x * k_i, y0 + span_y * k_i).
-    """
-
-    x0: float
-    y0: float
-    span_x: float
-    span_y: float
-
-    def points(self, fractions):
-        k = np.asarray(fractions, dtype=float)
-        return np.stack([self.x0 + self.span_x * k,
-                         self.y0 + self.span_y * k], axis=-1)
-
-
-@dataclass(frozen=True)
 class SynthesisSolution:
     """Solved unknowns and the residual error of the inner stage.
 

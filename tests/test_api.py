@@ -29,8 +29,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # Public names kept without a caller, each with its reason.
 ALLOWED = {
-    ("nsga2", "hypervolume_2d"): "criterion 8's exact hypervolume, which "
-                                 "checks the tracked staircase",
     ("__init__", "__version__"): "the package version",
 }
 

@@ -109,6 +109,30 @@ class TestSynth:
         assert all(row.endswith("(discriminant nan)") for row in rows)
 
 
+UNDERFLOW_BOX = {"lower": [1e-300, 1e-300, 1e-300, 0.0, 3.2],
+                 "upper": [2e-300, 2e-300, 2e-300, 6.0, 5.0]}
+
+
+@pytest.mark.parametrize("command, config, code", [
+    ("synth", {"box": UNDERFLOW_BOX, "budget": 16}, 2),
+    ("pareto", {"box": UNDERFLOW_BOX,
+                "ga": {"population": 16, "generations": 2}}, 0),
+], ids=["synth", "pareto"])
+def test_underflowing_link_products_print_no_warning(tmp_path, command,
+                                                     config, code):
+    # products of the links underflow to 0; a separate interpreter with
+    # the default warning filters prints what a user would see
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "legsynth.cli", command, "--config",
+         "config.json", "--out", "out"], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default"),
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == code, result.stderr
+    assert "Warning" not in result.stderr
+
+
 class TestPareto:
     def test_zero_generations_front_is_initial_rank0(self, tmp_path):
         config = {"box": TIGHT_BOX,

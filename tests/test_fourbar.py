@@ -8,6 +8,9 @@ from legsynth.fourbar import (DEGENERACY_TOL, NEAR_TANGENT, NOT_ASSEMBLABLE,
                               coupler_path, gait_metrics, sample_schedule,
                               sweep)
 from legsynth.geometry import TWO_PI, wrap_pi
+from legsynth.lptau import lp_tau
+from legsynth.search import DEFAULT_BOX
+from legsynth.synthesis import reduced_objective
 
 PARALLELOGRAM = FourBarParams(crank=0.4, coupler=1.0, rocker=0.4,
                               start_angle=0.2, support_arc=1.5)
@@ -449,18 +452,39 @@ class TestArcCheck:
 
     def test_matches_one_pass_oracle(self):
         # the split kernel against the one-pass circle intersection, bit
-        # for bit, on designs within 1e-6 of tangency and on links whose
-        # squares overflow
+        # for bit, on designs within 1e-6 of tangency, on links whose
+        # squares overflow and on links whose product underflows
         rng = np.random.default_rng(2026)
         designs = np.concatenate([oracle_designs(rng, 800),
                                   [[1e200, 1.5e200, 2e200, 0.0, 3.2],
-                                   [1.0, 0.7, 0.7, 0.0, 1.5]]])
+                                   [1.0, 0.7, 0.7, 0.0, 1.5],
+                                   [1e-300, 1e-300, 1e-300, 1.0, 2.0]]])
         for branch in (+1, -1):
             params = FourBarParams(*designs.T, branch=branch)
             check = arc_check(params)
             fields = ("phi", "gap", "discriminant", "violation", "mu_min")
             for name, expected in zip(fields, arc_check_oracle(params)):
                 np.testing.assert_array_equal(getattr(check, name), expected)
+
+    @pytest.mark.parametrize("exponent", [-300, -200, -160, -150, 0, 150,
+                                          154, 154.2, 155, 200, 300])
+    def test_no_warning_at_any_link_scale(self, exponent):
+        # the kernel promises no warning for finite links, however small
+        # or large: links whose squares or products underflow or overflow
+        # are rejected or solved quietly
+        designs = DEFAULT_BOX.map_unit(lp_tau(5, 512))
+        designs[:, :3] *= 10.0 ** exponent
+        for branch in (+1, -1):
+            params = FourBarParams(*designs.T, branch=branch)
+            check = arc_check(params)
+            accepted = np.flatnonzero(check.violation <= 0.0)
+            result = reduced_objective(params, 24)
+            assert np.isfinite(result.delta0[accepted]).all()
+            if len(accepted):
+                sweep(FourBarParams(*designs[accepted].T, branch=branch), 24)
+            if exponent == 154.2:
+                # past 1e154 the squares of the longest links overflow
+                assert len(accepted) == 21
 
 
 class TestGaitMetrics:

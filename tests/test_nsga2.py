@@ -9,13 +9,13 @@ from legsynth.fourbar import (FourBarParams, LinkageError, arc_check,
                               coupler_path, sweep)
 from legsynth import nsga2
 from legsynth.nsga2 import (GAConfig, OBJECTIVE_SENTINEL, Problem, _breed,
-                            _nondominated_2d, _staircase_area, _survivors,
+                            _nondominated_2d, _survivors,
                             crowding_distance,
                             evolve, fast_nondominated_sort, hypervolume_2d,
                             leg_problem)
 from legsynth.search import ParamBox
 from legsynth.search import dominates as dominance_matrix
-from legsynth.synthesis import LineTarget, solve
+from legsynth.synthesis import solve
 from test_synthesis import sweep_arrays
 
 HOEKEN_GENOME = np.array([0.5, 1.25, 1.25, np.radians(65.0),
@@ -559,6 +559,15 @@ class TestSurvivors:
         assert exact_fits > 0 and cuts > 0
 
 
+# a bi-objective benchmark and the leg problem, each with a short run
+EVOLVE_CASES = pytest.mark.parametrize("make_problem, config", [
+    (lambda: zdt1_problem(dim=4),
+     GAConfig(population=24, generations=30, seed=5)),
+    (lambda: leg_problem(count=12),
+     GAConfig(population=16, generations=12, seed=7)),
+], ids=["zdt1", "leg"])
+
+
 class TestAgainstOracleEngine:
     """Ranking, crowding, truncation and breeding against the oracle
     copies of the engine before the fused two-objective survival step,
@@ -620,12 +629,7 @@ class TestAgainstOracleEngine:
                                     np.random.default_rng(trial))
             assert same_bits(children, expected)
 
-    @pytest.mark.parametrize("make_problem, config", [
-        (lambda: zdt1_problem(dim=4),
-         GAConfig(population=24, generations=30, seed=5)),
-        (lambda: leg_problem(count=12),
-         GAConfig(population=16, generations=12, seed=7)),
-    ], ids=["zdt1", "leg"])
+    @EVOLVE_CASES
     def test_evolve(self, monkeypatch, make_problem, config):
         result = evolve(make_problem(), config)
         monkeypatch.setattr(nsga2, "_survivors", oracle_survivors)
@@ -682,22 +686,6 @@ class TestHypervolume:
             assert value == hypervolume_oracle(front, reference, ideal)
 
 
-    def test_staircase_area_of_reduced_archive_bitwise(self):
-        # evolve's archive is already nondominated, so the area of its
-        # points below the reference needs no second filter
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            n = int(rng.integers(1, 200))
-            front = (rng.integers(0, 30, size=(n, 2))
-                     * rng.uniform(1e-3, 1e2, 2))
-            archive = _nondominated_2d(front)
-            reference = front.max(axis=0) * rng.uniform(0.3, 1.2)
-            ideal = front.min(axis=0) if rng.random() < 0.5 else None
-            kept = archive[np.all(archive < reference, axis=1)]
-            assert (_staircase_area(kept, reference, ideal)
-                    == hypervolume_2d(archive, reference, ideal))
-
-
 class TestEvolve:
     def test_zdt1_reaches_analytic_front(self):
         result = evolve(zdt1_problem(), GAConfig(population=100,
@@ -725,6 +713,42 @@ class TestEvolve:
                                           seed=3))
         assert np.all(result.genomes >= problem.lower)
         assert np.all(result.genomes <= problem.upper)
+
+    @EVOLVE_CASES
+    def test_history_matches_union_oracle(self, make_problem, config):
+        # each generation's hypervolume and best objectives, bit for bit,
+        # from the union of every feasible point evaluated so far, with
+        # the reference and ideal of the first generation that has one
+        base = make_problem()
+        history = []
+
+        def evaluate(X):
+            F, violation = base.evaluate(X)
+            history.append((np.array(F, dtype=float),
+                            np.array(violation, dtype=float)))
+            return F, violation
+
+        problem = Problem(lower=base.lower, upper=base.upper,
+                          evaluate=evaluate)
+        result = evolve(problem, config)
+        assert len(history) == config.generations + 1
+        union = np.empty((0, 2))
+        reference = ideal = None
+        for g, (F, violation) in enumerate(history):
+            kept = ((violation <= 0.0) & np.isfinite(violation)
+                    & np.all(np.isfinite(F), axis=1)
+                    & np.all(np.abs(F) < OBJECTIVE_SENTINEL, axis=1))
+            if kept.any() and reference is None:
+                reference, ideal = F[kept].max(axis=0), F[kept].min(axis=0)
+            union = np.vstack([union, F[kept]])
+            if len(union):
+                hv = hypervolume_oracle(union, reference, ideal)
+                best = union.min(axis=0)
+            else:
+                hv, best = 0.0, np.full(2, np.nan)
+            assert result.hypervolume[g] == hv
+            assert same_bits(result.best_objectives[g], best)
+        assert len(union) and result.hypervolume[-1] > 0.0
 
     def test_archive_hypervolume_monotone(self):
         result = evolve(zdt1_problem(dim=6), GAConfig(population=30,
@@ -849,7 +873,8 @@ class TestLegProblem:
             trace = sweep(params, count)
             solution = solve(*sweep_arrays(trace))
             path = coupler_path(trace, solution.x[:2])
-            targets = LineTarget(*solution.x[2:]).points(trace.fractions)
+            x = solution.x
+            targets = x[2:4] + trace.fractions[:, None] * x[4:]
             direct = np.mean(((path - targets) ** 2).sum(axis=1))
             assert abs(direct - F[0]) <= 1e-12 * (1.0 + direct)
 
