@@ -2,12 +2,16 @@
 
 Classic Sobol construction with direction numbers derived from primitive
 polynomials over GF(2) (Joe/Kuo initialization values, dimensions up to
-16).  Point n is generated from the plain binary expansion of n, not the
-Gray-code shortcut, so dimension 1 reproduces the base-2 radical-inverse
-(van der Corput) sequence exactly; that equivalence is the correctness
-anchor for the whole table.  Output is deterministic: lp_tau(dim, n) is
-bit-identical on every call and a prefix of lp_tau(dim, m) for m > n.
+16), built by doubling (Bratley and Fox 1988): points 2^b .. 2^(b+1)-1
+are points 0 .. 2^b-1 XOR direction integer b+1.  So point n is the XOR
+over the set bits of n itself, not of its Gray code, and dimension 1
+reproduces the base-2 radical-inverse (van der Corput) sequence exactly;
+that equivalence is the correctness anchor for the whole table.  Output
+is deterministic: lp_tau(dim, n) is bit-identical on every call and a
+prefix of lp_tau(dim, m) for m > n.
 """
+
+import operator
 
 import numpy as np
 
@@ -41,22 +45,25 @@ _INITIAL_M = (
 
 def _direction_integers(dim):
     """Direction integers V[j][b] = m_b(dim j) << (32 - b), b = 1..32."""
-    V = np.zeros((dim, _N_BITS + 1), dtype=np.uint64)
-    for b in range(1, _N_BITS + 1):
-        V[0, b] = 1 << (_N_BITS - b)  # dimension 1: every m_b = 1
-    for j in range(1, dim):
-        poly = _POLYNOMIALS[j - 1]
+    rows = [[1] * _N_BITS]  # dimension 1: every m_b = 1
+    for poly, m in zip(_POLYNOMIALS[:dim - 1], map(list, _INITIAL_M)):
         degree = poly.bit_length() - 1
-        m = list(_INITIAL_M[j - 1])
         for b in range(degree, _N_BITS):
             new = m[b - degree] ^ (m[b - degree] << degree)
             for i in range(1, degree):
                 if (poly >> (degree - i)) & 1:
                     new ^= m[b - i] << i
             m.append(new)
-        for b in range(1, _N_BITS + 1):
-            V[j, b] = np.uint64(m[b - 1]) << np.uint64(_N_BITS - b)
-    return V
+        rows.append(m)
+    return np.array([[0] + [m_b << (_N_BITS - b) for b, m_b in enumerate(m, 1)]
+                     for m in rows], dtype=np.uint64)
+
+
+def _index(value, name):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def lp_tau(dim, count):
@@ -64,8 +71,10 @@ def lp_tau(dim, count):
 
     Returns an array of shape (count, dim) with entries in [0, 1).  Point
     index 0 is the origin; prefixes are nested, so enlarging count only
-    appends points.
+    appends points.  Each power-of-two block is the block before it XOR
+    one direction integer, written in place into one uint64 table.
     """
+    dim, count = _index(dim, "dim"), _index(count, "count")
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dim must be in 1..{MAX_DIM}, got {dim}")
     if count < 0:
@@ -73,10 +82,10 @@ def lp_tau(dim, count):
     if count >= INDEX_LIMIT:
         raise ValueError("sequence index would exceed 32-bit resolution")
     V = _direction_integers(dim)
-    indices = np.arange(count, dtype=np.uint64)
     acc = np.zeros((count, dim), dtype=np.uint64)
-    for bit in range(1, _N_BITS + 1):
-        rows = (indices >> np.uint64(bit - 1)) & np.uint64(1)
-        if rows.any():
-            acc[rows.astype(bool)] ^= V[:, bit]
+    size, bit = 1, 1
+    while size < count:
+        end = min(2 * size, count)
+        np.bitwise_xor(acc[:end - size], V[:, bit], out=acc[size:end])
+        size, bit = 2 * size, bit + 1
     return acc * _SCALE

@@ -89,15 +89,15 @@ class SvgPlot:
         for i, series in enumerate(self.series):
             kind, xs, ys, label = series[0], series[1], series[2], series[3]
             color = series[4] or _COLORS[i % len(_COLORS)]
+            pixels = zip(tx(xs / 2).tolist(), ty(ys / 2).tolist())
             if kind == "line":
-                points = " ".join(f"{tx(x):.2f},{ty(y):.2f}"
-                                  for x, y in zip(xs / 2, ys / 2))
+                points = " ".join(f"{x:.2f},{y:.2f}" for x, y in pixels)
                 parts.append(f'<polyline points="{points}" fill="none" '
                              f'stroke="{color}" stroke-width="1.5"/>')
             else:
                 radius = series[5]
-                for x, y in zip(xs / 2, ys / 2):
-                    parts.append(f'<circle cx="{tx(x):.2f}" cy="{ty(y):.2f}" '
+                for x, y in pixels:
+                    parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" '
                                  f'r="{radius}" fill="{color}" '
                                  f'fill-opacity="0.7"/>')
             if label:
